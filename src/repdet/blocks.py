@@ -358,7 +358,7 @@ class ScaleParam:
         self.s = np.full(1, value, dtype=DTYPE)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return (x.astype(np.float64) * float(self.s[0])).astype(DTYPE)
+        return np.multiply(x, self.s[0], dtype=DTYPE)
 
     def named_arrays(self):
         yield "s", self.s

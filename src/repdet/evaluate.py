@@ -79,9 +79,13 @@ def load_dataset(manifest_path: str):
         raise ValidationError(f"cannot read manifest {manifest_path}: {exc}") from None
     if not isinstance(doc, dict) or "classes" not in doc or "items" not in doc:
         raise ValidationError("manifest must carry 'classes' and 'items'")
-    classes = list(doc["classes"])
+    classes = doc["classes"]
+    if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+        raise ValidationError("manifest 'classes' must be a list of class-name strings")
     if not classes:
         raise ValidationError("manifest declares no classes")
+    if not isinstance(doc["items"], list):
+        raise ValidationError("manifest 'items' must be a list")
     root = os.path.dirname(os.path.abspath(manifest_path))
 
     missing = []

@@ -115,6 +115,10 @@ def decode_detections(head_maps, cfg: HeadConfig, meta: LetterboxMeta,
         class_names = [f"class{i}" for i in range(cfg.nc)]
     dets = []
     for level, (fmap, stride) in enumerate(zip(head_maps, cfg.strides)):
+        if fmap.shape[0] != 1:
+            raise ShapeError(
+                f"level {level}: batch axis {fmap.shape[0]} != 1; decode one image at a time"
+            )
         if fmap.shape[1] != cfg.out_channels:
             raise ShapeError(
                 f"level {level}: channel axis {fmap.shape[1]} != {cfg.out_channels}"

@@ -1,9 +1,12 @@
 """Deterministic NCHW tensor kernels.
 
 Tensors are plain 4-D numpy arrays of float32, laid out (n, c, h, w) row-major.
-Every kernel accumulates in float64 and casts the result back to float32, so
-results are reproducible run to run and agree with straightforward loop
-references to within float32 resolution. No kernel mutates its inputs.
+The forward kernels (conv2d, batch norm, SiLU, pooling, elementwise) compute
+in float32: a float32 im2col feeds a single-precision GEMM. Results repeat
+run to run and agree with float64 references to within float32 resolution;
+the float64 versions live in tests/oracles.py. Max pooling, elementwise add
+and mul are bit-identical to those references. The decode kernels (sigmoid,
+grouped softmax) still accumulate in float64. No kernel mutates its inputs.
 """
 from __future__ import annotations
 
@@ -136,7 +139,7 @@ def _window_view(xp: np.ndarray, kernel, stride, dilation, out_hw):
 
 
 def conv2d(x: np.ndarray, spec: Conv2dSpec, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Direct 2-D convolution (cross-correlation), float64 accumulation."""
+    """Direct 2-D convolution (cross-correlation) as float32 im2col + GEMM."""
     check_nchw(x)
     n, c, h, w = x.shape
     if c != spec.in_ch:
@@ -153,11 +156,11 @@ def conv2d(x: np.ndarray, spec: Conv2dSpec, weights: np.ndarray, bias: np.ndarra
 
     ho, wo = spec.out_hw(h, w)
     ph, pw = spec.padding
-    xp = x.astype(np.float64)
+    xp = np.asarray(x, dtype=DTYPE)
     if ph or pw:
         xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     pat = _window_view(xp, spec.kernel, spec.stride, spec.dilation, (ho, wo))
-    wf = weights.astype(np.float64)
+    wf = np.asarray(weights, dtype=DTYPE)
 
     g = spec.groups
     if g == 1:
@@ -175,8 +178,8 @@ def conv2d(x: np.ndarray, spec: Conv2dSpec, weights: np.ndarray, bias: np.ndarra
         out = np.concatenate(parts, axis=1).reshape(n, spec.out_ch, ho, wo)
 
     if bias is not None:
-        out = out + bias.astype(np.float64)[None, :, None, None]
-    return out.astype(DTYPE)
+        out += np.asarray(bias, dtype=DTYPE)[None, :, None, None]
+    return out
 
 
 def batch_norm_inference(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
@@ -185,14 +188,19 @@ def batch_norm_inference(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
         raise ShapeError(f"channel axis: input has {x.shape[1]} channels, batch norm has {p.channels}")
     scale = p.gamma.astype(np.float64) / np.sqrt(p.var.astype(np.float64) + p.eps)
     shift = p.beta.astype(np.float64) - p.mean.astype(np.float64) * scale
-    out = x.astype(np.float64) * scale[None, :, None, None] + shift[None, :, None, None]
-    return out.astype(DTYPE)
+    out = np.multiply(x, scale.astype(DTYPE)[None, :, None, None], dtype=DTYPE)
+    out += shift.astype(DTYPE)[None, :, None, None]
+    return out
 
 
 def silu(x: np.ndarray) -> np.ndarray:
     """x * sigmoid(x); the tanh form of sigmoid is stable for any magnitude."""
-    xd = x.astype(np.float64)
-    return (xd * 0.5 * (1.0 + np.tanh(0.5 * xd))).astype(DTYPE)
+    out = np.multiply(x, 0.5, dtype=DTYPE)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= x
+    out *= 0.5
+    return out
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -219,15 +227,15 @@ def pool2d(x: np.ndarray, mode: str, kernel, stride=None, padding=0) -> np.ndarr
     if ho < 1 or wo < 1:
         raise ShapeError(f"pool output collapsed to {ho}x{wo}")
     fill = -np.inf if mode == "max" else 0.0
-    xp = x.astype(np.float64)
+    xp = np.asarray(x, dtype=DTYPE)
     if ph or pw:
         xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
     pat = _window_view(xp, kernel, stride, (1, 1), (ho, wo))
     if mode == "max":
-        out = pat.max(axis=(2, 3))
-    else:
-        out = pat.sum(axis=(2, 3)) / float(kh * kw)
-    return out.astype(DTYPE)
+        return pat.max(axis=(2, 3))
+    out = pat.sum(axis=(2, 3))
+    out /= float(kh * kw)
+    return out
 
 
 def upsample_nearest2x(x: np.ndarray) -> np.ndarray:
@@ -277,8 +285,10 @@ def elementwise(x: np.ndarray, y: np.ndarray, op: str) -> np.ndarray:
     check_nchw(y, "y")
     if x.shape != y.shape:
         raise ShapeError(f"elementwise shapes differ: {x.shape} vs {y.shape}")
+    # float64 has more than twice float32's precision plus two bits, so one
+    # float32 rounding gives the float64 sum or product rounded to float32
     if op == "mul":
-        return (x.astype(np.float64) * y.astype(np.float64)).astype(DTYPE)
+        return np.multiply(x, y, dtype=DTYPE)
     if op == "add":
-        return (x.astype(np.float64) + y.astype(np.float64)).astype(DTYPE)
+        return np.add(x, y, dtype=DTYPE)
     raise SpecError(f"unknown elementwise op {op!r}")

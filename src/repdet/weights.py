@@ -90,7 +90,13 @@ class WeightStore:
         store = cls()
         for i in range(count):
             (nlen,) = struct.unpack("<H", take(2, f"name length of tensor {i}"))
-            name = take(nlen, f"name of tensor {i}").decode("utf-8")
+            raw = take(nlen, f"name of tensor {i}")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(
+                    f"name of tensor {i} at offset {off - nlen} is not UTF-8: {raw!r}"
+                ) from None
             (rank,) = struct.unpack("<B", take(1, f"rank of {name}"))
             dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name}")) if rank else ()
             size = int(np.prod(dims, dtype=np.int64)) if rank else 1

@@ -1,12 +1,20 @@
 """Independent reference implementations used to freeze expected test values.
 
-Everything here is written from first principles (explicit loops, exhaustive
-threshold sweeps, closed-form arithmetic) and never calls the kernels under
-test, so agreement is evidence rather than tautology.
+The `ref_*` functions are written from first principles (explicit loops,
+exhaustive threshold sweeps, closed-form arithmetic) and never call the
+kernels under test, so agreement is evidence rather than tautology.
+
+The `*_f64` functions are the float64-accumulating forward kernels that the
+float32 ones in `repdet.tensor_ops` replaced. They share only the argument
+checks and the strided window view with the engine, and serve as the
+reference for whole-graph forwards.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from repdet.errors import ShapeError, SpecError
+from repdet.tensor_ops import DTYPE, _pair, _window_view, check_nchw
 
 
 def ref_conv2d(x, w, b=None, stride=(1, 1), padding=(0, 0), dilation=(1, 1), groups=1):
@@ -175,3 +183,110 @@ def c2f_params(cin, cout, n, multiscale=False):
     else:
         total += n * 2 * conv_block_params(h, h, 3)
     return total
+
+
+def conv2d_f64(x, spec, weights, bias=None):
+    """Direct 2-D convolution (cross-correlation), float64 accumulation."""
+    check_nchw(x)
+    n, c, h, w = x.shape
+    if c != spec.in_ch:
+        raise ShapeError(f"channel axis: input has {c} channels, spec expects {spec.in_ch}")
+    if tuple(weights.shape) != spec.weight_shape:
+        raise ShapeError(f"weight axis: got {tuple(weights.shape)}, spec expects {spec.weight_shape}")
+    if spec.has_bias:
+        if bias is None:
+            raise ShapeError("spec declares a bias but none was supplied")
+        if bias.shape != (spec.out_ch,):
+            raise ShapeError(f"bias axis: length {bias.shape} != out_ch {spec.out_ch}")
+    elif bias is not None:
+        raise ShapeError("bias supplied to a bias-free conv spec")
+
+    ho, wo = spec.out_hw(h, w)
+    ph, pw = spec.padding
+    xp = x.astype(np.float64)
+    if ph or pw:
+        xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    pat = _window_view(xp, spec.kernel, spec.stride, spec.dilation, (ho, wo))
+    wf = weights.astype(np.float64)
+
+    g = spec.groups
+    if g == 1:
+        cols = pat.reshape(n, c * spec.kernel[0] * spec.kernel[1], ho * wo)
+        out = (wf.reshape(spec.out_ch, -1) @ cols).reshape(n, spec.out_ch, ho, wo)
+    elif g == c and spec.out_ch == c:
+        # depthwise: one kernel plane per channel
+        out = np.einsum("ncuvhw,cuv->nchw", pat, wf[:, 0])
+    else:
+        cg, og = c // g, spec.out_ch // g
+        parts = []
+        for gi in range(g):
+            cols = pat[:, gi * cg:(gi + 1) * cg].reshape(n, cg * spec.kernel[0] * spec.kernel[1], ho * wo)
+            parts.append(wf[gi * og:(gi + 1) * og].reshape(og, -1) @ cols)
+        out = np.concatenate(parts, axis=1).reshape(n, spec.out_ch, ho, wo)
+
+    if bias is not None:
+        out = out + bias.astype(np.float64)[None, :, None, None]
+    return out.astype(DTYPE)
+
+
+def batch_norm_inference_f64(x, p):
+    check_nchw(x)
+    if x.shape[1] != p.channels:
+        raise ShapeError(f"channel axis: input has {x.shape[1]} channels, batch norm has {p.channels}")
+    scale = p.gamma.astype(np.float64) / np.sqrt(p.var.astype(np.float64) + p.eps)
+    shift = p.beta.astype(np.float64) - p.mean.astype(np.float64) * scale
+    out = x.astype(np.float64) * scale[None, :, None, None] + shift[None, :, None, None]
+    return out.astype(DTYPE)
+
+
+def silu_f64(x):
+    """x * sigmoid(x); the tanh form of sigmoid is stable for any magnitude."""
+    xd = x.astype(np.float64)
+    return (xd * 0.5 * (1.0 + np.tanh(0.5 * xd))).astype(DTYPE)
+
+
+def pool2d_f64(x, mode, kernel, stride=None, padding=0):
+    """Windowed max or mean. avg divides by the full kernel area, padding included,
+    so a stride-1 avg pool is exactly expressible as a fixed convolution."""
+    if mode not in ("max", "avg"):
+        raise SpecError(f"unknown pool mode {mode!r}")
+    check_nchw(x)
+    kernel = _pair(kernel)
+    stride = kernel if stride is None else _pair(stride)
+    padding = _pair(padding)
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    ph, pw = padding
+    if kh > h + 2 * ph or kw > w + 2 * pw:
+        raise ShapeError(f"pool kernel {kernel} exceeds padded input {h + 2 * ph}x{w + 2 * pw}")
+    ho = (h + 2 * ph - kh) // stride[0] + 1
+    wo = (w + 2 * pw - kw) // stride[1] + 1
+    if ho < 1 or wo < 1:
+        raise ShapeError(f"pool output collapsed to {ho}x{wo}")
+    fill = -np.inf if mode == "max" else 0.0
+    xp = x.astype(np.float64)
+    if ph or pw:
+        xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
+    pat = _window_view(xp, kernel, stride, (1, 1), (ho, wo))
+    if mode == "max":
+        out = pat.max(axis=(2, 3))
+    else:
+        out = pat.sum(axis=(2, 3)) / float(kh * kw)
+    return out.astype(DTYPE)
+
+
+def elementwise_f64(x, y, op):
+    check_nchw(x)
+    check_nchw(y, "y")
+    if x.shape != y.shape:
+        raise ShapeError(f"elementwise shapes differ: {x.shape} vs {y.shape}")
+    if op == "mul":
+        return (x.astype(np.float64) * y.astype(np.float64)).astype(DTYPE)
+    if op == "add":
+        return (x.astype(np.float64) + y.astype(np.float64)).astype(DTYPE)
+    raise SpecError(f"unknown elementwise op {op!r}")
+
+
+def scale_forward_f64(block, x):
+    """`ScaleParam.forward` computed in float64."""
+    return (x.astype(np.float64) * float(block.s[0])).astype(DTYPE)

@@ -1,12 +1,14 @@
 """End-to-end command tests: outputs, determinism, exit codes, atomicity."""
 import json
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import repdet
 import repdet.model as M
 from repdet.cli import main
 from repdet.ppm import read_ppm, write_ppm
@@ -169,6 +171,16 @@ class TestExitCodes:
                                "--image", black_image, "--weights", bad)
         assert code == 2
 
+    def test_bad_tensor_name_is_2(self, capsys, black_image, tmp_path):
+        bad = os.fspath(tmp_path / "bad.rwt")
+        # one rank-0 tensor whose 2-byte name is not UTF-8
+        blob = b"RWT1" + struct.pack("<IH", 1, 2) + b"\xff\xfe" + b"\x00" + struct.pack("<f", 1.0)
+        open(bad, "wb").write(blob)
+        code, _, err = run_cli(capsys, "infer", "--model", "improved",
+                               "--image", black_image, "--weights", bad)
+        assert code == 2
+        assert err.startswith("error:") and "UTF-8" in err
+
     def test_wrong_graph_weights_is_3(self, capsys, black_image, tmp_path):
         w = os.fspath(tmp_path / "base.rwt")
         g = M.build_model("baseline", 3)
@@ -195,7 +207,10 @@ class TestExitCodes:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports the same repdet as this process, installed or not
+        src = os.path.dirname(os.path.dirname(repdet.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-m", "repdet.cli", "compare", "--nc", "3"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "reduction" in proc.stdout

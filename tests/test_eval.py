@@ -73,12 +73,29 @@ class TestLoadDataset:
         with pytest.raises(ValidationError, match="class id"):
             load_dataset(self._make(tmp_path, "7 0.5 0.5 0.2 0.1\n"))
 
-    def test_missing_files_listed(self, tmp_path):
+    def _manifest(self, tmp_path, doc):
         path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({"classes": ["a"],
-                                    "items": [{"image": "nope.ppm", "label": "nope.txt"}]}))
+        path.write_text(json.dumps(doc))
+        return os.fspath(path)
+
+    @pytest.mark.parametrize("classes, match", [
+        ("abc", "'classes' must be a list"),
+        (["a", 1], "'classes' must be a list"),
+        ([], "no classes"),
+    ])
+    def test_bad_classes_rejected(self, tmp_path, classes, match):
+        with pytest.raises(ValidationError, match=match):
+            load_dataset(self._manifest(tmp_path, {"classes": classes, "items": []}))
+
+    def test_items_object_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="'items' must be a list"):
+            load_dataset(self._manifest(tmp_path, {"classes": ["a"], "items": {}}))
+
+    def test_missing_files_listed(self, tmp_path):
+        path = self._manifest(tmp_path, {"classes": ["a"],
+                                         "items": [{"image": "nope.ppm", "label": "nope.txt"}]})
         with pytest.raises(ValidationError, match="missing"):
-            load_dataset(os.fspath(path))
+            load_dataset(path)
 
 
 class TestIoU:

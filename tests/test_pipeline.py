@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repdet.blocks import HeadConfig
-from repdet.errors import FormatError, SpecError, ValidationError
+from repdet.errors import FormatError, ShapeError, SpecError, ValidationError
 from repdet.pipeline import (
     PAD_VALUE,
     Detection,
@@ -150,6 +150,11 @@ class TestDecode:
 
     def test_low_logits_give_no_detections(self):
         assert decode_detections(_head_maps(), CFG, self.IDENTITY_META, 0.25) == []
+
+    def test_batch_of_two_rejected(self):
+        maps = [np.concatenate([m, m]) for m in _head_maps()]
+        with pytest.raises(ShapeError, match="batch axis 2"):
+            decode_detections(maps, CFG, self.IDENTITY_META, 0.25)
 
     def test_single_forced_cell(self):
         maps = _head_maps()

@@ -8,9 +8,7 @@ every output file is written to a temp path and atomically renamed.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -24,6 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .evaluate import evaluate, load_dataset
+from .fileio import write_atomic
 from .fusion import fuse_model_graph
 from .pipeline import annotate, decode_detections, detections_to_json, letterbox, nms
 from .ppm import read_ppm, write_ppm
@@ -42,17 +41,16 @@ class _Parser(argparse.ArgumentParser):
         raise _Usage(message)
 
 
-def _write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".out-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _forward_finite(g, tensor):
+    """Head maps of `g` on `tensor`. When one holds NaN or inf, runs the graph
+    again to name the first node whose output is not finite."""
+    maps = M.forward(g, tensor)
+    if all(np.isfinite(m).all() for m in maps):
+        return maps
+    vals = M.run_graph(g, tensor)
+    bad = next(n for n in g.nodes if not np.isfinite(vals[n.name]).all())
+    raise NumericError(f"non-finite values first appear at node {bad.name} ({bad.kind}); "
+                       f"check the weights")
 
 
 def _prepare_graph(variant, nc, weights_path, seed):
@@ -87,7 +85,7 @@ def cmd_summarize(args) -> int:
         csv.extend(f"{r.name},{r.kind},{_shape_text(r.out_shape)},{r.params},{r.macs}"
                    for r in rows)
         csv.append(f"total,,,{total_params},{total_macs}")
-        _write_text(args.csv, "\n".join(csv) + "\n")
+        write_atomic(args.csv, ("\n".join(csv) + "\n").encode("utf-8"))
     return 0
 
 
@@ -130,7 +128,7 @@ def cmd_infer(args) -> int:
     g = _prepare_graph(args.model, args.nc, args.weights, args.seed)
     image = read_ppm(args.image)
     tensor, meta = letterbox(image)
-    maps = M.forward(g, tensor)
+    maps = _forward_finite(g, tensor)
     dets = nms(decode_detections(maps, g.cfg, meta, args.conf), args.iou)
     print(detections_to_json(dets))
     if args.annotate:
@@ -147,7 +145,7 @@ def cmd_eval(args) -> int:
         image = read_ppm(item.image_path)
         sizes.append((image.shape[1], image.shape[0]))
         tensor, meta = letterbox(image)
-        maps = M.forward(g, tensor)
+        maps = _forward_finite(g, tensor)
         per_image.append(nms(decode_detections(maps, g.cfg, meta, args.conf, classes),
                              args.iou))
     report = evaluate(per_image, items, classes, image_sizes=sizes)
@@ -155,9 +153,9 @@ def cmd_eval(args) -> int:
     print(text)
     if args.out:
         if args.out.endswith(".csv"):
-            _write_text(args.out, report.to_csv_text() + "\n")
+            write_atomic(args.out, (report.to_csv_text() + "\n").encode("utf-8"))
         else:
-            _write_text(args.out, text + "\n")
+            write_atomic(args.out, (text + "\n").encode("utf-8"))
     return 0
 
 

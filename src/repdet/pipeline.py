@@ -9,6 +9,7 @@ import numpy as np
 
 from .blocks import HeadConfig
 from .errors import ShapeError, SpecError, ValidationError
+from .evaluate import iou
 from .tensor_ops import DTYPE, sigmoid, softmax_channelwise
 
 PAD_VALUE = 114  # grey border pixel, as 0..255
@@ -146,17 +147,6 @@ def decode_detections(head_maps, cfg: HeadConfig, meta: LetterboxMeta,
     return dets
 
 
-def _iou_xyxy(a, b) -> float:
-    ix = min(a[2], b[2]) - max(a[0], b[0])
-    iy = min(a[3], b[3]) - max(a[1], b[1])
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    area_a = (a[2] - a[0]) * (a[3] - a[1])
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    return inter / (area_a + area_b - inter)
-
-
 def nms(dets, iou_thresh: float = 0.45):
     """Greedy class-aware suppression. Ties break on lower class id, then input
     order; survivors come back sorted by descending score."""
@@ -164,7 +154,7 @@ def nms(dets, iou_thresh: float = 0.45):
     kept: list[int] = []
     for i in order:
         d = dets[i]
-        if any(dets[j].class_id == d.class_id and _iou_xyxy(dets[j].box, d.box) >= iou_thresh
+        if any(dets[j].class_id == d.class_id and iou(dets[j].box, d.box) >= iou_thresh
                for j in kept):
             continue
         kept.append(i)

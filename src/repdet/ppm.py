@@ -1,12 +1,10 @@
 """Binary PPM (P6, maxval 255) reader and writer."""
 from __future__ import annotations
 
-import os
-import tempfile
-
 import numpy as np
 
 from .errors import FormatError
+from .fileio import write_atomic
 
 
 def _next_token(data: bytes, off: int) -> tuple[bytes, int]:
@@ -63,13 +61,4 @@ def write_ppm(path: str, image: np.ndarray) -> None:
         raise FormatError(f"expected (h, w, 3) pixels, got {img.shape}")
     h, w = img.shape[:2]
     blob = b"P6\n%d %d\n255\n" % (w, h) + img.tobytes()
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ppm-")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, blob)

@@ -1,12 +1,19 @@
 """Deterministic NCHW tensor kernels.
 
-Tensors are plain 4-D numpy arrays of float32, laid out (n, c, h, w) row-major.
-The forward kernels (conv2d, batch norm, SiLU, pooling, elementwise) compute
-in float32: a float32 im2col feeds a single-precision GEMM. Results repeat
-run to run and agree with float64 references to within float32 resolution;
-the float64 versions live in tests/oracles.py. Max pooling, elementwise add
-and mul are bit-identical to those references. The decode kernels (sigmoid,
-grouped softmax) still accumulate in float64. No kernel mutates its inputs.
+Tensors are plain 4-D numpy arrays of float32, indexed (n, c, h, w). The
+forward kernels (conv2d, batch norm, SiLU, pooling, elementwise) compute in
+float32. Dense and grouped convs do a float32 im2col over a strided window
+view and a single-precision GEMM. The window ops loop over kernel taps and
+work on whole-tensor slices: pooling reduces the column-shifted slices, then
+the row-shifted ones; a depthwise conv does one multiply-add per tap into a
+channels-last float32 accumulator and returns it through an NCHW view.
+Padding fills a new buffer with 0 or -inf and copies the interior.
+
+Results repeat run to run and agree with float64 references to within float32
+resolution; the float64 versions, including the einsum depthwise conv, live
+in tests/oracles.py. Max pooling, elementwise add and mul are bit-identical
+to those references. The decode kernels (sigmoid, grouped softmax) still
+accumulate in float64. No kernel mutates its inputs.
 """
 from __future__ import annotations
 
@@ -138,8 +145,71 @@ def _window_view(xp: np.ndarray, kernel, stride, dilation, out_hw):
     )
 
 
+def _padded(x: np.ndarray, ph: int, pw: int, fill: float = 0.0,
+            channels_last: bool = False) -> np.ndarray:
+    """float32 `x` with `ph` rows and `pw` columns of `fill` on every side, in a
+    new buffer (`x` itself when there is nothing to add). With `channels_last`
+    the buffer is always new, laid out (n, h, w, c) and indexed as NCHW."""
+    x = np.asarray(x, dtype=DTYPE)
+    if not (ph or pw or channels_last):
+        return x
+    n, c, h, w = x.shape
+    if channels_last:
+        buf = np.empty((n, h + 2 * ph, w + 2 * pw, c), DTYPE).transpose(0, 3, 1, 2)
+    else:
+        buf = np.empty((n, c, h + 2 * ph, w + 2 * pw), DTYPE)
+    # write the border and the interior once each
+    buf[:, :, :ph] = fill
+    buf[:, :, ph + h:] = fill
+    buf[:, :, ph:ph + h, :pw] = fill
+    buf[:, :, ph:ph + h, pw + w:] = fill
+    buf[:, :, ph:ph + h, pw:pw + w] = x
+    return buf
+
+
+def _taps(start: int, step: int, count: int) -> slice:
+    """The `count` positions start, start + step, ... as a slice."""
+    return slice(start, start + step * (count - 1) + 1, step)
+
+
+def _fold(op, slices) -> np.ndarray:
+    """`op` applied left to right across `slices`, into a new array."""
+    out = op(slices[0], slices[1]) if len(slices) > 1 else slices[0].copy()
+    for s in slices[2:]:
+        op(out, s, out=out)
+    return out
+
+
+def _depthwise(x: np.ndarray, spec: Conv2dSpec, wf: np.ndarray, ho: int, wo: int) -> np.ndarray:
+    """Depthwise conv as one multiply-add per kernel tap over whole
+    channels-last slices. The result is channels-last memory seen through an
+    NCHW view, so a following depthwise conv pads it without a transpose."""
+    kh, kw = spec.kernel
+    sh, sw = spec.stride
+    dh, dw = spec.dilation
+    xp = _padded(x, *spec.padding, channels_last=True).transpose(0, 2, 3, 1)
+    n, c = x.shape[:2]
+    taps = wf[:, 0].transpose(1, 2, 0)  # (kh, kw, c)
+    # a tap's weights repeated along a whole output row, so that a stride-1
+    # multiply runs once per row over wo * c values instead of once per pixel
+    w_row = np.empty((wo, c), DTYPE)
+    out = np.empty((n, ho, wo, c), DTYPE)
+    prod = np.empty_like(out)
+    for u in range(kh):
+        for v in range(kw):
+            win = xp[:, _taps(u * dh, sh, ho), _taps(v * dw, sw, wo)]
+            w_row[...] = taps[u, v]
+            if u == v == 0:
+                np.multiply(win, w_row, out=out)
+            else:
+                np.multiply(win, w_row, out=prod)
+                out += prod
+    return out.transpose(0, 3, 1, 2)
+
+
 def conv2d(x: np.ndarray, spec: Conv2dSpec, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Direct 2-D convolution (cross-correlation) as float32 im2col + GEMM."""
+    """Direct 2-D convolution (cross-correlation): float32 im2col + GEMM, or
+    per-tap multiply-adds when depthwise (groups == in_ch == out_ch)."""
     check_nchw(x)
     n, c, h, w = x.shape
     if c != spec.in_ch:
@@ -155,27 +225,23 @@ def conv2d(x: np.ndarray, spec: Conv2dSpec, weights: np.ndarray, bias: np.ndarra
         raise ShapeError("bias supplied to a bias-free conv spec")
 
     ho, wo = spec.out_hw(h, w)
-    ph, pw = spec.padding
-    xp = np.asarray(x, dtype=DTYPE)
-    if ph or pw:
-        xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    pat = _window_view(xp, spec.kernel, spec.stride, spec.dilation, (ho, wo))
     wf = np.asarray(weights, dtype=DTYPE)
-
     g = spec.groups
-    if g == 1:
-        cols = pat.reshape(n, c * spec.kernel[0] * spec.kernel[1], ho * wo)
-        out = (wf.reshape(spec.out_ch, -1) @ cols).reshape(n, spec.out_ch, ho, wo)
-    elif g == c and spec.out_ch == c:
-        # depthwise: one kernel plane per channel
-        out = np.einsum("ncuvhw,cuv->nchw", pat, wf[:, 0])
+    if g == c and spec.out_ch == c:
+        out = _depthwise(x, spec, wf, ho, wo)
     else:
-        cg, og = c // g, spec.out_ch // g
-        parts = []
-        for gi in range(g):
-            cols = pat[:, gi * cg:(gi + 1) * cg].reshape(n, cg * spec.kernel[0] * spec.kernel[1], ho * wo)
-            parts.append(wf[gi * og:(gi + 1) * og].reshape(og, -1) @ cols)
-        out = np.concatenate(parts, axis=1).reshape(n, spec.out_ch, ho, wo)
+        xp = _padded(x, *spec.padding)
+        pat = _window_view(xp, spec.kernel, spec.stride, spec.dilation, (ho, wo))
+        if g == 1:
+            cols = pat.reshape(n, c * spec.kernel[0] * spec.kernel[1], ho * wo)
+            out = (wf.reshape(spec.out_ch, -1) @ cols).reshape(n, spec.out_ch, ho, wo)
+        else:
+            cg, og = c // g, spec.out_ch // g
+            parts = []
+            for gi in range(g):
+                cols = pat[:, gi * cg:(gi + 1) * cg].reshape(n, cg * spec.kernel[0] * spec.kernel[1], ho * wo)
+                parts.append(wf[gi * og:(gi + 1) * og].reshape(og, -1) @ cols)
+            out = np.concatenate(parts, axis=1).reshape(n, spec.out_ch, ho, wo)
 
     if bias is not None:
         out += np.asarray(bias, dtype=DTYPE)[None, :, None, None]
@@ -226,21 +292,20 @@ def pool2d(x: np.ndarray, mode: str, kernel, stride=None, padding=0) -> np.ndarr
     wo = (w + 2 * pw - kw) // stride[1] + 1
     if ho < 1 or wo < 1:
         raise ShapeError(f"pool output collapsed to {ho}x{wo}")
-    fill = -np.inf if mode == "max" else 0.0
-    xp = np.asarray(x, dtype=DTYPE)
-    if ph or pw:
-        xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
-    pat = _window_view(xp, kernel, stride, (1, 1), (ho, wo))
-    if mode == "max":
-        return pat.max(axis=(2, 3))
-    out = pat.sum(axis=(2, 3))
-    out /= float(kh * kw)
+    # separable: fold the kw column-shifted slices, then the kh row-shifted ones
+    op = np.maximum if mode == "max" else np.add
+    xp = _padded(x, ph, pw, -np.inf if mode == "max" else 0.0)
+    cols = _fold(op, [xp[:, :, :, _taps(v, stride[1], wo)] for v in range(kw)])
+    out = _fold(op, [cols[:, :, _taps(u, stride[0], ho)] for u in range(kh)])
+    if mode == "avg":
+        out /= float(kh * kw)
     return out
 
 
 def upsample_nearest2x(x: np.ndarray) -> np.ndarray:
     check_nchw(x)
-    return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+    # columns first: the second pass then copies whole rows of 2 * w values
+    return np.repeat(np.repeat(x, 2, axis=3), 2, axis=2)
 
 
 def concat_channels(xs) -> np.ndarray:

@@ -6,13 +6,12 @@ as row-major float32 with the last dimension fastest.
 """
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
+from .fileio import write_atomic
 
 MAGIC = b"RWT1"
 
@@ -59,16 +58,7 @@ class WeightStore:
             for d in arr.shape:
                 blob += struct.pack("<I", d)
             blob += arr.astype("<f4").tobytes()
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rwt-")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(path, blob)
 
     @classmethod
     def load(cls, path: str) -> "WeightStore":

@@ -191,6 +191,19 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["infer", "eval"])
+    def test_nan_weight_is_3_and_names_the_node(self, capsys, black_image, tiny_dataset,
+                                                tmp_path, command):
+        w = os.fspath(tmp_path / "nan.rwt")
+        store = M.init_weights(M.build_model("improved", 3), 0)
+        store["backbone.conv0.w"][0, 0, 0, 0] = np.nan
+        store.save(w)
+        source = ("--image", black_image) if command == "infer" else ("--manifest", tiny_dataset)
+        code, out, err = run_cli(capsys, command, "--model", "improved", "--weights", w, *source)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "backbone.conv0 " in err
+
     def test_bad_threshold_is_1(self, capsys, black_image):
         code, _, err = run_cli(capsys, "infer", "--model", "improved",
                                "--image", black_image, "--conf", "1.5")

@@ -225,11 +225,11 @@ class TestNMS:
         kept = nms(dets, 0.45)
         assert all(k in dets for k in kept)
         assert all(kept[i].score >= kept[i + 1].score for i in range(len(kept) - 1))
-        from repdet.pipeline import _iou_xyxy
+        from repdet.evaluate import iou
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
                 if kept[i].class_id == kept[j].class_id:
-                    assert _iou_xyxy(kept[i].box, kept[j].box) < 0.45
+                    assert iou(kept[i].box, kept[j].box) < 0.45
 
     def test_tie_prefers_lower_class_id(self):
         a = det(2, 0.8, (0.0, 0.0, 10.0, 10.0))

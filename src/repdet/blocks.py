@@ -1,4 +1,5 @@
-"""Composite forward blocks: conv units, CSP stages, strip-conv attention, detection heads.
+"""Forward blocks: conv units, CSP stages, strip-conv attention, and the two
+detection heads' parameter sets, which `model.build_model` wires into graphs.
 
 Blocks own their parameter arrays (created zero-filled, batch norms at identity)
 and are immutable after construction: forwards are pure, and every transform that
@@ -6,11 +7,12 @@ changes structure (e.g. branch fusion) builds a new block instead of mutating.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, SpecError, StateError
+from .errors import ShapeError, SpecError
 from .tensor_ops import (
     DTYPE,
     BatchNormParams,
@@ -29,6 +31,17 @@ def _autopad(kernel, dilation) -> tuple[int, int]:
     (kh, kw) = kernel
     (dh, dw) = dilation
     return (dh * (kh - 1)) // 2, (dw * (kw - 1)) // 2
+
+
+class Composite:
+    """A block built from child blocks. `children()` lists (prefix, block) pairs
+    in weight-name order; `replace_children(new)` returns a shallow copy that
+    holds the blocks of `new` in their place, in the same order."""
+
+    def named_arrays(self):
+        for prefix, child in self.children():
+            for k, v in child.named_arrays():
+                yield f"{prefix}.{k}", v
 
 
 class ConvBlock:
@@ -112,9 +125,10 @@ class AvgPoolBranch:
         return 0, 2 * n * c * h * w, (n, c, h, w)
 
 
-class RepConvBlock:
-    """Train-form multi-branch conv (3x3 + 1x1 + 3x3 avg pool, each with BN) that
-    collapses to one biased 3x3 conv in deploy form. SiLU after the branch sum."""
+class RepConvBlock(Composite):
+    """Train-form multi-branch conv: 3x3 + 1x1 + 3x3 avg pool, each with BN,
+    summed and passed through SiLU. `fusion.deploy_repconv` compiles it into
+    one biased 3x3 conv."""
 
     def __init__(self, in_ch, out_ch, stride=1):
         self.in_ch, self.out_ch, self.stride = in_ch, out_ch, stride
@@ -122,35 +136,26 @@ class RepConvBlock:
         self.branch_1x1 = ConvBlock(in_ch, out_ch, 1, stride, padding=0, act="none")
         # avg pool keeps channel count and only aligns spatially at stride 1
         self.branch_avg = AvgPoolBranch(out_ch) if (stride == 1 and in_ch == out_ch) else None
-        self.mode = "train"
-        self.deploy = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.mode == "deploy":
-            if self.deploy is None:
-                raise StateError("deploy-form forward without a fused conv")
-            return self.deploy.forward(x)
         y = self.branch_3x3.forward(x) + self.branch_1x1.forward(x)
         if self.branch_avg is not None:
             y = y + self.branch_avg.forward(x)
         return silu(y)
 
-    def named_arrays(self):
-        if self.mode == "deploy":
-            for k, v in self.deploy.named_arrays():
-                yield k, v
-            return
-        for k, v in self.branch_3x3.named_arrays():
-            yield f"k3.{k}", v
-        for k, v in self.branch_1x1.named_arrays():
-            yield f"k1.{k}", v
+    def children(self):
+        kids = [("k3", self.branch_3x3), ("k1", self.branch_1x1)]
         if self.branch_avg is not None:
-            for k, v in self.branch_avg.named_arrays():
-                yield f"avg.{k}", v
+            kids.append(("avg", self.branch_avg))
+        return kids
+
+    def replace_children(self, new):
+        out = copy.copy(self)
+        out.branch_3x3, out.branch_1x1, *avg = new
+        out.branch_avg = avg[0] if avg else None
+        return out
 
     def profile(self, in_shape):
-        if self.mode == "deploy":
-            return self.deploy.profile(in_shape)
         m3, e3, out = self.branch_3x3.profile(in_shape)
         m1, e1, _ = self.branch_1x1.profile(in_shape)
         macs, elems = m3 + m1, e3 + e1
@@ -164,7 +169,7 @@ class RepConvBlock:
         return macs, elems, out
 
 
-class MultiScaleSplitConv:
+class MultiScaleSplitConv(Composite):
     """Split-transform-merge conv: half the channels pass through untouched,
     the other half goes through parallel 3x3 and 5x5 paths, then a 1x1 merge."""
 
@@ -184,10 +189,13 @@ class MultiScaleSplitConv:
         merged = concat_channels([keep, self.path3.forward(a), self.path5.forward(b)])
         return self.fuse.forward(merged)
 
-    def named_arrays(self):
-        for prefix, blk in (("p3", self.path3), ("p5", self.path5), ("fuse", self.fuse)):
-            for k, v in blk.named_arrays():
-                yield f"{prefix}.{k}", v
+    def children(self):
+        return [("p3", self.path3), ("p5", self.path5), ("fuse", self.fuse)]
+
+    def replace_children(self, new):
+        out = copy.copy(self)
+        out.path3, out.path5, out.fuse = new
+        return out
 
     def profile(self, in_shape):
         n, c, h, w = in_shape
@@ -198,7 +206,7 @@ class MultiScaleSplitConv:
         return m3 + m5 + mf, e3 + e5 + ef, out
 
 
-class Bottleneck:
+class Bottleneck(Composite):
     """Two stacked transforms with an optional additive shortcut."""
 
     def __init__(self, ch, variant="standard", shortcut=True):
@@ -217,10 +225,13 @@ class Bottleneck:
         y = self.cv2.forward(self.cv1.forward(x))
         return elementwise(x, y, "add") if self.shortcut else y
 
-    def named_arrays(self):
-        for prefix, blk in (("cv1", self.cv1), ("cv2", self.cv2)):
-            for k, v in blk.named_arrays():
-                yield f"{prefix}.{k}", v
+    def children(self):
+        return [("cv1", self.cv1), ("cv2", self.cv2)]
+
+    def replace_children(self, new):
+        out = copy.copy(self)
+        out.cv1, out.cv2 = new
+        return out
 
     def profile(self, in_shape):
         m1, e1, mid = self.cv1.profile(in_shape)
@@ -231,7 +242,7 @@ class Bottleneck:
         return m1 + m2, elems, out
 
 
-class C2f:
+class C2f(Composite):
     """Cross-stage partial block: 1x1 expand, chained bottlenecks on one half,
     concat of every intermediate map, 1x1 merge."""
 
@@ -253,14 +264,14 @@ class C2f:
             parts.append(m.forward(parts[-1]))
         return self.cv2.forward(concat_channels(parts))
 
-    def named_arrays(self):
-        for k, v in self.cv1.named_arrays():
-            yield f"cv1.{k}", v
-        for i, m in enumerate(self.bottlenecks):
-            for k, v in m.named_arrays():
-                yield f"m{i}.{k}", v
-        for k, v in self.cv2.named_arrays():
-            yield f"cv2.{k}", v
+    def children(self):
+        return ([("cv1", self.cv1)] + [(f"m{i}", m) for i, m in enumerate(self.bottlenecks)]
+                + [("cv2", self.cv2)])
+
+    def replace_children(self, new):
+        out = copy.copy(self)
+        out.cv1, *out.bottlenecks, out.cv2 = new
+        return out
 
     def profile(self, in_shape):
         macs, elems, mid = self.cv1.profile(in_shape)
@@ -273,7 +284,7 @@ class C2f:
         return macs + cm, elems + ce, out
 
 
-class SPPF:
+class SPPF(Composite):
     """Spatial pyramid pooling (fast): three chained 5x5 max pools, concatenated."""
 
     def __init__(self, ch):
@@ -288,10 +299,13 @@ class SPPF:
         p3 = pool2d(p2, "max", 5, 1, 2)
         return self.cv2.forward(concat_channels([y, p1, p2, p3]))
 
-    def named_arrays(self):
-        for prefix, blk in (("cv1", self.cv1), ("cv2", self.cv2)):
-            for k, v in blk.named_arrays():
-                yield f"{prefix}.{k}", v
+    def children(self):
+        return [("cv1", self.cv1), ("cv2", self.cv2)]
+
+    def replace_children(self, new):
+        out = copy.copy(self)
+        out.cv1, out.cv2 = new
+        return out
 
     def profile(self, in_shape):
         m1, e1, mid = self.cv1.profile(in_shape)
@@ -301,7 +315,7 @@ class SPPF:
         return m1 + m2, e1 + pool_elems + e2, out
 
 
-class MSCABlock:
+class MSCABlock(Composite):
     """Multi-scale strip-conv attention: 5x5 depthwise base, three depthwise
     strip pairs (7/11/21) summed with the base, a 1x1 mix producing a pixelwise
     attention map that multiplies the input."""
@@ -326,16 +340,17 @@ class MSCABlock:
         att = self.mix.forward(s)
         return elementwise(att, x, "mul")
 
-    def named_arrays(self):
-        for k, v in self.base.named_arrays():
-            yield f"base.{k}", v
+    def children(self):
+        kids = [("base", self.base)]
         for (row, col), L in zip(self.pairs, self.STRIP_LENGTHS):
-            for k, v in row.named_arrays():
-                yield f"strip{L}.row.{k}", v
-            for k, v in col.named_arrays():
-                yield f"strip{L}.col.{k}", v
-        for k, v in self.mix.named_arrays():
-            yield f"mix.{k}", v
+            kids += [(f"strip{L}.row", row), (f"strip{L}.col", col)]
+        return kids + [("mix", self.mix)]
+
+    def replace_children(self, new):
+        out = copy.copy(self)
+        out.base, *strips, out.mix = new
+        out.pairs = list(zip(strips[::2], strips[1::2]))
+        return out
 
     def profile(self, in_shape):
         macs, elems, out = self.base.profile(in_shape)
@@ -396,7 +411,8 @@ class HeadConfig:
 
 
 class BaselineHead:
-    """Decoupled per-level head: independent box and class towers on each scale."""
+    """Blocks of the decoupled per-level head: independent box and class towers
+    on each scale."""
 
     def __init__(self, cfg: HeadConfig):
         self.cfg = cfg
@@ -415,22 +431,11 @@ class BaselineHead:
                 ConvBlock(c3, cfg.nc, 1, bn=False, act="none"),
             ])
 
-    def forward(self, p3, p4, p5):
-        outs = []
-        for x, box, cls in zip((p3, p4, p5), self.box_branches, self.cls_branches):
-            b = x
-            for blk in box:
-                b = blk.forward(b)
-            c = x
-            for blk in cls:
-                c = blk.forward(c)
-            outs.append(concat_channels([b, c]))
-        return tuple(outs)
-
 
 class SharedRepHead:
-    """Lightweight shared head: per-level 1x1 stems feed one RepConv stack and one
-    box/cls conv pair shared by all scales, with per-level scalars on the box map."""
+    """Blocks of the lightweight shared head: per-level 1x1 stems feed one RepConv
+    stack and one box/cls conv pair shared by all scales, with per-level scalars
+    on the box map."""
 
     def __init__(self, cfg: HeadConfig):
         self.cfg = cfg
@@ -441,16 +446,3 @@ class SharedRepHead:
         self.box_conv = ConvBlock(h, cfg.box_channels, 1, bn=False, act="none")
         self.cls_conv = ConvBlock(h, cfg.nc, 1, bn=False, act="none")
         self.scales = [ScaleParam(1.0) for _ in cfg.strides]
-
-    def forward(self, p3, p4, p5):
-        if self.rep1.mode != self.rep2.mode:
-            raise StateError(
-                f"RepConv stack modes disagree: {self.rep1.mode} vs {self.rep2.mode}"
-            )
-        outs = []
-        for x, stem, scale in zip((p3, p4, p5), self.stems, self.scales):
-            t = self.rep2.forward(self.rep1.forward(stem.forward(x)))
-            box = scale.forward(self.box_conv.forward(t))
-            cls = self.cls_conv.forward(t)
-            outs.append(concat_channels([box, cls]))
-        return tuple(outs)

@@ -13,10 +13,6 @@ class SpecError(EngineError):
     """Invalid or unsupported layer/block configuration."""
 
 
-class StateError(EngineError):
-    """Operation invoked on a block in the wrong mode."""
-
-
 class NumericError(EngineError):
     """Arithmetic precondition violated (e.g. non-positive variance)."""
 

@@ -46,26 +46,30 @@ class DatasetItem:
 
 
 def _parse_label_file(path: str, nc: int):
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: label file is not UTF-8") from None
     truths = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 5:
-                raise ValidationError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-            try:
-                cid = int(fields[0])
-                cx, cy, w, h = (float(v) for v in fields[1:])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-            if not 0 <= cid < nc:
-                raise ValidationError(f"{path}:{lineno}: class id {cid} outside 0..{nc - 1}")
-            try:
-                truths.append(GroundTruthBox(cid, cx, cy, w, h))
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 5:
+            raise ValidationError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
+        try:
+            cid = int(fields[0])
+            cx, cy, w, h = (float(v) for v in fields[1:])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        if not 0 <= cid < nc:
+            raise ValidationError(f"{path}:{lineno}: class id {cid} outside 0..{nc - 1}")
+        try:
+            truths.append(GroundTruthBox(cid, cx, cy, w, h))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
     return tuple(truths)
 
 
@@ -91,12 +95,13 @@ def load_dataset(manifest_path: str):
     missing = []
     resolved = []
     for i, rec in enumerate(doc["items"]):
-        if not isinstance(rec, dict) or "image" not in rec or "label" not in rec:
-            raise ValidationError(f"manifest item {i} must carry 'image' and 'label'")
+        if not (isinstance(rec, dict) and isinstance(rec.get("image"), str)
+                and isinstance(rec.get("label"), str)):
+            raise ValidationError(f"manifest item {i} must carry 'image' and 'label' path strings")
         img = os.path.join(root, rec["image"])
         lab = os.path.join(root, rec["label"])
         for p in (img, lab):
-            if not os.path.exists(p):
+            if not os.path.isfile(p):
                 missing.append(p)
         resolved.append((img, lab))
     if missing:

@@ -11,18 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blocks import (
-    AvgPoolBranch,
-    Bottleneck,
-    C2f,
-    ConvBlock,
-    MultiScaleSplitConv,
-    MSCABlock,
-    RepConvBlock,
-    SPPF,
-    ScaleParam,
-)
-from .errors import NumericError, ShapeError, SpecError, StateError
+from .blocks import Composite, ConvBlock, RepConvBlock
+from .errors import NumericError, ShapeError, SpecError
 from .model import ModelGraph, Node, ParamEntry, _validate_graph
 from .tensor_ops import DTYPE, BatchNormParams, Conv2dSpec
 
@@ -78,8 +68,6 @@ def avg_kernel_3x3(channels: int) -> np.ndarray:
 
 def fuse_repconv(blk: RepConvBlock) -> FusedConv:
     """Fold each branch's BN, lower non-3x3 branches to 3x3, and sum."""
-    if blk.mode != "train":
-        raise StateError("fuse_repconv expects a train-form block")
     b3, b1 = blk.branch_3x3, blk.branch_1x1
     if b3.spec.out_ch != b1.spec.out_ch or b3.spec.in_ch != b1.spec.in_ch:
         raise ShapeError("branch shapes disagree")
@@ -94,20 +82,11 @@ def fuse_repconv(blk: RepConvBlock) -> FusedConv:
     return FusedConv(w.astype(DTYPE), b.astype(DTYPE))
 
 
-def _fused_conv_block(fc: FusedConv, in_ch, out_ch, stride, act="silu") -> ConvBlock:
-    spec = Conv2dSpec(in_ch, out_ch, (3, 3), stride, (1, 1), has_bias=True)
-    return ConvBlock.from_parts(spec, fc.weights, fc.bias, None, act)
-
-
-def deploy_repconv(blk: RepConvBlock) -> RepConvBlock:
-    """New deploy-form block: one biased 3x3 conv plus the post-activation."""
+def deploy_repconv(blk: RepConvBlock) -> ConvBlock:
+    """Deploy form of a RepConv: one biased 3x3 conv followed by its SiLU."""
     fc = fuse_repconv(blk)
-    out = RepConvBlock.__new__(RepConvBlock)
-    out.in_ch, out.out_ch, out.stride = blk.in_ch, blk.out_ch, blk.stride
-    out.branch_3x3 = out.branch_1x1 = out.branch_avg = None
-    out.mode = "deploy"
-    out.deploy = _fused_conv_block(fc, blk.in_ch, blk.out_ch, blk.stride)
-    return out
+    spec = Conv2dSpec(blk.in_ch, blk.out_ch, (3, 3), blk.stride, (1, 1), has_bias=True)
+    return ConvBlock.from_parts(spec, fc.weights, fc.bias, None, "silu")
 
 
 def fold_conv_block(cb: ConvBlock) -> ConvBlock:
@@ -120,128 +99,41 @@ def fold_conv_block(cb: ConvBlock) -> ConvBlock:
 
 
 def fold_block(block):
-    """Recursively fold conv+BN pairs inside any block, returning a new block."""
-    if block is None:
-        return None
+    """New block with every conv+BN pair folded: a ConvBlock folds, a composite
+    recurses through its children, and any other leaf is copied."""
     if isinstance(block, ConvBlock):
         return fold_conv_block(block)
-    if isinstance(block, ScaleParam):
-        out = ScaleParam(float(block.s[0]))
-        return out
-    if isinstance(block, AvgPoolBranch):
-        out = copy.copy(block)
-        out.bn = BatchNormParams(block.bn.gamma.copy(), block.bn.beta.copy(),
-                                 block.bn.mean.copy(), block.bn.var.copy(), block.bn.eps)
-        return out
-    if isinstance(block, MultiScaleSplitConv):
-        out = copy.copy(block)
-        out.path3 = fold_block(block.path3)
-        out.path5 = fold_block(block.path5)
-        out.fuse = fold_block(block.fuse)
-        return out
-    if isinstance(block, Bottleneck):
-        out = copy.copy(block)
-        out.cv1 = fold_block(block.cv1)
-        out.cv2 = fold_block(block.cv2)
-        return out
-    if isinstance(block, C2f):
-        out = copy.copy(block)
-        out.cv1 = fold_block(block.cv1)
-        out.bottlenecks = [fold_block(m) for m in block.bottlenecks]
-        out.cv2 = fold_block(block.cv2)
-        return out
-    if isinstance(block, SPPF):
-        out = copy.copy(block)
-        out.cv1 = fold_block(block.cv1)
-        out.cv2 = fold_block(block.cv2)
-        return out
-    if isinstance(block, MSCABlock):
-        out = copy.copy(block)
-        out.base = fold_block(block.base)
-        out.pairs = [(fold_block(r), fold_block(c)) for r, c in block.pairs]
-        out.mix = fold_block(block.mix)
-        return out
-    raise SpecError(f"cannot fold block of type {type(block).__name__}")
-
-
-def _repconv_from_branches(b3: ConvBlock, b1: ConvBlock, avg: AvgPoolBranch | None) -> RepConvBlock:
-    rep = RepConvBlock.__new__(RepConvBlock)
-    rep.in_ch, rep.out_ch = b3.spec.in_ch, b3.spec.out_ch
-    rep.stride = b3.spec.stride[0]
-    rep.branch_3x3, rep.branch_1x1, rep.branch_avg = b3, b1, avg
-    rep.mode, rep.deploy = "train", None
-    return rep
+    if isinstance(block, Composite):
+        return block.replace_children([fold_block(b) for _, b in block.children()])
+    return copy.deepcopy(block)
 
 
 def fuse_model_graph(g: ModelGraph) -> ModelGraph:
     """Replace every RepConv branch subgraph with its fused conv node and fold
     BN graph-wide. Idempotent: a graph without branch groups round-trips."""
-    # branch group id -> role -> node
-    groups: dict[str, dict[str, Node]] = {}
-    for node in g.nodes:
-        if node.group:
-            role = node.name.rsplit(".", 1)[1]
-            groups.setdefault(node.group, {})[role] = node
-
-    # fuse each distinct parameter stack once; sites sharing a stack share the result
-    fused_stacks: dict[int, ConvBlock] = {}
-    stack_member_ids: dict[int, int] = {}  # id(branch block) -> id(k3 block) key
-    for members in groups.values():
-        b3 = members["k3"].block
-        b1 = members["k1"].block
-        avg = members["avg"].block if "avg" in members else None
-        key = id(b3)
-        for blk in (b3, b1, avg):
-            if blk is not None:
-                stack_member_ids[id(blk)] = key
-        if key not in fused_stacks:
-            rep = _repconv_from_branches(b3, b1, avg)
-            fused_stacks[key] = _fused_conv_block(
-                fuse_repconv(rep), rep.in_ch, rep.out_ch, rep.stride
-            )
-
-    folded: dict[int, object] = {}
-
-    def fold_memo(block):
-        if block is None:
-            return None
-        if id(block) not in folded:
-            folded[id(block)] = fold_block(block)
-        return folded[id(block)]
+    # source block -> its fused form; a RepConv stack is reached through its
+    # 3x3 branch, which the k3 node of every site holding the stack carries
+    fused: dict[int, object] = {}
+    params = []
+    for entry in g.params:
+        if isinstance(entry.block, RepConvBlock):
+            block = fused[id(entry.block.branch_3x3)] = deploy_repconv(entry.block)
+        else:
+            block = fused[id(entry.block)] = fold_block(entry.block)
+        params.append(ParamEntry(entry.name, block))
 
     rename: dict[str, str] = {}
-    new_nodes: list[Node] = []
-    site_node: dict[int, str] = {}  # stack key -> first fused node name
+    nodes: list[Node] = []
     for node in g.nodes:
-        if node.group:
-            role = node.name.rsplit(".", 1)[1]
-            if role != "k3":
-                continue  # k1/avg/sum/act branch nodes vanish
+        inputs = tuple(rename.get(i, i) for i in node.inputs)
+        if node.group is None:
+            block = None if node.block is None else fused[id(node.block)]
+            nodes.append(Node(node.name, node.kind, inputs, block))
+        elif node.name.endswith(".k3"):  # the k1/avg/sum/act branch nodes vanish
             base = node.name.rsplit(".", 1)[0]
-            key = stack_member_ids[id(node.block)]
-            inputs = tuple(rename.get(i, i) for i in node.inputs)
-            new_nodes.append(Node(base, "conv", inputs, fused_stacks[key]))
-            site_node.setdefault(key, base)
+            nodes.append(Node(base, "conv", inputs, fused[id(node.block)]))
             rename[f"{base}.act"] = base
-        else:
-            inputs = tuple(rename.get(i, i) for i in node.inputs)
-            new_nodes.append(Node(node.name, node.kind, inputs, fold_memo(node.block), None))
-
-    new_params: list[ParamEntry] = []
-    emitted_stacks: set[int] = set()
-    for entry in g.params:
-        key = stack_member_ids.get(id(entry.block))
-        if key is not None:
-            if key in emitted_stacks:
-                continue
-            emitted_stacks.add(key)
-            # "head.rep1.k3" -> "head.rep1"; the k3 entry is registered first
-            stack_name = entry.name.rsplit(".", 1)[0]
-            new_params.append(ParamEntry(stack_name, fused_stacks[key], site_node[key]))
-        else:
-            new_params.append(ParamEntry(entry.name, fold_memo(entry.block), entry.node))
 
     outputs = tuple(rename.get(o, o) for o in g.outputs)
-    _validate_graph(new_nodes, outputs)
-    return ModelGraph(g.variant, g.nc, tuple(new_nodes), tuple(new_params), outputs,
-                      g.cfg, fused=True)
+    _validate_graph(nodes, outputs)
+    return ModelGraph(g.variant, g.nc, tuple(nodes), tuple(params), outputs, g.cfg, fused=True)

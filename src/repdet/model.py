@@ -10,6 +10,7 @@ counted exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,11 +50,10 @@ class Node:
 
 @dataclass(frozen=True)
 class ParamEntry:
-    """Canonical parameter prefix -> block, attributed to one node for reporting."""
+    """Canonical parameter prefix -> block."""
 
     name: str
     block: object
-    node: str
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,47 @@ class ModelGraph:
         return {n.name: n for n in self.nodes}
 
 
+def _numel(shape) -> int:
+    n, c, h, w = shape
+    return n * c * h * w
+
+
+def _add(ins):
+    acc = ins[0].astype(np.float64)
+    for t in ins[1:]:
+        acc = acc + t.astype(np.float64)
+    return acc.astype(DTYPE)
+
+
+class GlueOp(NamedTuple):
+    """A blockless node kind: its forward over the input tensors, and its
+    profile over the input shapes, giving (macs, elem_ops, out_shape)."""
+
+    forward: Callable
+    profile: Callable
+
+
+# kinds of nodes that carry a block; the block's forward and profile run them
+BLOCK_KINDS = ("conv", "c2f", "c2f_ms", "sppf", "msca", "avgpool_bn", "scale")
+
+# the lambdas look each kernel up when called, so a test can swap in another
+GLUE = {
+    "add": GlueOp(_add, lambda s: (0, (len(s) - 1) * _numel(s[0]), s[0])),
+    "silu": GlueOp(lambda t: silu(t[0]), lambda s: (0, _numel(s[0]), s[0])),
+    "upsample": GlueOp(lambda t: upsample_nearest2x(t[0]),
+                       lambda s: (0, 0, (*s[0][:2], 2 * s[0][2], 2 * s[0][3]))),
+    "concat": GlueOp(lambda t: concat_channels(t),
+                     lambda s: (0, 0, (s[0][0], sum(x[1] for x in s), *s[0][2:]))),
+}
+
+
 def _validate_graph(nodes, outputs) -> None:
     seen = {INPUT}
     for node in nodes:
         if node.name in seen:
             raise SpecError(f"duplicate node name {node.name!r}")
+        if node.kind not in (GLUE if node.block is None else BLOCK_KINDS):
+            raise SpecError(f"node {node.name!r}: unknown kind {node.kind!r}")
         for ref in node.inputs:
             if ref not in seen:
                 raise SpecError(f"node {node.name!r} references {ref!r} before definition")
@@ -94,19 +130,20 @@ class _Builder:
     def add(self, name, kind, inputs, block=None, group=None, register=True, owner=None):
         self.nodes.append(Node(name, kind, tuple(inputs), block, group))
         if block is not None and register:
-            self.params.append(ParamEntry(owner or name, block, name))
+            self.params.append(ParamEntry(owner or name, block))
         return name
 
     def wire_repconv(self, rep, stack, level, x, first):
-        """Expand a RepConv application site into its branch subgraph."""
+        """Expand a RepConv application site into its branch subgraph; the
+        first site registers the whole stack under `head.<stack>`."""
         base = f"head.{level}.{stack}"
         gid = f"head.{stack}@{level}"
-        k3 = self.add(f"{base}.k3", "conv", [x], rep.branch_3x3,
-                      group=gid, register=first, owner=f"head.{stack}.k3")
-        k1 = self.add(f"{base}.k1", "conv", [x], rep.branch_1x1,
-                      group=gid, register=first, owner=f"head.{stack}.k1")
-        av = self.add(f"{base}.avg", "avgpool_bn", [x], rep.branch_avg,
-                      group=gid, register=first, owner=f"head.{stack}.avg")
+        if first:
+            self.params.append(ParamEntry(f"head.{stack}", rep))
+        k3 = self.add(f"{base}.k3", "conv", [x], rep.branch_3x3, group=gid, register=False)
+        k1 = self.add(f"{base}.k1", "conv", [x], rep.branch_1x1, group=gid, register=False)
+        av = self.add(f"{base}.avg", "avgpool_bn", [x], rep.branch_avg, group=gid,
+                      register=False)
         s = self.add(f"{base}.sum", "add", [k3, k1, av], group=gid)
         return self.add(f"{base}.act", "silu", [s], group=gid)
 
@@ -196,28 +233,24 @@ def build_model(variant: str, nc: int = 3) -> ModelGraph:
     return ModelGraph(variant, nc, tuple(b.nodes), tuple(b.params), tuple(outputs), cfg)
 
 
+def _walk(g: ModelGraph, x, profile: bool) -> dict:
+    """The one node dispatch, behind run_graph and profile_graph. Returns
+    name -> output tensor; with `profile`, `x` is the input shape and each value
+    is the node's (macs, elem_ops, out_shape)."""
+    vals = {INPUT: (0, 0, x) if profile else x}
+    for node in g.nodes:
+        ins = [vals[i][2] if profile else vals[i] for i in node.inputs]
+        if node.block is not None:
+            op, arg = node.block, ins[0]
+        else:
+            op, arg = GLUE[node.kind], ins
+        vals[node.name] = op.profile(arg) if profile else op.forward(arg)
+    return vals
+
+
 def run_graph(g: ModelGraph, x: np.ndarray) -> dict:
     """Evaluate every node on input `x`; returns the full name -> tensor map."""
-    vals = {INPUT: np.asarray(x, dtype=DTYPE)}
-    for node in g.nodes:
-        ins = [vals[i] for i in node.inputs]
-        if node.kind in ("conv", "c2f", "c2f_ms", "sppf", "msca", "avgpool_bn", "scale"):
-            v = node.block.forward(ins[0])
-        elif node.kind == "add":
-            acc = ins[0].astype(np.float64)
-            for t in ins[1:]:
-                acc = acc + t.astype(np.float64)
-            v = acc.astype(DTYPE)
-        elif node.kind == "silu":
-            v = silu(ins[0])
-        elif node.kind == "upsample":
-            v = upsample_nearest2x(ins[0])
-        elif node.kind == "concat":
-            v = concat_channels(ins)
-        else:
-            raise SpecError(f"unknown node kind {node.kind!r}")
-        vals[node.name] = v
-    return vals
+    return _walk(g, np.asarray(x, dtype=DTYPE), profile=False)
 
 
 def forward(g: ModelGraph, x: np.ndarray):
@@ -236,48 +269,25 @@ class NodeProfile:
     elem_ops: int
 
 
-def _entry_param_count(entry: ParamEntry) -> int:
-    total = 0
-    for suffix, arr in entry.block.named_arrays():
-        if suffix.endswith(_STAT_SUFFIXES):
-            continue
-        total += arr.size
-    return total
+def _param_count(block) -> int:
+    return sum(arr.size for suffix, arr in block.named_arrays()
+               if not suffix.endswith(_STAT_SUFFIXES))
 
 
 def profile_graph(g: ModelGraph, size: int = 640):
     """Shape propagation plus per-node parameter and MAC accounting at the given
-    square input size. Returns (rows, total_params, total_macs, total_elem_ops)."""
-    params_by_node: dict[str, int] = {}
-    for entry in g.params:
-        params_by_node[entry.node] = params_by_node.get(entry.node, 0) + _entry_param_count(entry)
-
-    shapes = {INPUT: (1, 3, size, size)}
+    square input size. A block's parameters count at the first node holding it.
+    Returns (rows, total_params, total_macs, total_elem_ops)."""
+    vals = _walk(g, (1, 3, size, size), profile=True)
+    seen = set()
     rows = []
     for node in g.nodes:
-        ins = [shapes[i] for i in node.inputs]
-        if node.kind in ("conv", "c2f", "c2f_ms", "sppf", "msca", "avgpool_bn", "scale"):
-            macs, elems, out = node.block.profile(ins[0])
-        elif node.kind == "add":
-            out = ins[0]
-            n, c, h, w = out
-            macs, elems = 0, (len(ins) - 1) * n * c * h * w
-        elif node.kind == "silu":
-            out = ins[0]
-            n, c, h, w = out
-            macs, elems = 0, n * c * h * w
-        elif node.kind == "upsample":
-            n, c, h, w = ins[0]
-            out = (n, c, 2 * h, 2 * w)
-            macs, elems = 0, 0
-        elif node.kind == "concat":
-            n, _, h, w = ins[0]
-            out = (n, sum(s[1] for s in ins), h, w)
-            macs, elems = 0, 0
-        else:
-            raise SpecError(f"unknown node kind {node.kind!r}")
-        shapes[node.name] = out
-        rows.append(NodeProfile(node.name, node.kind, out, params_by_node.get(node.name, 0), macs, elems))
+        macs, elems, out = vals[node.name]
+        params = 0
+        if node.block is not None and id(node.block) not in seen:
+            seen.add(id(node.block))
+            params = _param_count(node.block)
+        rows.append(NodeProfile(node.name, node.kind, out, params, macs, elems))
     total_params = sum(r.params for r in rows)
     total_macs = sum(r.macs for r in rows)
     total_elems = sum(r.elem_ops for r in rows)
@@ -285,7 +295,7 @@ def profile_graph(g: ModelGraph, size: int = 640):
 
 
 def param_count(g: ModelGraph) -> int:
-    return sum(_entry_param_count(e) for e in g.params)
+    return sum(_param_count(e.block) for e in g.params)
 
 
 def flop_count(g: ModelGraph, size: int = 640):
@@ -335,7 +345,7 @@ def load_weights(g: ModelGraph, store: WeightStore) -> None:
             name = f"{entry.name}.{suffix}"
             expected.add(name)
             if name not in store:
-                raise ValidationError(f"store is missing tensor {name!r} for node {entry.node!r}")
+                raise ValidationError(f"store is missing tensor {name!r}")
             src = store[name]
             if tuple(src.shape) != tuple(arr.shape):
                 raise ValidationError(
@@ -361,7 +371,7 @@ def structurally_equal(g1: ModelGraph, g2: ModelGraph) -> bool:
     if len(g1.params) != len(g2.params):
         return False
     for ea, eb in zip(g1.params, g2.params):
-        if ea.name != eb.name or ea.node != eb.node:
+        if ea.name != eb.name:
             return False
         names_a = dict((s, v) for s, v in ea.block.named_arrays())
         names_b = dict((s, v) for s, v in eb.block.named_arrays())

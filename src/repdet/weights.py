@@ -6,6 +6,7 @@ as row-major float32 with the last dimension fastest.
 """
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -88,10 +89,13 @@ class WeightStore:
                     f"name of tensor {i} at offset {off - nlen} is not UTF-8: {raw!r}"
                 ) from None
             (rank,) = struct.unpack("<B", take(1, f"rank of {name}"))
-            dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name}")) if rank else ()
-            size = int(np.prod(dims, dtype=np.int64)) if rank else 1
+            dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name}"))
+            size = math.prod(dims)  # exact, so huge dims fail the truncation check
             payload = take(4 * size, f"data of {name}")
-            arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            try:
+                arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            except ValueError:  # an empty tensor whose other dims numpy cannot index
+                raise FormatError(f"dims {dims} of {name} exceed numpy's array size") from None
             store.put(name, arr)
         if off != len(data):
             raise FormatError(f"{len(data) - off} trailing bytes at offset {off}")

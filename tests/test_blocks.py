@@ -1,8 +1,9 @@
 """Composite block tests: composition oracles, isolation cases, parameter
-comparisons, and the two detection heads."""
+comparisons, the child-block protocol, and the two detection heads."""
 import numpy as np
 import pytest
 
+import repdet.model as M
 from repdet.blocks import (
     BaselineHead,
     Bottleneck,
@@ -15,7 +16,7 @@ from repdet.blocks import (
     RepConvBlock,
     SPPF,
 )
-from repdet.errors import SpecError, StateError
+from repdet.errors import SpecError
 from repdet.tensor_ops import (
     batch_norm_inference,
     concat_channels,
@@ -220,90 +221,107 @@ class TestRepConv:
         x = np.zeros((1, 4, 5, 5), dtype=np.float32)
         assert np.all(blk.forward(x) == 0.0)
 
-    def test_deploy_forward_without_conv_is_state_error(self):
-        blk = RepConvBlock(4, 4)
-        blk.mode = "deploy"
-        with pytest.raises(StateError):
-            blk.forward(np.zeros((1, 4, 5, 5), dtype=np.float32))
-
     def test_no_avg_branch_when_channels_differ(self):
         assert RepConvBlock(4, 8).branch_avg is None
         assert RepConvBlock(4, 4, stride=2).branch_avg is None
 
 
-class TestHeads:
-    CFG = HeadConfig(nc=3)
+# every composite kind, small enough to run in a test: name -> (block, input shape)
+COMPOSITES = {
+    "repconv": lambda: (RepConvBlock(4, 4), (1, 4, 6, 6)),
+    "split_conv": lambda: (MultiScaleSplitConv(8, 12), (1, 8, 6, 6)),
+    "bottleneck": lambda: (Bottleneck(8), (1, 8, 5, 5)),
+    "bottleneck_ms": lambda: (Bottleneck(8, "multiscale"), (1, 8, 5, 5)),
+    "c2f": lambda: (C2f(8, 8, n=2, shortcut=True), (1, 8, 6, 6)),
+    "c2f_ms": lambda: (C2f(12, 16, n=1, variant="multiscale"), (1, 12, 6, 6)),
+    "sppf": lambda: (SPPF(8), (1, 8, 7, 7)),
+    "msca": lambda: (MSCABlock(8), (1, 8, 12, 12)),
+}
 
-    def _taps(self, rng):
-        return (rng.uniform(-1, 1, (1, 64, 8, 8)).astype(np.float32),
-                rng.uniform(-1, 1, (1, 128, 4, 4)).astype(np.float32),
-                rng.uniform(-1, 1, (1, 256, 2, 2)).astype(np.float32))
+
+@pytest.mark.parametrize("kind", COMPOSITES)
+class TestChildProtocol:
+    def test_children_partition_named_arrays(self, kind):
+        blk, _ = COMPOSITES[kind]()
+        own = [(f"{p}.{k}", id(a)) for p, child in blk.children()
+               for k, a in child.named_arrays()]
+        assert own == [(k, id(a)) for k, a in blk.named_arrays()]
+
+    def test_replace_children_keeps_names(self, kind):
+        blk, _ = COMPOSITES[kind]()
+        kids = [b for _, b in blk.children()]
+        out = blk.replace_children(kids)
+        assert out is not blk
+        assert [k for k, _ in out.named_arrays()] == [k for k, _ in blk.named_arrays()]
+        assert all(a is b for (_, a), b in zip(out.children(), kids))
+
+    def test_replace_children_runs_the_new_children(self, kind):
+        blk, shape = COMPOSITES[kind]()
+        rng = np.random.default_rng(21)
+        randomize(blk, rng)
+        x = rng.uniform(-1, 1, shape).astype(np.float32)
+        before = blk.forward(x)
+        fresh, _ = COMPOSITES[kind]()
+        randomize(fresh, rng)
+        out = blk.replace_children([b for _, b in fresh.children()])
+        assert np.array_equal(out.forward(x), fresh.forward(x))
+        assert np.array_equal(blk.forward(x), before)
+
+
+class TestHeads:
+    """Head properties on the assembled graphs at a 64x64 input (maps 8/4/2)."""
+
+    CFG = HeadConfig(nc=3)
+    X = np.random.default_rng(13).uniform(0, 1, (1, 3, 64, 64)).astype(np.float32)
+    SHAPES = [(1, 67, 8, 8), (1, 67, 4, 4), (1, 67, 2, 2)]
+
+    def _graph(self, variant):
+        g = M.build_model(variant, 3)
+        M.init_weights(g, 0)
+        return g, g.node_map()
 
     def test_baseline_output_channels(self):
-        rng = np.random.default_rng(13)
-        out = BaselineHead(self.CFG).forward(*self._taps(rng))
-        assert [o.shape for o in out] == [(1, 67, 8, 8), (1, 67, 4, 4), (1, 67, 2, 2)]
+        g, _ = self._graph("baseline")
+        assert [o.shape for o in M.forward(g, self.X)] == self.SHAPES
 
     def test_baseline_zero_final_convs_give_zero_logits(self):
-        rng = np.random.default_rng(14)
-        head = BaselineHead(self.CFG)
-        for i in range(3):
-            for blk in head.box_branches[i][:2] + head.cls_branches[i][:2]:
-                randomize(blk, rng)
-            # final 1x1 convs stay zero-filled
-        out = head.forward(*self._taps(rng))
-        assert all(np.all(o == 0.0) for o in out)
+        g, nodes = self._graph("baseline")
+        for level in ("p3", "p4", "p5"):
+            for final in ("box3", "cls3"):
+                blk = nodes[f"head.{level}.{final}"].block
+                blk.w[...] = 0.0
+                blk.b[...] = 0.0
+        assert all(np.all(o == 0.0) for o in M.forward(g, self.X))
 
     def test_baseline_levels_independent(self):
-        rng = np.random.default_rng(15)
-        head = BaselineHead(self.CFG)
-        for i in range(3):
-            for blk in head.box_branches[i] + head.cls_branches[i]:
-                randomize(blk, rng)
-        taps = self._taps(rng)
-        before = head.forward(*taps)[0]
-        for blk in head.box_branches[2] + head.cls_branches[2]:
-            randomize(blk, np.random.default_rng(999))
-        after = head.forward(*taps)[0]
-        assert np.array_equal(before, after)
+        g, nodes = self._graph("baseline")
+        before = M.forward(g, self.X)
+        rng = np.random.default_rng(999)
+        for name, node in nodes.items():
+            if name.startswith("head.p5.") and node.block is not None:
+                randomize(node.block, rng)
+        after = M.forward(g, self.X)
+        assert np.array_equal(before[0], after[0]) and np.array_equal(before[1], after[1])
+        assert not np.array_equal(before[2], after[2])
 
     def test_shared_head_output_channels(self):
-        rng = np.random.default_rng(16)
-        out = SharedRepHead(self.CFG).forward(*self._taps(rng))
-        assert [o.shape for o in out] == [(1, 67, 8, 8), (1, 67, 4, 4), (1, 67, 2, 2)]
+        g, _ = self._graph("improved")
+        assert [o.shape for o in M.forward(g, self.X)] == self.SHAPES
 
     def test_shared_head_unit_scales_are_identity(self):
-        rng = np.random.default_rng(17)
-        head = SharedRepHead(self.CFG)
-        for blk in head.stems + [head.box_conv, head.cls_conv,
-                                 head.rep1.branch_3x3, head.rep1.branch_1x1,
-                                 head.rep2.branch_3x3, head.rep2.branch_1x1]:
-            randomize(blk, rng)
-        taps = self._taps(rng)
-        base = head.forward(*taps)
-        for s in head.scales:
-            s.s[...] = 1.0
-        again = head.forward(*taps)
-        assert all(np.array_equal(a, b) for a, b in zip(base, again))
+        g, _ = self._graph("improved")
+        vals = M.run_graph(g, self.X)
+        for level in ("p3", "p4", "p5"):
+            assert np.array_equal(vals[f"head.{level}.scale"], vals[f"head.{level}.box"])
 
     def test_shared_head_stack_spans_levels(self):
-        rng = np.random.default_rng(20)
-        head = SharedRepHead(self.CFG)
-        for blk in head.stems + [head.box_conv, head.cls_conv]:
-            randomize(blk, rng)
-        taps = self._taps(rng)
-        before = head.forward(*taps)
-        # perturbing the single stack must move every pyramid level
-        head.rep1.branch_3x3.w[...] = rng.uniform(-1, 1, head.rep1.branch_3x3.w.shape)
-        after = head.forward(*taps)
+        g, nodes = self._graph("improved")
+        before = M.forward(g, self.X)
+        # perturbing the single stack through one site must move every pyramid level
+        k3 = nodes["head.p3.rep1.k3"].block
+        k3.w[...] = np.random.default_rng(20).uniform(-1, 1, k3.w.shape)
+        after = M.forward(g, self.X)
         assert all(not np.array_equal(a, b) for a, b in zip(before, after))
-
-    def test_shared_head_inconsistent_modes_state_error(self):
-        rng = np.random.default_rng(18)
-        head = SharedRepHead(self.CFG)
-        head.rep1.mode = "deploy"
-        with pytest.raises(StateError, match="modes"):
-            head.forward(*self._taps(rng))
 
     def test_shared_head_fewer_params_than_baseline(self):
         def head_params(head):

@@ -77,6 +77,17 @@ class TestSummarize:
         assert sum(1 for line in out.splitlines() if " c2f_ms " in line) == 5
         assert sum(1 for line in out.splitlines() if " msca " in line) == 1
 
+    def test_shared_stack_params_count_at_first_site(self, capsys):
+        _, out, _ = run_cli(capsys, "summarize", "--model", "improved", "--nc", "3")
+        params = {line.split()[0]: int(line.split()[3]) for line in out.splitlines()[1:-1]}
+        # each branch counts at the p3 site; conv weights + BN gamma/beta
+        assert params["head.p3.rep1.k3"] == 64 * 64 * 9 + 2 * 64
+        assert params["head.p3.rep1.k1"] == 64 * 64 + 2 * 64
+        assert params["head.p3.rep1.avg"] == 2 * 64
+        for level in ("p4", "p5"):
+            for branch in ("k3", "k1", "avg"):
+                assert params[f"head.{level}.rep1.{branch}"] == 0
+
 
 class TestFuse:
     def test_writes_store_and_verifies(self, capsys, tmp_path):
@@ -89,6 +100,16 @@ class TestFuse:
         assert deviation < 1e-3
         store = WeightStore.load(out_path)
         assert "head.rep1.w" in store and "head.rep1.b" in store
+
+    def test_nan_weight_fails_verify(self, capsys, tmp_path):
+        w = os.fspath(tmp_path / "nan.rwt")
+        store = M.init_weights(M.build_model("improved", 3), 0)
+        store["backbone.conv0.w"][0, 0, 0, 0] = np.nan
+        store.save(w)
+        code, out, err = run_cli(capsys, "fuse", "--model", "improved", "--weights", w, "--verify")
+        assert code == 3
+        assert "max head-output deviation: nan" in out
+        assert err.startswith("error:")
 
     def test_roundtrip_weights_file(self, capsys, tmp_path):
         w_path = os.fspath(tmp_path / "w.rwt")
@@ -180,6 +201,17 @@ class TestExitCodes:
                                "--image", black_image, "--weights", bad)
         assert code == 2
         assert err.startswith("error:") and "UTF-8" in err
+
+    @pytest.mark.parametrize("dims", [(65536,) * 4, (2 ** 32 - 1, 2 ** 32 - 1, 3)])
+    def test_overflowing_dims_are_2(self, capsys, black_image, tmp_path, dims):
+        bad = os.fspath(tmp_path / "big.rwt")
+        blob = (b"RWT1" + struct.pack("<IH", 1, 1) + b"w" + struct.pack("<B", len(dims))
+                + struct.pack(f"<{len(dims)}I", *dims) + b"\0" * 16)
+        open(bad, "wb").write(blob)
+        code, _, err = run_cli(capsys, "infer", "--model", "improved",
+                               "--image", black_image, "--weights", bad)
+        assert code == 2
+        assert err.startswith("error:") and "truncated" in err
 
     def test_wrong_graph_weights_is_3(self, capsys, black_image, tmp_path):
         w = os.fspath(tmp_path / "base.rwt")

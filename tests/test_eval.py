@@ -91,6 +91,18 @@ class TestLoadDataset:
         with pytest.raises(ValidationError, match="'items' must be a list"):
             load_dataset(self._manifest(tmp_path, {"classes": ["a"], "items": {}}))
 
+    @pytest.mark.parametrize("item", [{"image": 3, "label": "a.txt"},
+                                      {"image": "a.ppm", "label": ["a.txt"]}])
+    def test_non_string_paths_rejected(self, tmp_path, item):
+        with pytest.raises(ValidationError, match="path strings"):
+            load_dataset(self._manifest(tmp_path, {"classes": ["a"], "items": [item]}))
+
+    def test_non_utf8_label_rejected(self, tmp_path):
+        path = self._make(tmp_path, "")
+        (tmp_path / "img0.txt").write_bytes(b"0 0.5 0.5 0.2 0.1\n\xff\xfe\n")
+        with pytest.raises(ValidationError, match="not UTF-8"):
+            load_dataset(path)
+
     def test_missing_files_listed(self, tmp_path):
         path = self._manifest(tmp_path, {"classes": ["a"],
                                          "items": [{"image": "nope.ppm", "label": "nope.txt"}]})

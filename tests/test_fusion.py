@@ -5,11 +5,12 @@ import pytest
 
 import repdet.model as M
 from repdet.blocks import ConvBlock, RepConvBlock
-from repdet.errors import SpecError, StateError
+from repdet.errors import SpecError
 from repdet.fusion import (
     FusedConv,
     avg_kernel_3x3,
     deploy_repconv,
+    fold_block,
     fold_conv_block,
     fuse_conv_bn,
     fuse_model_graph,
@@ -18,7 +19,7 @@ from repdet.fusion import (
 )
 from repdet.tensor_ops import BatchNormParams, Conv2dSpec, batch_norm_inference, conv2d, pool2d
 
-from test_blocks import randomize
+from test_blocks import COMPOSITES, randomize
 
 
 def random_repconv(rng, ch):
@@ -118,14 +119,9 @@ class TestFuseRepConv:
 
     def test_deploy_form_has_single_conv(self):
         blk = deploy_repconv(random_repconv(np.random.default_rng(5), 4))
-        assert blk.mode == "deploy"
-        assert blk.branch_3x3 is None and blk.branch_1x1 is None and blk.branch_avg is None
-        assert blk.deploy.spec.has_bias
-
-    def test_fusing_deploy_form_is_state_error(self):
-        blk = deploy_repconv(random_repconv(np.random.default_rng(6), 4))
-        with pytest.raises(StateError):
-            fuse_repconv(blk)
+        assert isinstance(blk, ConvBlock)
+        assert blk.spec.kernel == (3, 3) and blk.spec.has_bias
+        assert blk.bn is None and blk.act == "silu"
 
     def test_fused_conv_rejects_nonfinite(self):
         with pytest.raises(Exception):
@@ -148,6 +144,24 @@ class TestFoldConvBlock:
         folded = fold_conv_block(blk)
         assert folded.w is not blk.w
         assert np.array_equal(folded.w, blk.w)
+
+
+@pytest.mark.parametrize("kind", COMPOSITES)
+def test_fold_block_preserves_forward(kind):
+    rng = np.random.default_rng(9)
+    blk, shape = COMPOSITES[kind]()
+    randomize(blk, rng, scale=0.5)
+    source = [(k, a.copy()) for k, a in blk.named_arrays()]
+    folded = fold_block(blk)
+    names = [k for k, _ in folded.named_arrays()]
+    # every conv lost its BN; the avg-pool branch is a leaf and keeps its own
+    assert not any(".bn." in f".{k}" for k in names if not k.startswith("avg."))
+    x = rng.uniform(-1, 1, shape).astype(np.float32)
+    assert np.abs(blk.forward(x) - folded.forward(x)).max() < 1e-5
+    # the source is untouched and shares no array with the folded block
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(source, blk.named_arrays()))
+    assert not any(np.shares_memory(a, b) for _, a in blk.named_arrays()
+                   for _, b in folded.named_arrays())
 
 
 class TestFuseModelGraph:

@@ -60,6 +60,14 @@ class TestBuild:
         with pytest.raises(SpecError, match="variant"):
             M.build_model("tiny", 3)
 
+    @pytest.mark.parametrize("kind, block", [("warp", None), ("conv", None),
+                                             ("add", ConvBlock(3, 3))])
+    def test_unknown_node_kind_rejected(self, kind, block):
+        # a kind is known only with a block (block kinds) or only without (glue kinds)
+        node = M.Node("x", kind, (M.INPUT,), block)
+        with pytest.raises(SpecError, match="unknown kind"):
+            M._validate_graph([node], ("x", "x", "x"))
+
     def test_node_counts_are_documented_constants(self):
         assert len(M.build_model("baseline", 3).nodes) == M.BASELINE_NODE_COUNT
         assert len(M.build_model("improved", 3).nodes) == M.IMPROVED_NODE_COUNT

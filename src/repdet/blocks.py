@@ -20,6 +20,7 @@ from .tensor_ops import (
     batch_norm_inference,
     concat_channels,
     conv2d,
+    conv_epilogue,
     elementwise,
     pool2d,
     silu,
@@ -77,12 +78,7 @@ class ConvBlock:
         return blk
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        y = conv2d(x, self.spec, self.w, self.b)
-        if self.bn is not None:
-            y = batch_norm_inference(y, self.bn)
-        if self.act == "silu":
-            y = silu(y)
-        return y
+        return conv_epilogue(conv2d(x, self.spec, self.w, self.b), self.bn, self.act)
 
     def named_arrays(self):
         yield "w", self.w

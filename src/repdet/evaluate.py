@@ -59,8 +59,14 @@ def _parse_label_file(path: str, nc: int):
         fields = line.split()
         if len(fields) != 5:
             raise ValidationError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
+        # int() and float() would also take "1_0" and non-ASCII digits
+        if not (fields[0].isascii() and fields[0].isdigit()):
+            raise ValidationError(f"{path}:{lineno}: class id {fields[0]!r} is not a decimal number")
+        bad = [v for v in fields[1:] if not v.isascii() or "_" in v]
+        if bad:
+            raise ValidationError(f"{path}:{lineno}: box field {bad[0]!r} is not a decimal number")
+        cid = int(fields[0])
         try:
-            cid = int(fields[0])
             cx, cy, w, h = (float(v) for v in fields[1:])
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None

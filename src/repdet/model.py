@@ -233,18 +233,24 @@ def build_model(variant: str, nc: int = 3) -> ModelGraph:
     return ModelGraph(variant, nc, tuple(b.nodes), tuple(b.params), tuple(outputs), cfg)
 
 
-def _walk(g: ModelGraph, x, profile: bool) -> dict:
-    """The one node dispatch, behind run_graph and profile_graph. Returns
-    name -> output tensor; with `profile`, `x` is the input shape and each value
-    is the node's (macs, elem_ops, out_shape)."""
+def _walk(g: ModelGraph, x, profile: bool, keep=None) -> dict:
+    """The one node dispatch, behind run_graph, forward and profile_graph.
+    Returns name -> output tensor; with `profile`, `x` is the input shape and
+    each value is the node's (macs, elem_ops, out_shape). With `keep`, an
+    output is dropped once its last consumer has run, unless `keep` names it."""
     vals = {INPUT: (0, 0, x) if profile else x}
-    for node in g.nodes:
-        ins = [vals[i][2] if profile else vals[i] for i in node.inputs]
+    last = {} if keep is None else {
+        ref: step for step, node in enumerate(g.nodes) for ref in node.inputs if ref not in keep}
+    for step, node in enumerate(g.nodes):
+        ins = [vals[ref][2] if profile else vals[ref] for ref in node.inputs]
         if node.block is not None:
             op, arg = node.block, ins[0]
         else:
             op, arg = GLUE[node.kind], ins
         vals[node.name] = op.profile(arg) if profile else op.forward(arg)
+        for ref in node.inputs:
+            if last.get(ref) == step:
+                vals.pop(ref, None)
     return vals
 
 
@@ -254,8 +260,9 @@ def run_graph(g: ModelGraph, x: np.ndarray) -> dict:
 
 
 def forward(g: ModelGraph, x: np.ndarray):
-    """Run the graph and return the three head maps (P3, P4, P5)."""
-    vals = run_graph(g, x)
+    """Run the graph and return the three head maps (P3, P4, P5). Each other
+    node's output is freed once the last node that reads it has run."""
+    vals = _walk(g, np.asarray(x, dtype=DTYPE), profile=False, keep=set(g.outputs))
     return tuple(vals[name] for name in g.outputs)
 
 

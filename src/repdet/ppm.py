@@ -36,10 +36,10 @@ def read_ppm(path: str) -> np.ndarray:
     fields = []
     for what in ("width", "height", "maxval"):
         tok, off = _next_token(data, off)
-        try:
-            fields.append(int(tok))
-        except ValueError:
-            raise FormatError(f"non-numeric {what} {tok!r} at offset {off}") from None
+        # bytes.isdigit is ASCII-only; int() would also take b"+2" and b"1_0"
+        if not tok.isdigit():
+            raise FormatError(f"non-numeric {what} {tok!r} at offset {off}")
+        fields.append(int(tok))
     w, h, maxval = fields
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval}, only 255 is handled")

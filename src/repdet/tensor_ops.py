@@ -3,17 +3,21 @@
 Tensors are plain 4-D numpy arrays of float32, indexed (n, c, h, w). The
 forward kernels (conv2d, batch norm, SiLU, pooling, elementwise) compute in
 float32. Dense and grouped convs do a float32 im2col over a strided window
-view and a single-precision GEMM. The window ops loop over kernel taps and
-work on whole-tensor slices: pooling reduces the column-shifted slices, then
-the row-shifted ones; a depthwise conv does one multiply-add per tap into a
-channels-last float32 accumulator and returns it through an NCHW view.
-Padding fills a new buffer with 0 or -inf and copies the interior.
+view and a single-precision GEMM. A dense conv gathers and multiplies one
+block of output rows at a time, through one buffer of about IM2COL_BUDGET
+bytes, straight into its output; a 1x1 stride-1 conv multiplies a view of its
+input. The window ops loop over kernel taps and work on whole-tensor slices:
+pooling reduces the column-shifted slices, then the row-shifted ones; a
+depthwise conv does one multiply-add per tap into a channels-last float32
+accumulator and returns it through an NCHW view. Padding fills a new buffer
+with 0 or -inf and copies the interior.
 
 Results repeat run to run and agree with float64 references to within float32
 resolution; the float64 versions, including the einsum depthwise conv, live
 in tests/oracles.py. Max pooling, elementwise add and mul are bit-identical
 to those references. The decode kernels (sigmoid, grouped softmax) still
-accumulate in float64. No kernel mutates its inputs.
+accumulate in float64. No kernel mutates its inputs except conv_epilogue,
+which runs batch norm and SiLU in place on the new array conv2d returns.
 """
 from __future__ import annotations
 
@@ -207,9 +211,55 @@ def _depthwise(x: np.ndarray, spec: Conv2dSpec, wf: np.ndarray, ho: int, wo: int
     return out.transpose(0, 3, 1, 2)
 
 
+# bytes of im2col a dense conv gathers at once: it copies and multiplies one
+# block of output rows at a time through a buffer of about this size
+IM2COL_BUDGET = 1 << 20
+
+# OpenBLAS runs a GEMM of at most 100**3 multiply-adds through small-matrix
+# kernels that round differently from its blocked ones (seen on AVX-512
+# cores), so no block is that small unless it is the whole image
+SMALL_GEMM_MACS = 100 ** 3
+
+
+def _row_blocks(ho: int, wo: int, k: int, out_ch: int) -> list[tuple[int, int]]:
+    """(first, end) output rows of each block of a dense conv with `k` im2col
+    rows: as many near-equal blocks as IM2COL_BUDGET asks for, each one's
+    GEMM larger than SMALL_GEMM_MACS."""
+    want = -(-4 * k * ho * wo // IM2COL_BUDGET)
+    most = ho // (SMALL_GEMM_MACS // (out_ch * k * wo) + 1)
+    count = max(1, min(want, most))
+    return [(i * ho // count, (i + 1) * ho // count) for i in range(count)]
+
+
+def _dense(x: np.ndarray, spec: Conv2dSpec, wf: np.ndarray, ho: int, wo: int,
+           bias: np.ndarray | None) -> np.ndarray:
+    """Dense conv as im2col + GEMM by blocks of output rows. A block's column
+    matrix is gathered into one reused buffer and multiplied straight into its
+    rows of the output, and each output value is the same dot product the
+    whole-image GEMM computes."""
+    n, c = x.shape[:2]
+    kh, kw = spec.kernel
+    k = c * kh * kw
+    wm = wf.reshape(spec.out_ch, k)
+    pat = _window_view(_padded(x, *spec.padding), spec.kernel, spec.stride, spec.dilation, (ho, wo))
+    blocks = _row_blocks(ho, wo, k, spec.out_ch)
+    buf = np.empty(k * max(r1 - r0 for r0, r1 in blocks) * wo, DTYPE)
+    out = np.empty((n, spec.out_ch, ho, wo), DTYPE)
+    for b in range(n):
+        for r0, r1 in blocks:
+            cols = buf[:k * (r1 - r0) * wo]
+            cols.reshape(c, kh, kw, r1 - r0, wo)[...] = pat[b, :, :, :, r0:r1]
+            block = out[b, :, r0:r1].reshape(spec.out_ch, -1)
+            np.matmul(wm, cols.reshape(k, -1), out=block)
+            if bias is not None:
+                block += bias[:, None]
+    return out
+
+
 def conv2d(x: np.ndarray, spec: Conv2dSpec, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     """Direct 2-D convolution (cross-correlation): float32 im2col + GEMM, or
-    per-tap multiply-adds when depthwise (groups == in_ch == out_ch)."""
+    per-tap multiply-adds when depthwise (groups == in_ch == out_ch). The
+    result is always a new array that no other array views."""
     check_nchw(x)
     n, c, h, w = x.shape
     if c != spec.in_ch:
@@ -226,36 +276,46 @@ def conv2d(x: np.ndarray, spec: Conv2dSpec, weights: np.ndarray, bias: np.ndarra
 
     ho, wo = spec.out_hw(h, w)
     wf = np.asarray(weights, dtype=DTYPE)
+    bf = None if bias is None else np.asarray(bias, dtype=DTYPE)
     g = spec.groups
     if g == c and spec.out_ch == c:
         out = _depthwise(x, spec, wf, ho, wo)
+    elif g == 1 and spec.kernel == spec.stride == (1, 1) and spec.padding == (0, 0):
+        # the column matrix is a view of the input: no gather to tile
+        out = (wf.reshape(spec.out_ch, c) @ np.asarray(x, DTYPE).reshape(n, c, h * w))
+        out = out.reshape(n, spec.out_ch, ho, wo)
+    elif g == 1:
+        return _dense(x, spec, wf, ho, wo, bf)
     else:
         xp = _padded(x, *spec.padding)
         pat = _window_view(xp, spec.kernel, spec.stride, spec.dilation, (ho, wo))
-        if g == 1:
-            cols = pat.reshape(n, c * spec.kernel[0] * spec.kernel[1], ho * wo)
-            out = (wf.reshape(spec.out_ch, -1) @ cols).reshape(n, spec.out_ch, ho, wo)
-        else:
-            cg, og = c // g, spec.out_ch // g
-            parts = []
-            for gi in range(g):
-                cols = pat[:, gi * cg:(gi + 1) * cg].reshape(n, cg * spec.kernel[0] * spec.kernel[1], ho * wo)
-                parts.append(wf[gi * og:(gi + 1) * og].reshape(og, -1) @ cols)
-            out = np.concatenate(parts, axis=1).reshape(n, spec.out_ch, ho, wo)
+        cg, og = c // g, spec.out_ch // g
+        parts = []
+        for gi in range(g):
+            cols = pat[:, gi * cg:(gi + 1) * cg].reshape(n, cg * spec.kernel[0] * spec.kernel[1], ho * wo)
+            parts.append(wf[gi * og:(gi + 1) * og].reshape(og, -1) @ cols)
+        out = np.concatenate(parts, axis=1).reshape(n, spec.out_ch, ho, wo)
 
-    if bias is not None:
-        out += np.asarray(bias, dtype=DTYPE)[None, :, None, None]
+    if bf is not None:
+        out += bf[None, :, None, None]
     return out
+
+
+def _bn_affine(p: BatchNormParams, factor: float = 1.0):
+    """Batch norm as float32 (scale, shift) per channel, computed in float64
+    and multiplied by `factor` before the one cast."""
+    scale = p.gamma.astype(np.float64) / np.sqrt(p.var.astype(np.float64) + p.eps)
+    shift = p.beta.astype(np.float64) - p.mean.astype(np.float64) * scale
+    return (factor * scale).astype(DTYPE), (factor * shift).astype(DTYPE)
 
 
 def batch_norm_inference(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
     check_nchw(x)
     if x.shape[1] != p.channels:
         raise ShapeError(f"channel axis: input has {x.shape[1]} channels, batch norm has {p.channels}")
-    scale = p.gamma.astype(np.float64) / np.sqrt(p.var.astype(np.float64) + p.eps)
-    shift = p.beta.astype(np.float64) - p.mean.astype(np.float64) * scale
-    out = np.multiply(x, scale.astype(DTYPE)[None, :, None, None], dtype=DTYPE)
-    out += shift.astype(DTYPE)[None, :, None, None]
+    scale, shift = _bn_affine(p)
+    out = np.multiply(x, scale[None, :, None, None], dtype=DTYPE)
+    out += shift[None, :, None, None]
     return out
 
 
@@ -267,6 +327,30 @@ def silu(x: np.ndarray) -> np.ndarray:
     out *= x
     out *= 0.5
     return out
+
+
+def conv_epilogue(y: np.ndarray, bn: BatchNormParams | None, act: str) -> np.ndarray:
+    """Batch norm (when `bn` is given), then SiLU when `act` is "silu", over a
+    conv output `y` that nothing else references: `y` is overwritten and may
+    be the result. Bit for bit `silu(batch_norm_inference(y, bn))`: with SiLU
+    the affine is pre-scaled by 0.5, so y holds h = x / 2 and the result is
+    h * (1 + tanh(h)); halving commutes with float32 rounding."""
+    check_nchw(y, "conv output")
+    half = 0.5 if act == "silu" else 1.0
+    if bn is not None:
+        if y.shape[1] != bn.channels:
+            raise ShapeError(f"channel axis: input has {y.shape[1]} channels, batch norm has {bn.channels}")
+        scale, shift = _bn_affine(bn, half)
+        y *= scale[None, :, None, None]
+        y += shift[None, :, None, None]
+    elif act == "silu":
+        y *= DTYPE(0.5)
+    if act != "silu":
+        return y
+    t = np.tanh(y)
+    t += 1.0
+    t *= y
+    return t
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

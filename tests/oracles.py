@@ -245,6 +245,13 @@ def silu_f64(x):
     return (xd * 0.5 * (1.0 + np.tanh(0.5 * xd))).astype(DTYPE)
 
 
+def conv_epilogue_f64(y, bn, act):
+    """`conv_epilogue` as float64 batch norm, then float64 SiLU."""
+    if bn is not None:
+        y = batch_norm_inference_f64(y, bn)
+    return silu_f64(y) if act == "silu" else y
+
+
 def pool2d_f64(x, mode, kernel, stride=None, padding=0):
     """Windowed max or mean. avg divides by the full kernel area, padding included,
     so a stride-1 avg pool is exactly expressible as a fixed convolution."""

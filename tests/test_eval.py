@@ -46,7 +46,7 @@ class TestLoadDataset:
     def _make(self, tmp_path, label_text, image_size=(8, 6)):
         w, h = image_size
         write_ppm(os.fspath(tmp_path / "img0.ppm"), np.zeros((h, w, 3), dtype=np.uint8))
-        (tmp_path / "img0.txt").write_text(label_text)
+        (tmp_path / "img0.txt").write_text(label_text, encoding="utf-8")
         manifest = {
             "classes": ["wssv", "bss", "sbgs"],
             "items": [{"image": "img0.ppm", "label": "img0.txt"}],
@@ -72,6 +72,13 @@ class TestLoadDataset:
     def test_class_out_of_range(self, tmp_path):
         with pytest.raises(ValidationError, match="class id"):
             load_dataset(self._make(tmp_path, "7 0.5 0.5 0.2 0.1\n"))
+
+    # each parses with int() / float() to an in-range value
+    @pytest.mark.parametrize("line", ["0_1 0.5 0.5 0.2 0.1", "\u0661 0.5 0.5 0.2 0.1",
+                                      "1 0.5_0 0.5 0.2 0.1", "1 0.5 \u0660.5 0.2 0.1"])
+    def test_fields_must_be_ascii_decimals(self, tmp_path, line):
+        with pytest.raises(ValidationError, match="not a decimal number"):
+            load_dataset(self._make(tmp_path, line + "\n"))
 
     def _manifest(self, tmp_path, doc):
         path = tmp_path / "manifest.json"

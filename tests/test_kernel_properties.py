@@ -1,14 +1,17 @@
 """Property tests: the slice kernels in repdet.tensor_ops against the float64
 kernels and loop oracles in oracles.py, over drawn channels, kernels
 (including the 1xL and Lx1 strips of the MSCA block), strides, paddings,
-dilations and spatial sizes. Inputs and weights lie in [-1, 1].
+dilations and spatial sizes, and the dense conv by blocks of output rows
+against the same conv in one block. Inputs and weights lie in [-1, 1].
 
 Draws are derandomized, so every run checks the same examples.
 """
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repdet.tensor_ops as T
 from repdet.tensor_ops import Conv2dSpec, conv2d, pool2d
 
 from oracles import conv2d_f64, pool2d_f64, ref_pool2d
@@ -88,3 +91,69 @@ def test_avg_pool_matches_loop_oracle(geom, channels, seed):
     got = pool2d(x, "avg", kernel, stride, padding)
     want = ref_pool2d(x, "avg", kernel, stride, padding)
     assert np.abs(got - want).max() < 1e-6
+
+
+def _blas_rounds_blocks_alike() -> bool:
+    """Whether this BLAS gives two column blocks, each above
+    SMALL_GEMM_MACS, the bits it gives them in one GEMM. OpenBLAS's kernels
+    for AVX-512 cores do; its Haswell kernels round some columns differently."""
+    rng = np.random.default_rng(0)
+    w = rng.uniform(-1, 1, (64, 144)).astype(np.float32)
+    cols = rng.uniform(-1, 1, (144, 2 * 109 + 3)).astype(np.float32)
+    whole = w @ cols
+    return all(np.array_equal(w @ cols[:, s], whole[:, s]) for s in (np.s_[:109], np.s_[109:]))
+
+
+@st.composite
+def dense_convs(draw):
+    """(spec, batch, (h, w), im2col budget) for a dense conv that gathers
+    im2col (not a 1x1 stride-1 unpadded one). Output widths sit near the one that makes a
+    row's GEMM, or a pair or triple of rows', just exceed SMALL_GEMM_MACS."""
+    k = draw(st.sampled_from([1, 3, 5]))
+    stride = draw(st.integers(2 if k == 1 else 1, 2))
+    c = draw(st.sampled_from([8, 16]))
+    out_ch = draw(st.sampled_from([16, 64]))
+    kk = c * k * k
+    ho = draw(st.integers(1, 7))
+    wo = max(1, T.SMALL_GEMM_MACS // (out_ch * kk) // draw(st.sampled_from([1, 2, 3]))
+             + draw(st.integers(-2, 4)))
+    p = k // 2
+    size = ((ho - 1) * stride + k - 2 * p, (wo - 1) * stride + k - 2 * p)
+    budget = draw(st.integers(1, 4 * kk * ho * wo))
+    spec = Conv2dSpec(c, out_ch, k, stride, p, has_bias=draw(st.booleans()))
+    return spec, draw(st.integers(1, 2)), size, budget
+
+
+# one row per block, blocks of 2 and 3 rows, batch 2 with stride 2 and 5x5;
+# bit for bit wherever the BLAS rounds a block as it rounds the whole GEMM
+@PROPERTY
+@given(conv=dense_convs(), seed=seeds)
+@example(conv=(Conv2dSpec(16, 64, 3, 1, 1), 1, (5, 109), 1), seed=0)
+@example(conv=(Conv2dSpec(16, 64, 3, 1, 1), 1, (5, 109), 4 * 144 * 109 * 3), seed=1)
+@example(conv=(Conv2dSpec(16, 64, 5, 2, 2, has_bias=True), 2, (9, 79), 1), seed=2)
+def test_dense_conv_row_blocks_bit_identical_to_one_block(conv, seed):
+    spec, batch, (h, w), budget = conv
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (batch, spec.in_ch, h, w)).astype(np.float32)
+    wt = rng.uniform(-1, 1, spec.weight_shape).astype(np.float32)
+    b = rng.uniform(-1, 1, spec.out_ch).astype(np.float32) if spec.has_bias else None
+    ho, wo = spec.out_hw(h, w)
+    kk = spec.in_ch * spec.kernel[0] * spec.kernel[1]
+    row_macs = spec.out_ch * kk * wo
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "IM2COL_BUDGET", 1 << 62)
+        assert T._row_blocks(ho, wo, kk, spec.out_ch) == [(0, ho)]
+        whole = conv2d(x, spec, wt, b)
+        mp.setattr(T, "IM2COL_BUDGET", budget)
+        blocks = T._row_blocks(ho, wo, kk, spec.out_ch)
+        got = conv2d(x, spec, wt, b)
+    assert [r0 for r0, _ in blocks] == [0] + [r1 for _, r1 in blocks[:-1]]
+    assert blocks[-1][1] == ho
+    if len(blocks) > 1:
+        assert min(r1 - r0 for r0, r1 in blocks) * row_macs > T.SMALL_GEMM_MACS
+    if budget <= 4 * kk * wo and row_macs > T.SMALL_GEMM_MACS:
+        assert len(blocks) == ho
+    if _blas_rounds_blocks_alike():
+        assert np.array_equal(got, whole)
+    else:
+        assert np.abs(got - whole).max() <= 2 * float32_accumulation_bound(kk + spec.has_bias)

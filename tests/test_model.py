@@ -1,5 +1,7 @@
-"""Graph assembly, accounting, deterministic init, and weight-container tests."""
+"""Graph assembly, forward, accounting, deterministic init, and weight-container
+tests."""
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +112,36 @@ class TestBuild:
         g7 = M.build_model("improved", 7)
         assert M.output_shapes(g7) == ((1, 71, 80, 80), (1, 71, 40, 40), (1, 71, 20, 20))
         assert M.param_count(g7) - M.param_count(g3) == 4 * (64 + 1)  # cls conv rows
+
+
+class TestForward:
+    @pytest.mark.parametrize("variant", ["baseline", "improved"])
+    @pytest.mark.parametrize("fused", [False, True], ids=["train", "fused"])
+    def test_head_maps_equal_run_graph(self, variant, fused):
+        g = M.build_model(variant, 3)
+        M.init_weights(g, 3)
+        if fused:
+            g = fuse_model_graph(g)
+        x = np.random.default_rng(4).uniform(0, 1, (1, 3, 96, 128)).astype(np.float32)
+        vals = M.run_graph(g, x)
+        got = M.forward(g, x)
+        assert len(got) == 3
+        assert all(np.array_equal(a, vals[name]) for a, name in zip(got, g.outputs))
+
+    def test_forward_holds_only_live_outputs(self):
+        g = M.build_model("improved", 3)
+        M.init_weights(g, 0)
+        g = fuse_model_graph(g)
+        x = np.random.default_rng(5).uniform(0, 1, (1, 3, 640, 640)).astype(np.float32)
+        peaks = []
+        for fn in (M.forward, M.run_graph):
+            tracemalloc.start()
+            try:
+                fn(g, x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 0.6 * peaks[1]
 
 
 class TestAccounting:

@@ -51,6 +51,14 @@ class TestPPM:
         with pytest.raises(FormatError, match="magic"):
             read_ppm(path)
 
+    @pytest.mark.parametrize("header", [b"P6 +2 1 255\n", b"P6 2 1_0 255\n"])
+    def test_header_numbers_are_ascii_digits(self, tmp_path, header):
+        path = os.fspath(tmp_path / "n.ppm")
+        with open(path, "wb") as f:
+            f.write(header + bytes(100))
+        with pytest.raises(FormatError, match="non-numeric"):
+            read_ppm(path)
+
     def test_truncated_pixels(self, tmp_path):
         path = os.fspath(tmp_path / "short.ppm")
         with open(path, "wb") as f:

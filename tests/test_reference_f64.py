@@ -3,19 +3,30 @@
 The reference is swapped in for the names `repdet.blocks` and `repdet.model`
 import from `repdet.tensor_ops`, so the same graphs run once in each
 precision. Head maps must agree within the `fuse --verify` bound; kernels
-whose float32 result is exactly the float64 one rounded must match bit for bit.
+whose float32 result is exactly the float64 one rounded must match bit for
+bit, and so must the in-place conv epilogue and the kernels it replaces.
 """
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import repdet.blocks as B
 import repdet.model as M
 from repdet.fusion import fuse_model_graph
-from repdet.tensor_ops import elementwise, pool2d
+from repdet.tensor_ops import (
+    BatchNormParams,
+    batch_norm_inference,
+    conv_epilogue,
+    elementwise,
+    pool2d,
+    silu,
+)
 
 from oracles import (
     batch_norm_inference_f64,
     conv2d_f64,
+    conv_epilogue_f64,
     elementwise_f64,
     pool2d_f64,
     scale_forward_f64,
@@ -24,19 +35,37 @@ from oracles import (
 
 HEAD_BOUND = 1e-3  # same bound as `repdet fuse --verify`
 
+# `blocks.silu` is left out: only `RepConvBlock.forward` calls it, and graphs
+# run a RepConv stack as branch nodes, never through that method
 F64_KERNELS = {
-    B: {"conv2d": conv2d_f64, "batch_norm_inference": batch_norm_inference_f64,
-        "silu": silu_f64, "pool2d": pool2d_f64, "elementwise": elementwise_f64},
+    B: {"conv2d": conv2d_f64, "conv_epilogue": conv_epilogue_f64,
+        "batch_norm_inference": batch_norm_inference_f64, "pool2d": pool2d_f64,
+        "elementwise": elementwise_f64},
     M: {"silu": silu_f64},
 }
+SCALE = "ScaleParam.forward"
+SWAPPED = {f"{m.__name__}.{name}" for m, kernels in F64_KERNELS.items() for name in kernels} | {SCALE}
+# reached only by the improved graphs: the RepConv branch sum's SiLU, the
+# avg-pool branch's batch norm, and the per-level box scales
+IMPROVED_ONLY = {"repdet.model.silu", "repdet.blocks.batch_norm_inference", SCALE}
 
 
-def forward_f64(g, x):
+def _counted(fn, name, calls):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+
+def forward_f64(g, x, calls=None):
+    """`M.forward` with every float32 kernel swapped for its float64 version;
+    `calls` (a Counter) receives the number of calls of each."""
+    calls = Counter() if calls is None else calls
     with pytest.MonkeyPatch.context() as mp:
         for module, kernels in F64_KERNELS.items():
             for name, fn in kernels.items():
-                mp.setattr(module, name, fn)
-        mp.setattr(B.ScaleParam, "forward", scale_forward_f64)
+                mp.setattr(module, name, _counted(fn, f"{module.__name__}.{name}", calls))
+        mp.setattr(B.ScaleParam, "forward", _counted(scale_forward_f64, SCALE, calls))
         return M.forward(g, x)
 
 
@@ -62,15 +91,18 @@ def seeded_graph(variant, seed):
 def test_four_graph_forms_match_float64_reference(variant):
     g = seeded_graph(variant, 4)
     x = np.random.default_rng(5).uniform(0, 1, (1, 3, 640, 640)).astype(np.float32)
+    calls = Counter()
     for graph in (g, fuse_model_graph(g)):
         got = M.forward(graph, x)
-        want = forward_f64(graph, x)
+        want = forward_f64(graph, x, calls)
         # bit-equal maps would mean the float64 kernels never ran
         assert not all(np.array_equal(a, b) for a, b in zip(got, want))
         for a, b in zip(got, want):
             assert a.dtype == np.float32 and b.dtype == np.float32
             assert np.isfinite(b).all() and np.abs(b).max() > 0.1
             assert np.abs(a - b).max() < HEAD_BOUND
+    # a kernel the forward stops calling would leave its float32 path unchecked
+    assert set(calls) == (SWAPPED if variant == "improved" else SWAPPED - IMPROVED_ONLY)
 
 
 def wide_floats(rng, shape):
@@ -103,3 +135,20 @@ def test_scale_bit_identical():
     for value in (1.0, 0.75, 1.3371, -2.5e-3):
         blk = B.ScaleParam(value)
         assert np.array_equal(blk.forward(x), scale_forward_f64(blk, x))
+
+
+def test_conv_epilogue_bit_identical():
+    rng = np.random.default_rng(9)
+    y = wide_floats(rng, (2, 6, 9, 7))
+    bn = BatchNormParams(rng.uniform(0.5, 1.5, 6), rng.uniform(-0.2, 0.2, 6),
+                         rng.uniform(-0.2, 0.2, 6), rng.uniform(0.25, 2.0, 6))
+    # with a bias and no norm, conv2d has already added the bias to y
+    b = wide_floats(rng, (6,))[None, :, None, None]
+    biased = np.add(y, b, dtype=np.float32)
+    cases = [(y, bn, "silu", silu(batch_norm_inference(y, bn))),
+             (y, bn, "none", batch_norm_inference(y, bn)),
+             (biased, None, "silu", silu(biased)),
+             (y, None, "none", y)]
+    for x, norm, act, want in cases:
+        got = conv_epilogue(x.copy(), norm, act)
+        assert got.dtype == np.float32 and np.array_equal(got, want)

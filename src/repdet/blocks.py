@@ -37,12 +37,22 @@ def _autopad(kernel, dilation) -> tuple[int, int]:
 class Composite:
     """A block built from child blocks. `children()` lists (prefix, block) pairs
     in weight-name order; `replace_children(new)` returns a shallow copy that
-    holds the blocks of `new` in their place, in the same order."""
+    holds the blocks of `new` in their place, in the same order.
+
+    Every conv inside a composite runs once per forward, on a map of the
+    composite's output height and width, and the output keeps the input's
+    height and width with `out_ch` channels. So `out_shape` needs no walk of
+    the children, and `model.profile_graph` counts a composite's MACs as its
+    output pixels times the element count of its conv weights."""
 
     def named_arrays(self):
         for prefix, child in self.children():
             for k, v in child.named_arrays():
                 yield f"{prefix}.{k}", v
+
+    def out_shape(self, in_shape):
+        n, _, h, w = in_shape
+        return (n, self.out_ch, h, w)
 
 
 class ConvBlock:
@@ -90,14 +100,9 @@ class ConvBlock:
             yield "bn.mean", self.bn.mean
             yield "bn.var", self.bn.var
 
-    def profile(self, in_shape):
-        n, c, h, w = in_shape
-        ho, wo = self.spec.out_hw(h, w)
-        s = self.spec
-        out_elems = n * s.out_ch * ho * wo
-        macs = out_elems * (s.in_ch // s.groups) * s.kernel[0] * s.kernel[1]
-        elems = out_elems * ((self.bn is not None) + (self.act == "silu") + (self.b is not None))
-        return macs, elems, (n, s.out_ch, ho, wo)
+    def out_shape(self, in_shape):
+        n, _, h, w = in_shape
+        return (n, self.spec.out_ch, *self.spec.out_hw(h, w))
 
 
 class AvgPoolBranch:
@@ -116,9 +121,8 @@ class AvgPoolBranch:
         yield "bn.mean", self.bn.mean
         yield "bn.var", self.bn.var
 
-    def profile(self, in_shape):
-        n, c, h, w = in_shape
-        return 0, 2 * n * c * h * w, (n, c, h, w)
+    def out_shape(self, in_shape):
+        return in_shape
 
 
 class RepConvBlock(Composite):
@@ -126,12 +130,12 @@ class RepConvBlock(Composite):
     summed and passed through SiLU. `fusion.deploy_repconv` compiles it into
     one biased 3x3 conv."""
 
-    def __init__(self, in_ch, out_ch, stride=1):
-        self.in_ch, self.out_ch, self.stride = in_ch, out_ch, stride
-        self.branch_3x3 = ConvBlock(in_ch, out_ch, 3, stride, act="none")
-        self.branch_1x1 = ConvBlock(in_ch, out_ch, 1, stride, padding=0, act="none")
-        # avg pool keeps channel count and only aligns spatially at stride 1
-        self.branch_avg = AvgPoolBranch(out_ch) if (stride == 1 and in_ch == out_ch) else None
+    def __init__(self, in_ch, out_ch):
+        self.in_ch, self.out_ch = in_ch, out_ch
+        self.branch_3x3 = ConvBlock(in_ch, out_ch, 3, act="none")
+        self.branch_1x1 = ConvBlock(in_ch, out_ch, 1, act="none")
+        # avg pool keeps the channel count, so it exists only when in == out
+        self.branch_avg = AvgPoolBranch(out_ch) if in_ch == out_ch else None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         y = self.branch_3x3.forward(x) + self.branch_1x1.forward(x)
@@ -150,19 +154,6 @@ class RepConvBlock(Composite):
         out.branch_3x3, out.branch_1x1, *avg = new
         out.branch_avg = avg[0] if avg else None
         return out
-
-    def profile(self, in_shape):
-        m3, e3, out = self.branch_3x3.profile(in_shape)
-        m1, e1, _ = self.branch_1x1.profile(in_shape)
-        macs, elems = m3 + m1, e3 + e1
-        n, c, h, w = out
-        adds = 1
-        if self.branch_avg is not None:
-            _, ea, _ = self.branch_avg.profile(in_shape)
-            elems += ea
-            adds += 1
-        elems += (adds + 1) * n * c * h * w  # branch sums + SiLU
-        return macs, elems, out
 
 
 class MultiScaleSplitConv(Composite):
@@ -193,14 +184,6 @@ class MultiScaleSplitConv(Composite):
         out.path3, out.path5, out.fuse = new
         return out
 
-    def profile(self, in_shape):
-        n, c, h, w = in_shape
-        q = self.in_ch // 4
-        m3, e3, _ = self.path3.profile((n, q, h, w))
-        m5, e5, _ = self.path5.profile((n, q, h, w))
-        mf, ef, out = self.fuse.profile((n, self.in_ch, h, w))
-        return m3 + m5 + mf, e3 + e5 + ef, out
-
 
 class Bottleneck(Composite):
     """Two stacked transforms with an optional additive shortcut."""
@@ -214,6 +197,7 @@ class Bottleneck(Composite):
             self.cv2 = MultiScaleSplitConv(ch, ch)
         else:
             raise SpecError(f"unknown bottleneck variant {variant!r}")
+        self.out_ch = ch
         self.variant = variant
         self.shortcut = shortcut
 
@@ -228,14 +212,6 @@ class Bottleneck(Composite):
         out = copy.copy(self)
         out.cv1, out.cv2 = new
         return out
-
-    def profile(self, in_shape):
-        m1, e1, mid = self.cv1.profile(in_shape)
-        m2, e2, out = self.cv2.profile(mid)
-        elems = e1 + e2
-        if self.shortcut:
-            elems += out[0] * out[1] * out[2] * out[3]
-        return m1 + m2, elems, out
 
 
 class C2f(Composite):
@@ -269,22 +245,12 @@ class C2f(Composite):
         out.cv1, *out.bottlenecks, out.cv2 = new
         return out
 
-    def profile(self, in_shape):
-        macs, elems, mid = self.cv1.profile(in_shape)
-        n, _, h, w = mid
-        part = (n, self.hidden, h, w)
-        for m in self.bottlenecks:
-            bm, be, part = m.profile(part)
-            macs, elems = macs + bm, elems + be
-        cm, ce, out = self.cv2.profile((n, (2 + self.n) * self.hidden, h, w))
-        return macs + cm, elems + ce, out
-
 
 class SPPF(Composite):
     """Spatial pyramid pooling (fast): three chained 5x5 max pools, concatenated."""
 
     def __init__(self, ch):
-        self.ch = ch
+        self.out_ch = ch
         self.cv1 = ConvBlock(ch, ch // 2, 1)
         self.cv2 = ConvBlock(ch * 2, ch, 1)
 
@@ -303,13 +269,6 @@ class SPPF(Composite):
         out.cv1, out.cv2 = new
         return out
 
-    def profile(self, in_shape):
-        m1, e1, mid = self.cv1.profile(in_shape)
-        n, c, h, w = mid
-        pool_elems = 3 * n * c * h * w
-        m2, e2, out = self.cv2.profile((n, 4 * c, h, w))
-        return m1 + m2, e1 + pool_elems + e2, out
-
 
 class MSCABlock(Composite):
     """Multi-scale strip-conv attention: 5x5 depthwise base, three depthwise
@@ -319,7 +278,7 @@ class MSCABlock(Composite):
     STRIP_LENGTHS = (7, 11, 21)
 
     def __init__(self, ch):
-        self.ch = ch
+        self.out_ch = ch
         self.base = ConvBlock(ch, ch, 5, groups=ch, bn=False, act="none")
         self.pairs = []
         for L in self.STRIP_LENGTHS:
@@ -348,19 +307,6 @@ class MSCABlock(Composite):
         out.pairs = list(zip(strips[::2], strips[1::2]))
         return out
 
-    def profile(self, in_shape):
-        macs, elems, out = self.base.profile(in_shape)
-        n, c, h, w = out
-        for row, col in self.pairs:
-            mr, er, mid = row.profile(out)
-            mc, ec, _ = col.profile(mid)
-            macs += mr + mc
-            elems += er + ec + n * c * h * w  # running sum
-        mm, em, _ = self.mix.profile(out)
-        macs += mm
-        elems += em + n * c * h * w  # attention multiply
-        return macs, elems, out
-
 
 class ScaleParam:
     """Single learnable scalar multiplier."""
@@ -374,12 +320,13 @@ class ScaleParam:
     def named_arrays(self):
         yield "s", self.s
 
-    def profile(self, in_shape):
-        n, c, h, w = in_shape
-        return 0, n * c * h * w, in_shape
+    def out_shape(self, in_shape):
+        return in_shape
 
 
 @dataclass(frozen=True)
+
+
 class HeadConfig:
     """Detection head geometry shared by both head designs."""
 

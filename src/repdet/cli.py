@@ -65,14 +65,9 @@ def _shape_text(shape) -> str:
     return "x".join(str(d) for d in shape[1:])
 
 
-def _summary_rows(g):
-    rows, total_params, total_macs, _ = M.profile_graph(g)
-    return rows, total_params, total_macs
-
-
 def cmd_summarize(args) -> int:
     g = M.build_model(args.model, args.nc)
-    rows, total_params, total_macs = _summary_rows(g)
+    rows, total_params, total_macs = M.profile_graph(g)
     lines = [f"{'layer':<22} {'kind':<12} {'output':>14} {'params':>10} {'macs':>14}"]
     for r in rows:
         lines.append(f"{r.name:<22} {r.kind:<12} {_shape_text(r.out_shape):>14} "

@@ -14,7 +14,7 @@ import numpy as np
 from .blocks import Composite, ConvBlock, RepConvBlock
 from .errors import NumericError, ShapeError, SpecError
 from .model import ModelGraph, Node, ParamEntry, _validate_graph
-from .tensor_ops import DTYPE, BatchNormParams, Conv2dSpec
+from .tensor_ops import DTYPE, BatchNormParams
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,6 @@ def fuse_repconv(blk: RepConvBlock) -> FusedConv:
     w1, bias1 = _fold64(lower_1x1_to_3x3(b1.w), None, b1.bn)
     w, b = w + w1, b + bias1
     if blk.branch_avg is not None:
-        if blk.stride != 1:
-            raise SpecError("avg-pool branch cannot be lowered at stride != 1")
         wa, ba = _fold64(avg_kernel_3x3(blk.out_ch), None, blk.branch_avg.bn)
         w, b = w + wa, b + ba
     return FusedConv(w.astype(DTYPE), b.astype(DTYPE))
@@ -85,7 +83,7 @@ def fuse_repconv(blk: RepConvBlock) -> FusedConv:
 def deploy_repconv(blk: RepConvBlock) -> ConvBlock:
     """Deploy form of a RepConv: one biased 3x3 conv followed by its SiLU."""
     fc = fuse_repconv(blk)
-    spec = Conv2dSpec(blk.in_ch, blk.out_ch, (3, 3), blk.stride, (1, 1), has_bias=True)
+    spec = replace(blk.branch_3x3.spec, has_bias=True)
     return ConvBlock.from_parts(spec, fc.weights, fc.bias, None, "silu")
 
 
@@ -136,4 +134,4 @@ def fuse_model_graph(g: ModelGraph) -> ModelGraph:
 
     outputs = tuple(rename.get(o, o) for o in g.outputs)
     _validate_graph(nodes, outputs)
-    return ModelGraph(g.variant, g.nc, tuple(nodes), tuple(params), outputs, g.cfg, fused=True)
+    return ModelGraph(g.variant, g.nc, tuple(nodes), tuple(params), outputs, g.cfg)

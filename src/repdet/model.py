@@ -64,15 +64,9 @@ class ModelGraph:
     params: tuple
     outputs: tuple
     cfg: HeadConfig
-    fused: bool = False
 
     def node_map(self) -> dict:
         return {n.name: n for n in self.nodes}
-
-
-def _numel(shape) -> int:
-    n, c, h, w = shape
-    return n * c * h * w
 
 
 def _add(ins):
@@ -84,23 +78,23 @@ def _add(ins):
 
 class GlueOp(NamedTuple):
     """A blockless node kind: its forward over the input tensors, and its
-    profile over the input shapes, giving (macs, elem_ops, out_shape)."""
+    output shape from the input shapes."""
 
     forward: Callable
-    profile: Callable
+    out_shape: Callable
 
 
-# kinds of nodes that carry a block; the block's forward and profile run them
+# kinds of nodes that carry a block; the block's forward and out_shape run them
 BLOCK_KINDS = ("conv", "c2f", "c2f_ms", "sppf", "msca", "avgpool_bn", "scale")
 
 # the lambdas look each kernel up when called, so a test can swap in another
 GLUE = {
-    "add": GlueOp(_add, lambda s: (0, (len(s) - 1) * _numel(s[0]), s[0])),
-    "silu": GlueOp(lambda t: silu(t[0]), lambda s: (0, _numel(s[0]), s[0])),
+    "add": GlueOp(_add, lambda s: s[0]),
+    "silu": GlueOp(lambda t: silu(t[0]), lambda s: s[0]),
     "upsample": GlueOp(lambda t: upsample_nearest2x(t[0]),
-                       lambda s: (0, 0, (*s[0][:2], 2 * s[0][2], 2 * s[0][3]))),
+                       lambda s: (*s[0][:2], 2 * s[0][2], 2 * s[0][3])),
     "concat": GlueOp(lambda t: concat_channels(t),
-                     lambda s: (0, 0, (s[0][0], sum(x[1] for x in s), *s[0][2:]))),
+                     lambda s: (s[0][0], sum(x[1] for x in s), *s[0][2:])),
 }
 
 
@@ -233,21 +227,21 @@ def build_model(variant: str, nc: int = 3) -> ModelGraph:
     return ModelGraph(variant, nc, tuple(b.nodes), tuple(b.params), tuple(outputs), cfg)
 
 
-def _walk(g: ModelGraph, x, profile: bool, keep=None) -> dict:
+def _walk(g: ModelGraph, x, shapes: bool, keep=None) -> dict:
     """The one node dispatch, behind run_graph, forward and profile_graph.
-    Returns name -> output tensor; with `profile`, `x` is the input shape and
-    each value is the node's (macs, elem_ops, out_shape). With `keep`, an
-    output is dropped once its last consumer has run, unless `keep` names it."""
-    vals = {INPUT: (0, 0, x) if profile else x}
+    Returns name -> output tensor; with `shapes`, `x` is the input shape and
+    each value is the node's output shape. With `keep`, an output is dropped
+    once its last consumer has run, unless `keep` names it."""
+    vals = {INPUT: x}
     last = {} if keep is None else {
         ref: step for step, node in enumerate(g.nodes) for ref in node.inputs if ref not in keep}
     for step, node in enumerate(g.nodes):
-        ins = [vals[ref][2] if profile else vals[ref] for ref in node.inputs]
+        ins = [vals[ref] for ref in node.inputs]
         if node.block is not None:
             op, arg = node.block, ins[0]
         else:
             op, arg = GLUE[node.kind], ins
-        vals[node.name] = op.profile(arg) if profile else op.forward(arg)
+        vals[node.name] = op.out_shape(arg) if shapes else op.forward(arg)
         for ref in node.inputs:
             if last.get(ref) == step:
                 vals.pop(ref, None)
@@ -256,13 +250,13 @@ def _walk(g: ModelGraph, x, profile: bool, keep=None) -> dict:
 
 def run_graph(g: ModelGraph, x: np.ndarray) -> dict:
     """Evaluate every node on input `x`; returns the full name -> tensor map."""
-    return _walk(g, np.asarray(x, dtype=DTYPE), profile=False)
+    return _walk(g, np.asarray(x, dtype=DTYPE), shapes=False)
 
 
 def forward(g: ModelGraph, x: np.ndarray):
     """Run the graph and return the three head maps (P3, P4, P5). Each other
     node's output is freed once the last node that reads it has run."""
-    vals = _walk(g, np.asarray(x, dtype=DTYPE), profile=False, keep=set(g.outputs))
+    vals = _walk(g, np.asarray(x, dtype=DTYPE), shapes=False, keep=set(g.outputs))
     return tuple(vals[name] for name in g.outputs)
 
 
@@ -273,7 +267,6 @@ class NodeProfile:
     out_shape: tuple
     params: int
     macs: int
-    elem_ops: int
 
 
 def _param_count(block) -> int:
@@ -281,40 +274,46 @@ def _param_count(block) -> int:
                if not suffix.endswith(_STAT_SUFFIXES))
 
 
+def _block_macs(block, out_shape) -> int:
+    """Every conv weight (leaf name "w", as in init_weights) of a block is
+    applied once at each output pixel (see `blocks.Composite`)."""
+    n, _, h, w = out_shape
+    return n * h * w * sum(arr.size for suffix, arr in block.named_arrays()
+                           if suffix.rsplit(".", 1)[-1] == "w")
+
+
 def profile_graph(g: ModelGraph, size: int = 640):
     """Shape propagation plus per-node parameter and MAC accounting at the given
-    square input size. A block's parameters count at the first node holding it.
-    Returns (rows, total_params, total_macs, total_elem_ops)."""
-    vals = _walk(g, (1, 3, size, size), profile=True)
+    square input size. A block's parameters count at the first node holding it;
+    its MACs count at every node that runs it.
+    Returns (rows, total_params, total_macs)."""
+    shapes = _walk(g, (1, 3, size, size), shapes=True)
     seen = set()
     rows = []
     for node in g.nodes:
-        macs, elems, out = vals[node.name]
-        params = 0
-        if node.block is not None and id(node.block) not in seen:
-            seen.add(id(node.block))
-            params = _param_count(node.block)
-        rows.append(NodeProfile(node.name, node.kind, out, params, macs, elems))
-    total_params = sum(r.params for r in rows)
-    total_macs = sum(r.macs for r in rows)
-    total_elems = sum(r.elem_ops for r in rows)
-    return rows, total_params, total_macs, total_elems
+        out = shapes[node.name]
+        params = macs = 0
+        if node.block is not None:
+            macs = _block_macs(node.block, out)
+            if id(node.block) not in seen:
+                seen.add(id(node.block))
+                params = _param_count(node.block)
+        rows.append(NodeProfile(node.name, node.kind, out, params, macs))
+    return rows, sum(r.params for r in rows), sum(r.macs for r in rows)
 
 
 def param_count(g: ModelGraph) -> int:
     return sum(_param_count(e.block) for e in g.params)
 
 
-def flop_count(g: ModelGraph, size: int = 640):
-    """(total MACs, total elementwise ops) at the given square input size."""
-    _, _, macs, elems = profile_graph(g, size)
-    return macs, elems
+def flop_count(g: ModelGraph, size: int = 640) -> int:
+    """Total MACs at the given square input size."""
+    return profile_graph(g, size)[2]
 
 
 def output_shapes(g: ModelGraph, size: int = 640):
-    rows, _, _, _ = profile_graph(g, size)
-    by_name = {r.name: r.out_shape for r in rows}
-    return tuple(by_name[o] for o in g.outputs)
+    shapes = _walk(g, (1, 3, size, size), shapes=True)
+    return tuple(shapes[o] for o in g.outputs)
 
 
 def init_weights(g: ModelGraph, seed: int = 0) -> WeightStore:

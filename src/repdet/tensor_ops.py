@@ -2,8 +2,9 @@
 
 Tensors are plain 4-D numpy arrays of float32, indexed (n, c, h, w). The
 forward kernels (conv2d, batch norm, SiLU, pooling, elementwise) compute in
-float32. Dense and grouped convs do a float32 im2col over a strided window
-view and a single-precision GEMM. A dense conv gathers and multiplies one
+float32. A dense conv does a float32 im2col over a strided window view and
+a single-precision GEMM, and a grouped conv runs one dense conv per group.
+A dense conv gathers and multiplies one
 block of output rows at a time, through one buffer of about IM2COL_BUDGET
 bytes, straight into its output; a 1x1 stride-1 conv multiplies a view of its
 input. The window ops loop over kernel taps and work on whole-tensor slices:
@@ -21,7 +22,7 @@ which runs batch norm and SiLU in place on the new array conv2d returns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -287,14 +288,13 @@ def conv2d(x: np.ndarray, spec: Conv2dSpec, weights: np.ndarray, bias: np.ndarra
     elif g == 1:
         return _dense(x, spec, wf, ho, wo, bf)
     else:
-        xp = _padded(x, *spec.padding)
-        pat = _window_view(xp, spec.kernel, spec.stride, spec.dilation, (ho, wo))
+        # one dense conv per group, each with its slice of input, weights and bias
         cg, og = c // g, spec.out_ch // g
-        parts = []
-        for gi in range(g):
-            cols = pat[:, gi * cg:(gi + 1) * cg].reshape(n, cg * spec.kernel[0] * spec.kernel[1], ho * wo)
-            parts.append(wf[gi * og:(gi + 1) * og].reshape(og, -1) @ cols)
-        out = np.concatenate(parts, axis=1).reshape(n, spec.out_ch, ho, wo)
+        one = replace(spec, in_ch=cg, out_ch=og, groups=1)
+        return np.concatenate([
+            conv2d(x[:, i * cg:(i + 1) * cg], one, wf[i * og:(i + 1) * og],
+                   None if bf is None else bf[i * og:(i + 1) * og])
+            for i in range(g)], axis=1)
 
     if bf is not None:
         out += bf[None, :, None, None]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repdet.model as M
+from repdet import blocks
 from repdet.blocks import (
     BaselineHead,
     Bottleneck,
@@ -80,7 +81,7 @@ class TestC2f:
 
     def test_shape_preserved(self):
         blk = C2f(64, 64, n=1, shortcut=True)
-        assert blk.profile((1, 64, 80, 80))[2] == (1, 64, 80, 80)
+        assert blk.out_shape((1, 64, 80, 80)) == (1, 64, 80, 80)
 
     def test_multiscale_variant_has_fewer_params(self):
         std = sum(a.size for s, a in C2f(128, 128, 2).named_arrays()
@@ -129,7 +130,7 @@ class TestSPPF:
         assert spread.max() < 1e-6
 
     def test_shape(self):
-        assert SPPF(256).profile((1, 256, 20, 20))[2] == (1, 256, 20, 20)
+        assert SPPF(256).out_shape((1, 256, 20, 20)) == (1, 256, 20, 20)
 
     def test_matches_manual_composition(self):
         rng = np.random.default_rng(6)
@@ -157,7 +158,7 @@ class TestMultiScaleSplitConv:
         assert np.abs(blk.forward(x) - silu(x[:, :4])).max() < 1e-6
 
     def test_shape_preserved(self):
-        assert MultiScaleSplitConv(64, 64).profile((1, 64, 40, 40))[2] == (1, 64, 40, 40)
+        assert MultiScaleSplitConv(64, 64).out_shape((1, 64, 40, 40)) == (1, 64, 40, 40)
 
     def test_matches_split_conv_concat_composition(self):
         rng = np.random.default_rng(8)
@@ -203,7 +204,7 @@ class TestMSCA:
         assert np.abs(blk.forward(x) - want).max() < 1e-5
 
     def test_output_shape(self):
-        assert MSCABlock(16).profile((1, 16, 9, 9))[2] == (1, 16, 9, 9)
+        assert MSCABlock(16).out_shape((1, 16, 9, 9)) == (1, 16, 9, 9)
 
 
 class TestRepConv:
@@ -223,7 +224,6 @@ class TestRepConv:
 
     def test_no_avg_branch_when_channels_differ(self):
         assert RepConvBlock(4, 8).branch_avg is None
-        assert RepConvBlock(4, 4, stride=2).branch_avg is None
 
 
 # every composite kind, small enough to run in a test: name -> (block, input shape)
@@ -266,6 +266,20 @@ class TestChildProtocol:
         out = blk.replace_children([b for _, b in fresh.children()])
         assert np.array_equal(out.forward(x), fresh.forward(x))
         assert np.array_equal(blk.forward(x), before)
+
+    def test_out_shape_and_macs_match_forward(self, kind, monkeypatch):
+        blk, shape = COMPOSITES[kind]()
+        ran = []
+
+        def counting_conv2d(x, spec, weights, bias=None):
+            out = conv2d(x, spec, weights, bias)
+            ran.append(out.size * (spec.in_ch // spec.groups) * spec.kernel[0] * spec.kernel[1])
+            return out
+
+        monkeypatch.setattr(blocks, "conv2d", counting_conv2d)
+        out = blk.forward(np.zeros(shape, np.float32))
+        assert out.shape == blk.out_shape(shape)
+        assert sum(ran) == M._block_macs(blk, out.shape) > 0
 
 
 class TestHeads:

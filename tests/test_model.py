@@ -71,8 +71,12 @@ class TestBuild:
             M._validate_graph([node], ("x", "x", "x"))
 
     def test_node_counts_are_documented_constants(self):
-        assert len(M.build_model("baseline", 3).nodes) == M.BASELINE_NODE_COUNT
-        assert len(M.build_model("improved", 3).nodes) == M.IMPROVED_NODE_COUNT
+        for variant, train, fused in (("baseline", M.BASELINE_NODE_COUNT, M.BASELINE_NODE_COUNT),
+                                      ("improved", M.IMPROVED_NODE_COUNT,
+                                       M.IMPROVED_FUSED_NODE_COUNT)):
+            g = M.build_model(variant, 3)
+            assert len(g.nodes) == train
+            assert len(fuse_model_graph(g).nodes) == fused
 
     def test_placement_audit(self):
         g = M.build_model("improved", 3)
@@ -164,17 +168,29 @@ class TestAccounting:
         assert improved / base <= 0.70
 
     def test_one_by_one_conv_macs(self):
-        macs, _, _ = ConvBlock(64, 64, 1, bn=False, act="none").profile((1, 64, 80, 80))
-        assert macs == 26_214_400  # 64*64*80*80
+        rows = M.profile_graph(M.build_model("improved", 3))[0]
+        proj = next(r for r in rows if r.name == "attn.proj_in")
+        assert proj.out_shape == (1, 256, 20, 20)
+        assert proj.macs == 26_214_400  # 256*256*20*20
+
+    @pytest.mark.parametrize("variant, train, fused", [
+        ("baseline", 4_041_907_200, 4_041_907_200),
+        ("improved", 2_958_003_200, 2_889_190_400),
+    ])
+    def test_mac_totals(self, variant, train, fused):
+        g = M.build_model(variant, 3)
+        M.init_weights(g, 0)
+        assert M.profile_graph(g)[2] == train
+        assert M.profile_graph(fuse_model_graph(g))[2] == fused
 
     def test_fused_macs_not_larger(self):
         g = M.build_model("improved", 3)
         M.init_weights(g, 0)
-        assert M.flop_count(fuse_model_graph(g))[0] <= M.flop_count(g)[0]
+        assert M.flop_count(fuse_model_graph(g)) <= M.flop_count(g)
 
     def test_improved_macs_below_baseline(self):
-        assert (M.flop_count(M.build_model("improved", 3))[0]
-                < M.flop_count(M.build_model("baseline", 3))[0])
+        assert (M.flop_count(M.build_model("improved", 3))
+                < M.flop_count(M.build_model("baseline", 3)))
 
     def test_output_shapes(self):
         for variant in ("baseline", "improved"):
@@ -183,7 +199,7 @@ class TestAccounting:
 
     def test_profile_params_sum_matches_param_count(self):
         g = M.build_model("improved", 3)
-        rows, total_params, _, _ = M.profile_graph(g)
+        rows, total_params, _ = M.profile_graph(g)
         assert total_params == M.param_count(g)
         assert sum(r.params for r in rows) == total_params
 

@@ -1,5 +1,5 @@
-"""Forward blocks: conv units, CSP stages, strip-conv attention, and the two
-detection heads' parameter sets, which `model.build_model` wires into graphs.
+"""Forward blocks: conv units, CSP stages, strip-conv attention, the RepConv
+stack and the head geometry, which `model.build_model` wires into graphs.
 
 Blocks own their parameter arrays (created zero-filled, batch norms at identity)
 and are immutable after construction: forwards are pure, and every transform that
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .tensor_ops import (
     DTYPE,
     BatchNormParams,
     Conv2dSpec,
+    add_n,
     batch_norm_inference,
     concat_channels,
     conv2d,
@@ -127,8 +129,8 @@ class AvgPoolBranch:
 
 class RepConvBlock(Composite):
     """Train-form multi-branch conv: 3x3 + 1x1 + 3x3 avg pool, each with BN,
-    summed and passed through SiLU. `fusion.deploy_repconv` compiles it into
-    one biased 3x3 conv."""
+    summed by `add_n` and passed through SiLU, as the graph's branch nodes do.
+    `fusion.deploy_repconv` compiles it into one biased 3x3 conv."""
 
     def __init__(self, in_ch, out_ch):
         self.in_ch, self.out_ch = in_ch, out_ch
@@ -138,10 +140,7 @@ class RepConvBlock(Composite):
         self.branch_avg = AvgPoolBranch(out_ch) if in_ch == out_ch else None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        y = self.branch_3x3.forward(x) + self.branch_1x1.forward(x)
-        if self.branch_avg is not None:
-            y = y + self.branch_avg.forward(x)
-        return silu(y)
+        return silu(add_n([b.forward(x) for _, b in self.children()]))
 
     def children(self):
         kids = [("k3", self.branch_3x3), ("k1", self.branch_1x1)]
@@ -325,16 +324,15 @@ class ScaleParam:
 
 
 @dataclass(frozen=True)
-
-
 class HeadConfig:
-    """Detection head geometry shared by both head designs."""
+    """Detection head geometry shared by both head designs; only the class
+    count varies."""
 
     nc: int
-    reg_max: int = 16
-    strides: tuple = (8, 16, 32)
-    in_channels: tuple = (64, 128, 256)
-    head_hidden: int = 64
+    reg_max: ClassVar[int] = 16
+    strides: ClassVar[tuple] = (8, 16, 32)
+    in_channels: ClassVar[tuple] = (64, 128, 256)
+    head_hidden: ClassVar[int] = 64
 
     def __post_init__(self):
         if self.nc < 1:
@@ -351,41 +349,3 @@ class HeadConfig:
     @property
     def cls_hidden(self) -> int:
         return max(64, self.nc)
-
-
-class BaselineHead:
-    """Blocks of the decoupled per-level head: independent box and class towers
-    on each scale."""
-
-    def __init__(self, cfg: HeadConfig):
-        self.cfg = cfg
-        self.box_branches = []
-        self.cls_branches = []
-        for ch in cfg.in_channels:
-            self.box_branches.append([
-                ConvBlock(ch, 64, 3),
-                ConvBlock(64, 64, 3),
-                ConvBlock(64, cfg.box_channels, 1, bn=False, act="none"),
-            ])
-            c3 = cfg.cls_hidden
-            self.cls_branches.append([
-                ConvBlock(ch, c3, 3),
-                ConvBlock(c3, c3, 3),
-                ConvBlock(c3, cfg.nc, 1, bn=False, act="none"),
-            ])
-
-
-class SharedRepHead:
-    """Blocks of the lightweight shared head: per-level 1x1 stems feed one RepConv
-    stack and one box/cls conv pair shared by all scales, with per-level scalars
-    on the box map."""
-
-    def __init__(self, cfg: HeadConfig):
-        self.cfg = cfg
-        h = cfg.head_hidden
-        self.stems = [ConvBlock(ch, h, 1) for ch in cfg.in_channels]
-        self.rep1 = RepConvBlock(h, h)
-        self.rep2 = RepConvBlock(h, h)
-        self.box_conv = ConvBlock(h, cfg.box_channels, 1, bn=False, act="none")
-        self.cls_conv = ConvBlock(h, cfg.nc, 1, bn=False, act="none")
-        self.scales = [ScaleParam(1.0) for _ in cfg.strides]

@@ -163,12 +163,11 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="repdet", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, weights=True):
+    def common(sp):
         sp.add_argument("--nc", type=int, default=3, help="class count (default 3)")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for generated weights/inputs (default 0)")
-        if weights:
-            sp.add_argument("--weights", help="weight container; omitted = seeded init")
+        sp.add_argument("--weights", help="weight container; omitted = seeded init")
 
     sp = sub.add_parser("summarize", help="per-layer table at 640x640")
     sp.add_argument("--model", choices=("baseline", "improved"), required=True)

@@ -19,13 +19,12 @@ from .blocks import (
     ConvBlock,
     HeadConfig,
     MSCABlock,
-    SharedRepHead,
+    RepConvBlock,
     SPPF,
-    BaselineHead,
     ScaleParam,
 )
 from .errors import SpecError, ValidationError
-from .tensor_ops import DTYPE, concat_channels, silu, upsample_nearest2x
+from .tensor_ops import DTYPE, add_n, concat_channels, silu, upsample_nearest2x
 from .weights import WeightStore
 
 INPUT = "image"
@@ -69,13 +68,6 @@ class ModelGraph:
         return {n.name: n for n in self.nodes}
 
 
-def _add(ins):
-    acc = ins[0].astype(np.float64)
-    for t in ins[1:]:
-        acc = acc + t.astype(np.float64)
-    return acc.astype(DTYPE)
-
-
 class GlueOp(NamedTuple):
     """A blockless node kind: its forward over the input tensors, and its
     output shape from the input shapes."""
@@ -89,7 +81,7 @@ BLOCK_KINDS = ("conv", "c2f", "c2f_ms", "sppf", "msca", "avgpool_bn", "scale")
 
 # the lambdas look each kernel up when called, so a test can swap in another
 GLUE = {
-    "add": GlueOp(_add, lambda s: s[0]),
+    "add": GlueOp(lambda t: add_n(t), lambda s: s[0]),
     "silu": GlueOp(lambda t: silu(t[0]), lambda s: s[0]),
     "upsample": GlueOp(lambda t: upsample_nearest2x(t[0]),
                        lambda s: (*s[0][:2], 2 * s[0][2], 2 * s[0][3])),
@@ -198,30 +190,38 @@ def build_model(variant: str, nc: int = 3) -> ModelGraph:
                C2f(256 + 128, 256, 1, variant=c2f_variant(improved)))
 
     outputs = []
-    taps = (p3, p4, p5)
+    levels = zip(("p3", "p4", "p5"), (p3, p4, p5), cfg.in_channels)
     if improved:
-        head = SharedRepHead(cfg)
-        for i, level in enumerate(("p3", "p4", "p5")):
-            first = i == 0
-            t = b.add(f"head.{level}.stem", "conv", [taps[i]], head.stems[i])
-            t = b.wire_repconv(head.rep1, "rep1", level, t, first)
-            t = b.wire_repconv(head.rep2, "rep2", level, t, first)
-            box = b.add(f"head.{level}.box", "conv", [t], head.box_conv,
+        # one RepConv stack pair and one box/cls conv pair serve every level;
+        # the first level registers them, each level adds a stem and a scale
+        h = cfg.head_hidden
+        rep1, rep2 = RepConvBlock(h, h), RepConvBlock(h, h)
+        box_conv = ConvBlock(h, cfg.box_channels, 1, bn=False, act="none")
+        cls_conv = ConvBlock(h, cfg.nc, 1, bn=False, act="none")
+        for level, tap, ch in levels:
+            first = level == "p3"
+            t = b.add(f"head.{level}.stem", "conv", [tap], ConvBlock(ch, h, 1))
+            t = b.wire_repconv(rep1, "rep1", level, t, first)
+            t = b.wire_repconv(rep2, "rep2", level, t, first)
+            box = b.add(f"head.{level}.box", "conv", [t], box_conv,
                         register=first, owner="head.box")
-            box = b.add(f"head.{level}.scale", "scale", [box], head.scales[i])
-            cls = b.add(f"head.{level}.cls", "conv", [t], head.cls_conv,
+            box = b.add(f"head.{level}.scale", "scale", [box], ScaleParam())
+            cls = b.add(f"head.{level}.cls", "conv", [t], cls_conv,
                         register=first, owner="head.cls")
             outputs.append(b.add(f"head.{level}.out", "concat", [box, cls]))
     else:
-        head = BaselineHead(cfg)
-        for i, level in enumerate(("p3", "p4", "p5")):
-            bx = taps[i]
-            for j, blk in enumerate(head.box_branches[i], 1):
-                bx = b.add(f"head.{level}.box{j}", "conv", [bx], blk)
-            cl = taps[i]
-            for j, blk in enumerate(head.cls_branches[i], 1):
-                cl = b.add(f"head.{level}.cls{j}", "conv", [cl], blk)
-            outputs.append(b.add(f"head.{level}.out", "concat", [bx, cl]))
+        # decoupled per-level head: independent box and class towers
+        hid = cfg.cls_hidden
+        for level, tap, ch in levels:
+            x = b.add(f"head.{level}.box1", "conv", [tap], ConvBlock(ch, 64, 3))
+            x = b.add(f"head.{level}.box2", "conv", [x], ConvBlock(64, 64, 3))
+            box = b.add(f"head.{level}.box3", "conv", [x],
+                        ConvBlock(64, cfg.box_channels, 1, bn=False, act="none"))
+            x = b.add(f"head.{level}.cls1", "conv", [tap], ConvBlock(ch, hid, 3))
+            x = b.add(f"head.{level}.cls2", "conv", [x], ConvBlock(hid, hid, 3))
+            cls = b.add(f"head.{level}.cls3", "conv", [x],
+                        ConvBlock(hid, cfg.nc, 1, bn=False, act="none"))
+            outputs.append(b.add(f"head.{level}.out", "concat", [box, cls]))
 
     _validate_graph(b.nodes, outputs)
     return ModelGraph(variant, nc, tuple(b.nodes), tuple(b.params), tuple(outputs), cfg)
@@ -366,24 +366,12 @@ def load_weights(g: ModelGraph, store: WeightStore) -> None:
 
 
 def structurally_equal(g1: ModelGraph, g2: ModelGraph) -> bool:
-    """Same topology and bit-equal parameters (used for fusion idempotence)."""
-    if g1.variant != g2.variant or g1.nc != g2.nc:
+    """Same layout and the same weight names, in order, with bit-equal arrays
+    (used for fusion idempotence)."""
+    def layout(g):
+        return g.variant, g.nc, g.outputs, [(n.name, n.kind, n.inputs, n.group) for n in g.nodes]
+
+    if layout(g1) != layout(g2):
         return False
-    if len(g1.nodes) != len(g2.nodes) or g1.outputs != g2.outputs:
-        return False
-    for a, b in zip(g1.nodes, g2.nodes):
-        if (a.name, a.kind, a.inputs, a.group) != (b.name, b.kind, b.inputs, b.group):
-            return False
-    if len(g1.params) != len(g2.params):
-        return False
-    for ea, eb in zip(g1.params, g2.params):
-        if ea.name != eb.name:
-            return False
-        names_a = dict((s, v) for s, v in ea.block.named_arrays())
-        names_b = dict((s, v) for s, v in eb.block.named_arrays())
-        if names_a.keys() != names_b.keys():
-            return False
-        for k in names_a:
-            if not np.array_equal(names_a[k], names_b[k]):
-                return False
-    return True
+    w1, w2 = collect_weights(g1), collect_weights(g2)
+    return w1.names() == w2.names() and all(np.array_equal(w1[n], w2[n]) for n in w1.names())

@@ -89,16 +89,14 @@ def unletterbox_box(box, meta: LetterboxMeta):
     )
 
 
-def dfl_expectation(box_logits: np.ndarray, reg_max: int | None = None) -> np.ndarray:
-    """Per side (l, t, r, b): softmax over the distance bins, then the expected
-    bin index. Output has 4 channels, values in [0, reg_max - 1] stride units."""
+def dfl_expectation(box_logits: np.ndarray) -> np.ndarray:
+    """Per side (l, t, r, b): softmax over that side's quarter of the channels
+    (reg_max distance bins), then the expected bin index. Output has 4
+    channels, values in [0, reg_max - 1] stride units."""
     c = box_logits.shape[1]
     if c % 4:
         raise SpecError(f"box channels {c} not divisible by 4")
-    if reg_max is None:
-        reg_max = c // 4
-    elif c != 4 * reg_max:
-        raise SpecError(f"box channels {c} != 4*reg_max ({4 * reg_max})")
+    reg_max = c // 4
     p = softmax_channelwise(box_logits, reg_max)
     n, _, h, w = p.shape
     bins = np.arange(reg_max, dtype=np.float64)
@@ -126,7 +124,7 @@ def decode_detections(head_maps, cfg: HeadConfig, meta: LetterboxMeta,
             )
         box_logits = fmap[:, :cfg.box_channels]
         cls_logits = fmap[:, cfg.box_channels:]
-        dist = dfl_expectation(box_logits, cfg.reg_max)[0]
+        dist = dfl_expectation(box_logits)[0]
         scores = sigmoid(cls_logits)[0]
         best_cls = scores.argmax(axis=0)
         best_score = scores.max(axis=0)

@@ -16,7 +16,8 @@ with 0 or -inf and copies the interior.
 Results repeat run to run and agree with float64 references to within float32
 resolution; the float64 versions, including the einsum depthwise conv, live
 in tests/oracles.py. Max pooling, elementwise add and mul are bit-identical
-to those references. The decode kernels (sigmoid, grouped softmax) still
+to those references; add_n, the sum of any number of tensors, accumulates in
+float64 and rounds once. The decode kernels (sigmoid, grouped softmax) still
 accumulate in float64. No kernel mutates its inputs except conv_epilogue,
 which runs batch norm and SiLU in place on the new array conv2d returns.
 """
@@ -441,3 +442,12 @@ def elementwise(x: np.ndarray, y: np.ndarray, op: str) -> np.ndarray:
     if op == "add":
         return np.add(x, y, dtype=DTYPE)
     raise SpecError(f"unknown elementwise op {op!r}")
+
+
+def add_n(xs) -> np.ndarray:
+    """Sum of same-shape tensors, accumulated in float64 in list order and
+    rounded to float32 once."""
+    acc = xs[0].astype(np.float64)
+    for t in xs[1:]:
+        acc += t
+    return acc.astype(DTYPE)

@@ -20,6 +20,10 @@ def test_kernel_timer_names_are_block_imports(monkeypatch):
     spec.loader.exec_module(spans)
     # KernelTimer swaps these names on repdet.blocks for the traced walk
     assert [n for n in spans.BLOCK_KERNELS if not hasattr(repdet.blocks, n)] == []
+    # the per-kind metrics are keyed by these; a kind renamed in the engine
+    # would leave its blocks.<kind>_ms metric at zero
+    assert spans.BLOCK_KINDS == M.BLOCK_KINDS
+    assert set(spans.GLUE_KINDS) == set(M.GLUE)
 
 
 def test_profile_total_macs_is_sum_of_rows():

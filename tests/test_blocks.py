@@ -6,14 +6,11 @@ import pytest
 import repdet.model as M
 from repdet import blocks
 from repdet.blocks import (
-    BaselineHead,
     Bottleneck,
     C2f,
     ConvBlock,
     MultiScaleSplitConv,
-    HeadConfig,
     MSCABlock,
-    SharedRepHead,
     RepConvBlock,
     SPPF,
 )
@@ -285,7 +282,6 @@ class TestChildProtocol:
 class TestHeads:
     """Head properties on the assembled graphs at a 64x64 input (maps 8/4/2)."""
 
-    CFG = HeadConfig(nc=3)
     X = np.random.default_rng(13).uniform(0, 1, (1, 3, 64, 64)).astype(np.float32)
     SHAPES = [(1, 67, 8, 8), (1, 67, 4, 4), (1, 67, 2, 2)]
 
@@ -338,25 +334,12 @@ class TestHeads:
         assert all(not np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_shared_head_fewer_params_than_baseline(self):
-        def head_params(head):
-            seen, total = set(), 0
-            blocks = []
-            if isinstance(head, BaselineHead):
-                for i in range(3):
-                    blocks += head.box_branches[i] + head.cls_branches[i]
-            else:
-                blocks = head.stems + [head.rep1, head.rep2, head.box_conv,
-                                       head.cls_conv] + head.scales
-            for blk in blocks:
-                if id(blk) in seen:
-                    continue
-                seen.add(id(blk))
-                total += sum(a.size for s, a in blk.named_arrays()
-                             if not s.endswith(("bn.mean", "bn.var")))
-            return total
+        def head_params(variant):
+            return sum(M._param_count(e.block) for e in M.build_model(variant, 3).params
+                       if e.name.startswith("head."))
 
-        baseline = head_params(BaselineHead(self.CFG))
-        shared = head_params(SharedRepHead(self.CFG))
+        baseline = head_params("baseline")
+        shared = head_params("improved")
         # closed-form cross-check of both towers
         want_baseline = sum(
             conv_block_params(ch, 64, 3) + conv_block_params(64, 64, 3)

@@ -1,23 +1,13 @@
-"""Reparameterization tests: BN folding, branch lowering, RepConv collapse, and
-the whole-graph fusion pass."""
+"""Reparameterization tests: BN folding, RepConv collapse with its branch
+lowering, and the whole-graph fusion pass."""
 import numpy as np
 import pytest
 
 import repdet.model as M
 from repdet.blocks import ConvBlock, RepConvBlock
-from repdet.errors import SpecError
-from repdet.fusion import (
-    FusedConv,
-    avg_kernel_3x3,
-    deploy_repconv,
-    fold_block,
-    fold_conv_block,
-    fuse_conv_bn,
-    fuse_model_graph,
-    fuse_repconv,
-    lower_1x1_to_3x3,
-)
-from repdet.tensor_ops import BatchNormParams, Conv2dSpec, batch_norm_inference, conv2d, pool2d
+from repdet.errors import NumericError
+from repdet.fusion import deploy_repconv, fold_block, fold_conv_block, fuse_model_graph
+from repdet.tensor_ops import BatchNormParams, batch_norm_inference, conv2d, pool2d, silu
 
 from test_blocks import COMPOSITES, randomize
 
@@ -30,81 +20,87 @@ def random_repconv(rng, ch):
     return blk
 
 
+def identity_bns(blk):
+    """Make every BN of a RepConv exactly identity at float32 resolution."""
+    for _, branch in blk.children():
+        branch.bn.eps = 1e-12
+    return blk
+
+
+def ninths(ch):
+    w = np.zeros((ch, ch, 3, 3), dtype=np.float32)
+    w[np.arange(ch), np.arange(ch)] = np.float32(1.0 / 9.0)
+    return w
+
+
 class TestFuseConvBn:
     def test_identity_bn_is_noop(self):
         rng = np.random.default_rng(0)
-        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-        b = rng.normal(size=4).astype(np.float32)
-        w2, b2 = fuse_conv_bn(w, b, BatchNormParams.identity(4, eps=1e-12))
-        assert np.abs(w2 - w).max() < 1e-7
-        assert np.abs(b2 - b).max() < 1e-7
+        blk = ConvBlock(3, 4, 3)
+        blk.w[...] = rng.normal(size=blk.w.shape)
+        blk.bn = BatchNormParams.identity(4, eps=1e-12)
+        folded = fold_conv_block(blk)
+        assert np.abs(folded.w - blk.w).max() < 1e-7
+        assert np.abs(folded.b).max() < 1e-7
 
     def test_gamma_two_doubles_weights(self):
-        w = np.ones((2, 1, 1, 1), dtype=np.float32)
-        bn = BatchNormParams([2.0, 2.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], eps=1e-12)
-        w2, b2 = fuse_conv_bn(w, None, bn)
-        assert np.abs(w2 - 2.0).max() < 1e-6
-        assert np.abs(b2).max() < 1e-6
+        blk = ConvBlock(1, 2, 1, act="none")
+        blk.w[...] = 1.0
+        blk.bn = BatchNormParams([2.0, 2.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], eps=1e-12)
+        folded = fold_conv_block(blk)
+        assert np.abs(folded.w - 2.0).max() < 1e-6
+        assert np.abs(folded.b).max() < 1e-6
 
     def test_forward_equivalence_random(self):
         rng = np.random.default_rng(1)
-        spec = Conv2dSpec(3, 5, 3, padding=1)
-        w = rng.uniform(-1, 1, spec.weight_shape).astype(np.float32)
-        bn = BatchNormParams(rng.uniform(0.5, 1.5, 5), rng.uniform(-1, 1, 5),
-                             rng.uniform(-1, 1, 5), rng.uniform(0.25, 2, 5))
-        w2, b2 = fuse_conv_bn(w, None, bn)
-        spec2 = Conv2dSpec(3, 5, 3, padding=1, has_bias=True)
+        blk = ConvBlock(3, 5, 3, act="none")
+        blk.w[...] = rng.uniform(-1, 1, blk.w.shape)
+        blk.bn = BatchNormParams(rng.uniform(0.5, 1.5, 5), rng.uniform(-1, 1, 5),
+                                 rng.uniform(-1, 1, 5), rng.uniform(0.25, 2, 5))
+        folded = fold_conv_block(blk)
         for _ in range(10):
             x = rng.uniform(-1, 1, (1, 3, 6, 6)).astype(np.float32)
-            fused = conv2d(x, spec2, w2, b2)
-            unfused = batch_norm_inference(conv2d(x, spec, w), bn)
+            fused = conv2d(x, folded.spec, folded.w, folded.b)
+            unfused = batch_norm_inference(conv2d(x, blk.spec, blk.w), blk.bn)
             assert np.abs(fused - unfused).max() < 1e-5
 
 
 class TestBranchLowering:
-    def test_1x1_sits_at_center(self):
-        out = lower_1x1_to_3x3(np.float32([[[[5.0]]]]))
-        want = np.zeros((1, 1, 3, 3), dtype=np.float32)
-        want[0, 0, 1, 1] = 5.0
-        assert np.array_equal(out, want)
+    """The lowered kernels, read off `deploy_repconv` with the other branches
+    zeroed and every BN at identity."""
 
-    def test_1x1_requires_1x1(self):
-        with pytest.raises(SpecError):
-            lower_1x1_to_3x3(np.zeros((1, 1, 3, 3), dtype=np.float32))
+    def test_1x1_sits_at_center(self):
+        blk = identity_bns(RepConvBlock(1, 2))  # in != out: no avg branch
+        blk.branch_1x1.w[...] = [[[[5.0]]], [[[-3.0]]]]
+        want = np.zeros((2, 1, 3, 3), dtype=np.float32)
+        want[:, 0, 1, 1] = [5.0, -3.0]
+        dep = deploy_repconv(blk)
+        assert np.array_equal(dep.w, want)
+        assert np.array_equal(dep.b, np.zeros(2, dtype=np.float32))
 
     def test_avg_kernel_is_diagonal_ninths(self):
-        w = avg_kernel_3x3(2)
-        assert w.shape == (2, 2, 3, 3)
-        assert np.abs(w[0, 0] - 1.0 / 9).max() < 1e-7
-        assert np.abs(w[1, 1] - 1.0 / 9).max() < 1e-7
-        assert np.all(w[0, 1] == 0.0) and np.all(w[1, 0] == 0.0)
+        dep = deploy_repconv(identity_bns(RepConvBlock(2, 2)))
+        assert dep.w.shape == (2, 2, 3, 3)
+        assert np.array_equal(dep.w, ninths(2))
 
     def test_avg_kernel_reproduces_pool(self):
-        rng = np.random.default_rng(2)
-        x = rng.uniform(-1, 1, (1, 3, 7, 7)).astype(np.float32)
-        spec = Conv2dSpec(3, 3, 3, padding=1)
-        conv_out = conv2d(x, spec, avg_kernel_3x3(3))
-        pool_out = pool2d(x, "avg", 3, 1, 1)
-        assert np.abs(conv_out - pool_out).max() < 1e-6
+        x = np.random.default_rng(2).uniform(-1, 1, (1, 3, 7, 7)).astype(np.float32)
+        dep = deploy_repconv(identity_bns(RepConvBlock(3, 3)))
+        assert np.abs(dep.forward(x) - silu(pool2d(x, "avg", 3, 1, 1))).max() < 1e-6
 
 
 class TestFuseRepConv:
     def test_all_zero_weights_leave_avg_ninths(self):
-        blk = RepConvBlock(3, 3)
-        for bn in (blk.branch_3x3.bn, blk.branch_1x1.bn, blk.branch_avg.bn):
-            bn.eps = 1e-12
-        fc = fuse_repconv(blk)
-        assert np.abs(fc.weights - avg_kernel_3x3(3)).max() < 1e-6
-        assert np.abs(fc.bias).max() < 1e-6
+        dep = deploy_repconv(identity_bns(RepConvBlock(3, 3)))
+        assert np.abs(dep.w - ninths(3)).max() < 1e-6
+        assert np.abs(dep.b).max() < 1e-6
 
     def test_3x3_branch_isolation(self):
         rng = np.random.default_rng(3)
-        blk = RepConvBlock(3, 3)
+        blk = identity_bns(RepConvBlock(3, 3))
         blk.branch_3x3.w[...] = rng.uniform(-1, 1, blk.branch_3x3.w.shape)
-        for bn in (blk.branch_3x3.bn, blk.branch_1x1.bn, blk.branch_avg.bn):
-            bn.eps = 1e-12
-        fc = fuse_repconv(blk)
-        assert np.abs(fc.weights - (blk.branch_3x3.w + avg_kernel_3x3(3))).max() < 1e-6
+        dep = deploy_repconv(blk)
+        assert np.abs(dep.w - (blk.branch_3x3.w + ninths(3))).max() < 1e-6
 
     def test_equivalence_100_random_blocks(self):
         rng = np.random.default_rng(4)
@@ -124,9 +120,13 @@ class TestFuseRepConv:
         assert blk.bn is None and blk.act == "silu"
 
     def test_fused_conv_rejects_nonfinite(self):
-        with pytest.raises(Exception):
-            FusedConv(np.full((1, 1, 3, 3), np.nan, dtype=np.float32),
-                      np.zeros(1, dtype=np.float32))
+        # 3e38 is finite in every branch, but the 3x3 + 1x1 sum is not in float32
+        for value in (np.nan, 3e38):
+            blk = identity_bns(RepConvBlock(1, 1))
+            blk.branch_3x3.w[0, 0, 1, 1] = value
+            blk.branch_1x1.w[...] = value
+            with pytest.raises(NumericError), np.errstate(over="ignore"):
+                deploy_repconv(blk)
 
 
 class TestFoldConvBlock:

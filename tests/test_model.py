@@ -2,6 +2,7 @@
 tests."""
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -244,6 +245,23 @@ class TestInit:
         x = np.random.default_rng(0).uniform(0, 1, (1, 3, 128, 128)).astype(np.float32)
         for a, b in zip(M.forward(g, x), M.forward(fused, x)):
             assert np.abs(a - b).max() < 1e-4
+
+
+def test_structurally_equal_sees_one_change():
+    def seeded(variant):
+        g = M.build_model(variant, 3)
+        M.init_weights(g, 0)
+        return g
+
+    g, other = seeded("improved"), seeded("improved")
+    assert M.structurally_equal(g, other)
+    w = other.node_map()["head.p3.stem"].block.w
+    w[0, 0, 0, 0] = np.nextafter(w[0, 0, 0, 0], np.float32(1))
+    assert not M.structurally_equal(g, other)
+    swapped = tuple(replace(n, inputs=n.inputs[::-1]) if n.name == "head.p3.out" else n
+                    for n in g.nodes)
+    assert not M.structurally_equal(g, replace(g, nodes=swapped))
+    assert not M.structurally_equal(seeded("baseline"), g)
 
 
 class TestWeightsIO:

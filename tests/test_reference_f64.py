@@ -87,6 +87,20 @@ def seeded_graph(variant, seed):
     return g
 
 
+def test_repconv_sites_equal_block_forward():
+    # a graph site sums its branch nodes with the same add_n as the block, so
+    # the two compute the same bits
+    g = seeded_graph("improved", 4)
+    x = np.random.default_rng(5).uniform(0, 1, (1, 3, 640, 640)).astype(np.float32)
+    vals = M.run_graph(g, x)
+    stacks = {e.name: e.block for e in g.params}
+    for level in ("p3", "p4", "p5"):
+        for stack, src in (("rep1", "stem"), ("rep2", "rep1.act")):
+            got = vals[f"head.{level}.{stack}.act"]
+            want = stacks[f"head.{stack}"].forward(vals[f"head.{level}.{src}"])
+            assert np.array_equal(got, want), f"head.{level}.{stack}"
+
+
 @pytest.mark.parametrize("variant", ["baseline", "improved"])
 def test_four_graph_forms_match_float64_reference(variant):
     g = seeded_graph(variant, 4)

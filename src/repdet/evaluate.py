@@ -183,8 +183,7 @@ def average_precision_50(flags, total_truths: int, scores=None) -> float:
         precisions.append(tp / (tp + fp))
     mrec = np.concatenate(([0.0], np.asarray(recalls, dtype=np.float64)))
     mpre = np.concatenate(([0.0], np.asarray(precisions, dtype=np.float64)))
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]  # running max from the right
     return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
 
 

@@ -3,13 +3,13 @@ class-aware NMS, coordinate un-mapping, and annotated-image output."""
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import HeadConfig
 from .errors import ShapeError, SpecError, ValidationError
-from .evaluate import iou
 from .tensor_ops import DTYPE, sigmoid, softmax_channelwise
 
 PAD_VALUE = 114  # grey border pixel, as 0..255
@@ -56,37 +56,39 @@ def _nearest_indices(dst: int, src: int) -> np.ndarray:
 def letterbox(image: np.ndarray, size: int = 640):
     """Aspect-preserving nearest resize onto a grey square canvas.
 
-    Returns the (1, 3, size, size) float32 network tensor (RGB, 1/255 scaled)
-    and the coordinate-mapping metadata."""
+    Returns the C-contiguous (1, 3, size, size) float32 network tensor (RGB,
+    1/255 scaled) and the coordinate-mapping metadata."""
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[2] != 3 or img.shape[0] < 1 or img.shape[1] < 1:
         raise ValidationError(f"expected a non-empty (h, w, 3) image, got {img.shape}")
     h, w = img.shape[:2]
     scale = min(size / w, size / h)
-    new_w = max(1, round(w * scale))
-    new_h = max(1, round(h * scale))
-    resized = img[np.ix_(_nearest_indices(new_h, h), _nearest_indices(new_w, w))]
-    pad_left = (size - new_w) // 2
-    pad_top = (size - new_h) // 2
-    canvas = np.full((size, size, 3), PAD_VALUE, dtype=np.float32) / 255.0
-    canvas[pad_top:pad_top + new_h, pad_left:pad_left + new_w] = resized.astype(np.float32) / 255.0
-    tensor = canvas.transpose(2, 0, 1)[None].astype(DTYPE)
+    new_w, new_h = max(1, round(w * scale)), max(1, round(h * scale))
+    pad_left, pad_top = (size - new_w) // 2, (size - new_h) // 2
+    # nearest rows, then nearest pixels as column triples of the (new_h, 3*w) view
+    rows = img.take(_nearest_indices(new_h, h), axis=0).reshape(new_h, 3 * w)
+    cols = (3 * _nearest_indices(new_w, w)[:, None] + np.arange(3)).ravel()
+    src = rows.take(cols, axis=1).reshape(new_h, new_w, 3)
+    tensor = np.empty((1, 3, size, size), dtype=DTYPE)
+    pad = np.float32(PAD_VALUE) / np.float32(255)
+    tensor[:, :, :pad_top] = pad
+    tensor[:, :, pad_top + new_h:] = pad
+    tensor[:, :, pad_top:pad_top + new_h, :pad_left] = pad
+    tensor[:, :, pad_top:pad_top + new_h, pad_left + new_w:] = pad
+    interior = tensor[0, :, pad_top:pad_top + new_h, pad_left:pad_left + new_w]
+    np.divide(src.transpose(2, 0, 1), np.float32(255), out=interior, dtype=DTYPE)
     return tensor, LetterboxMeta(scale, pad_left, pad_top, w, h)
 
 
-def unletterbox_box(box, meta: LetterboxMeta):
-    """Map a network-frame box back to original pixels, clipped to the image."""
-    x1, y1, x2, y2 = box
-    ox1 = (x1 - meta.pad_left) / meta.scale
-    ox2 = (x2 - meta.pad_left) / meta.scale
-    oy1 = (y1 - meta.pad_top) / meta.scale
-    oy2 = (y2 - meta.pad_top) / meta.scale
-    return (
-        min(max(ox1, 0.0), meta.orig_w),
-        min(max(oy1, 0.0), meta.orig_h),
-        min(max(ox2, 0.0), meta.orig_w),
-        min(max(oy2, 0.0), meta.orig_h),
-    )
+def unletterbox_box(box, meta: LetterboxMeta) -> np.ndarray:
+    """Map network-frame boxes, one (x1, y1, x2, y2) or an (n, 4) array, back
+    to original pixels, clipped to the image. Returns float64 of the same shape."""
+    b = np.asarray(box, dtype=np.float64)
+    x = (b[..., 0::2] - meta.pad_left) / meta.scale
+    y = (b[..., 1::2] - meta.pad_top) / meta.scale
+    x = np.where(x > meta.orig_w, meta.orig_w, np.where(x < 0.0, 0.0, x))
+    y = np.where(y > meta.orig_h, meta.orig_h, np.where(y < 0.0, 0.0, y))
+    return np.stack((x[..., 0], y[..., 0], x[..., 1], y[..., 1]), axis=-1)
 
 
 def dfl_expectation(box_logits: np.ndarray) -> np.ndarray:
@@ -104,59 +106,90 @@ def dfl_expectation(box_logits: np.ndarray) -> np.ndarray:
     return dist.astype(DTYPE)
 
 
+@dataclass(frozen=True, eq=False)
+class Candidates(Sequence):
+    """Decoded boxes before NMS as arrays: int64 class ids, float32 scores and
+    float64 (n, 4) boxes in original-image pixels. `[i]` builds a `Detection`."""
+
+    class_ids: np.ndarray
+    scores: np.ndarray
+    boxes: np.ndarray
+    class_names: tuple
+
+    def __post_init__(self):  # Detection's checks, on every candidate at once
+        x1, y1, x2, y2 = self.boxes.T
+        if not ((x1 < x2) & (y1 < y2) & (self.scores >= 0.0) & (self.scores <= 1.0)).all():
+            raise ValidationError("candidate with a degenerate box or a score outside [0, 1]")
+
+    def __len__(self):
+        return len(self.scores)
+
+    def __getitem__(self, i):
+        cid = int(self.class_ids[i])
+        return Detection(cid, self.class_names[cid], float(self.scores[i]),
+                         tuple(self.boxes[i].tolist()))
+
+
 def decode_detections(head_maps, cfg: HeadConfig, meta: LetterboxMeta,
-                      conf_thresh: float = 0.25, class_names=None):
-    """Anchor-free decode of the three head maps into scored boxes in original
-    image pixels. Zero-extent boxes are dropped before any NMS."""
+                      conf_thresh: float = 0.25, class_names=None) -> Candidates:
+    """Anchor-free decode of the head maps into `Candidates` in original-image
+    pixels, level by level in row-major cell order; zero-extent boxes dropped."""
     if len(head_maps) != len(cfg.strides):
         raise SpecError(f"expected {len(cfg.strides)} head maps, got {len(head_maps)}")
     if class_names is None:
         class_names = [f"class{i}" for i in range(cfg.nc)]
-    dets = []
+    cids, scores, boxes = [], [], []
     for level, (fmap, stride) in enumerate(zip(head_maps, cfg.strides)):
         if fmap.shape[0] != 1:
-            raise ShapeError(
-                f"level {level}: batch axis {fmap.shape[0]} != 1; decode one image at a time"
-            )
+            raise ShapeError(f"level {level}: batch axis {fmap.shape[0]} != 1; decode one image at a time")
         if fmap.shape[1] != cfg.out_channels:
-            raise ShapeError(
-                f"level {level}: channel axis {fmap.shape[1]} != {cfg.out_channels}"
-            )
-        box_logits = fmap[:, :cfg.box_channels]
-        cls_logits = fmap[:, cfg.box_channels:]
-        dist = dfl_expectation(box_logits)[0]
-        scores = sigmoid(cls_logits)[0]
-        best_cls = scores.argmax(axis=0)
-        best_score = scores.max(axis=0)
+            raise ShapeError(f"level {level}: channel axis {fmap.shape[1]} != {cfg.out_channels}")
+        cls_scores = sigmoid(fmap[:, cfg.box_channels:])[0]
+        best_score = cls_scores.max(axis=0)
         ys, xs = np.nonzero(best_score >= conf_thresh)
-        for cy, cx in zip(ys.tolist(), xs.tolist()):
-            l, t, r, b = (float(dist[k, cy, cx]) for k in range(4))
-            if l + r <= 0.0 or t + b <= 0.0:
-                continue
-            ax = (cx + 0.5) * stride
-            ay = (cy + 0.5) * stride
-            lb_box = (ax - l * stride, ay - t * stride, ax + r * stride, ay + b * stride)
-            x1, y1, x2, y2 = unletterbox_box(lb_box, meta)
-            if x1 >= x2 or y1 >= y2:
-                continue
-            cid = int(best_cls[cy, cx])
-            dets.append(Detection(cid, class_names[cid], float(best_score[cy, cx]),
-                                  (x1, y1, x2, y2)))
-    return dets
+        # a spare cell keeps the bin axis off the innermost axis when one cell
+        # passes, so the bin sums run in the same order as over a whole map
+        cells = fmap[0, :cfg.box_channels][:, np.append(ys, 0), np.append(xs, 0)]
+        l, t, r, b = dfl_expectation(cells[None, :, None])[0, :, 0, :-1].astype(np.float64)
+        ax, ay = (xs + 0.5) * stride, (ys + 0.5) * stride
+        lb = np.stack((ax - l * stride, ay - t * stride, ax + r * stride, ay + b * stride), axis=1)
+        box = unletterbox_box(lb, meta)
+        keep = ~((l + r <= 0.0) | (t + b <= 0.0) | (box[:, 0] >= box[:, 2]) | (box[:, 1] >= box[:, 3]))
+        cids.append(cls_scores[:, ys[keep], xs[keep]].argmax(axis=0))
+        scores.append(best_score[ys[keep], xs[keep]])
+        boxes.append(box[keep])
+    return Candidates(np.concatenate(cids), np.concatenate(scores),
+                      np.concatenate(boxes), tuple(class_names))
 
 
-def nms(dets, iou_thresh: float = 0.45):
-    """Greedy class-aware suppression. Ties break on lower class id, then input
-    order; survivors come back sorted by descending score."""
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].class_id, i))
-    kept: list[int] = []
-    for i in order:
-        d = dets[i]
-        if any(dets[j].class_id == d.class_id and iou(dets[j].box, d.box) >= iou_thresh
-               for j in kept):
-            continue
-        kept.append(i)
-    return [dets[i] for i in kept]
+def nms(dets, iou_thresh: float = 0.45) -> list:
+    """Greedy class-aware suppression of `Candidates` or a `Detection` list: a
+    box goes when its IoU (`evaluate.iou`'s arithmetic) with a kept box of its
+    class is >= the threshold. Ties break on lower class id, then input order;
+    survivors come back as `Detection`s sorted by descending score."""
+    if isinstance(dets, Candidates):
+        cids, scores, boxes = dets.class_ids, dets.scores, dets.boxes
+    else:
+        dets = list(dets)
+        rows = np.array([(d.class_id, d.score, *d.box) for d in dets], dtype=np.float64).reshape(-1, 6)
+        cids, scores, boxes = rows[:, 0], rows[:, 1], rows[:, 2:]
+    order = np.lexsort((np.arange(len(cids)), cids, -scores))
+    kept = []
+    with np.errstate(divide="ignore", invalid="ignore"):  # the quotients of disjoint pairs go unused
+        for c in np.unique(cids):
+            pos = np.flatnonzero(cids[order] == c)  # ranks of class c, best first
+            x1, y1, x2, y2 = boxes[order[pos]].T
+            area = (x2 - x1) * (y2 - y1)
+            alive = np.arange(len(pos))
+            while alive.size:
+                k, rest = alive[0], alive[1:]
+                kept.append(pos[k])
+                ix = np.minimum(x2[k], x2[rest]) - np.maximum(x1[k], x1[rest])
+                iy = np.minimum(y2[k], y2[rest]) - np.maximum(y1[k], y1[rest])
+                inter = ix * iy
+                iou = np.where((ix <= 0) | (iy <= 0), 0.0, inter / (area[k] + area[rest] - inter))
+                alive = rest[~(iou >= iou_thresh)]
+    return [dets[i] for i in order[np.sort(np.asarray(kept, dtype=np.int64))].tolist()]
 
 
 def annotate(image: np.ndarray, dets) -> np.ndarray:

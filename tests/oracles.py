@@ -8,13 +8,24 @@ The `*_f64` functions are the float64-accumulating forward kernels that the
 float32 ones in `repdet.tensor_ops` replaced. They share only the argument
 checks and the strided window view with the engine, and serve as the
 reference for whole-graph forwards.
+
+`ref_letterbox`, `ref_decode_detections`, `ref_nms` and
+`ref_average_precision_50` are the per-pixel, per-candidate and per-point
+Python versions of the image path and AP that the array code in
+`repdet.pipeline` and `repdet.evaluate` replaced; the array code must match
+them exactly, not within a tolerance. `ref_decode_detections` shares the
+`sigmoid` and `dfl_expectation` kernels with the engine, run over whole head
+maps, and checks the cell gather, anchors, un-mapping and order around them.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repdet.errors import ShapeError, SpecError
-from repdet.tensor_ops import DTYPE, _pair, _window_view, check_nchw
+from repdet.blocks import HeadConfig
+from repdet.errors import ShapeError, SpecError, ValidationError
+from repdet.evaluate import iou
+from repdet.pipeline import PAD_VALUE, Detection, LetterboxMeta, _nearest_indices, dfl_expectation
+from repdet.tensor_ops import DTYPE, _pair, _window_view, check_nchw, sigmoid
 
 
 def ref_conv2d(x, w, b=None, stride=(1, 1), padding=(0, 0), dilation=(1, 1), groups=1):
@@ -297,3 +308,128 @@ def elementwise_f64(x, y, op):
 def scale_forward_f64(block, x):
     """`ScaleParam.forward` computed in float64."""
     return (x.astype(np.float64) * float(block.s[0])).astype(DTYPE)
+
+
+def ref_letterbox(image: np.ndarray, size: int = 640):
+    """Aspect-preserving nearest resize onto a grey square canvas.
+
+    Returns the (1, 3, size, size) float32 network tensor (RGB, 1/255 scaled)
+    and the coordinate-mapping metadata."""
+    img = np.asarray(image)
+    if img.ndim != 3 or img.shape[2] != 3 or img.shape[0] < 1 or img.shape[1] < 1:
+        raise ValidationError(f"expected a non-empty (h, w, 3) image, got {img.shape}")
+    h, w = img.shape[:2]
+    scale = min(size / w, size / h)
+    new_w = max(1, round(w * scale))
+    new_h = max(1, round(h * scale))
+    resized = img[np.ix_(_nearest_indices(new_h, h), _nearest_indices(new_w, w))]
+    pad_left = (size - new_w) // 2
+    pad_top = (size - new_h) // 2
+    canvas = np.full((size, size, 3), PAD_VALUE, dtype=np.float32) / 255.0
+    canvas[pad_top:pad_top + new_h, pad_left:pad_left + new_w] = resized.astype(np.float32) / 255.0
+    tensor = canvas.transpose(2, 0, 1)[None].astype(DTYPE)
+    return tensor, LetterboxMeta(scale, pad_left, pad_top, w, h)
+
+
+def ref_unletterbox_box(box, meta: LetterboxMeta):
+    """Map a network-frame box back to original pixels, clipped to the image."""
+    x1, y1, x2, y2 = box
+    ox1 = (x1 - meta.pad_left) / meta.scale
+    ox2 = (x2 - meta.pad_left) / meta.scale
+    oy1 = (y1 - meta.pad_top) / meta.scale
+    oy2 = (y2 - meta.pad_top) / meta.scale
+    return (
+        min(max(ox1, 0.0), meta.orig_w),
+        min(max(oy1, 0.0), meta.orig_h),
+        min(max(ox2, 0.0), meta.orig_w),
+        min(max(oy2, 0.0), meta.orig_h),
+    )
+
+
+def ref_decode_detections(head_maps, cfg: HeadConfig, meta: LetterboxMeta,
+                          conf_thresh: float = 0.25, class_names=None):
+    """Anchor-free decode of the three head maps into scored boxes in original
+    image pixels, one Python iteration per candidate cell. Zero-extent boxes
+    are dropped before any NMS."""
+    if len(head_maps) != len(cfg.strides):
+        raise SpecError(f"expected {len(cfg.strides)} head maps, got {len(head_maps)}")
+    if class_names is None:
+        class_names = [f"class{i}" for i in range(cfg.nc)]
+    dets = []
+    for level, (fmap, stride) in enumerate(zip(head_maps, cfg.strides)):
+        if fmap.shape[0] != 1:
+            raise ShapeError(
+                f"level {level}: batch axis {fmap.shape[0]} != 1; decode one image at a time"
+            )
+        if fmap.shape[1] != cfg.out_channels:
+            raise ShapeError(
+                f"level {level}: channel axis {fmap.shape[1]} != {cfg.out_channels}"
+            )
+        box_logits = fmap[:, :cfg.box_channels]
+        cls_logits = fmap[:, cfg.box_channels:]
+        dist = dfl_expectation(box_logits)[0]
+        scores = sigmoid(cls_logits)[0]
+        best_cls = scores.argmax(axis=0)
+        best_score = scores.max(axis=0)
+        ys, xs = np.nonzero(best_score >= conf_thresh)
+        for cy, cx in zip(ys.tolist(), xs.tolist()):
+            l, t, r, b = (float(dist[k, cy, cx]) for k in range(4))
+            if l + r <= 0.0 or t + b <= 0.0:
+                continue
+            ax = (cx + 0.5) * stride
+            ay = (cy + 0.5) * stride
+            lb_box = (ax - l * stride, ay - t * stride, ax + r * stride, ay + b * stride)
+            x1, y1, x2, y2 = ref_unletterbox_box(lb_box, meta)
+            if x1 >= x2 or y1 >= y2:
+                continue
+            cid = int(best_cls[cy, cx])
+            dets.append(Detection(cid, class_names[cid], float(best_score[cy, cx]),
+                                  (x1, y1, x2, y2)))
+    return dets
+
+
+def ref_nms(dets, iou_thresh: float = 0.45):
+    """Greedy class-aware suppression. Ties break on lower class id, then input
+    order; survivors come back sorted by descending score."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].class_id, i))
+    kept: list[int] = []
+    for i in order:
+        d = dets[i]
+        if any(dets[j].class_id == d.class_id and iou(dets[j].box, d.box) >= iou_thresh
+               for j in kept):
+            continue
+        kept.append(i)
+    return [dets[i] for i in kept]
+
+
+def ref_average_precision_50(flags, total_truths: int, scores=None) -> float:
+    """Area under the interpolated precision envelope over recall, with the
+    envelope taken by a backward max loop."""
+    if total_truths < 1:
+        raise ValidationError("average precision needs at least one ground truth")
+    if not flags:
+        return 0.0
+    if scores is None:
+        groups = [(1, 1 if f else 0) for f in flags]
+    else:
+        groups = []
+        for f, s in zip(flags, scores):
+            if groups and s == groups[-1][2]:
+                n, tp, _ = groups[-1]
+                groups[-1] = (n + 1, tp + (1 if f else 0), s)
+            else:
+                groups.append((1, 1 if f else 0, s))
+        groups = [(n, tp) for n, tp, _ in groups]
+
+    tp = fp = 0
+    recalls, precisions = [], []
+    for n, g_tp in groups:
+        tp += g_tp
+        fp += n - g_tp
+        recalls.append(tp / total_truths)
+        precisions.append(tp / (tp + fp))
+    mrec = np.concatenate(([0.0], np.asarray(recalls, dtype=np.float64)))
+    mpre = np.concatenate(([0.0], np.asarray(precisions, dtype=np.float64)))
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))

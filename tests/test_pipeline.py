@@ -157,7 +157,7 @@ class TestDecode:
     IDENTITY_META = LetterboxMeta(1.0, 0, 0, 640, 640)
 
     def test_low_logits_give_no_detections(self):
-        assert decode_detections(_head_maps(), CFG, self.IDENTITY_META, 0.25) == []
+        assert len(decode_detections(_head_maps(), CFG, self.IDENTITY_META, 0.25)) == 0
 
     def test_batch_of_two_rejected(self):
         maps = [np.concatenate([m, m]) for m in _head_maps()]
@@ -198,7 +198,7 @@ class TestDecode:
         cell[2 * 16 + 0] = 50.0   # r -> 0: zero width
         cell[3 * 16 + 3] = 50.0
         cell[64] = 50.0
-        assert decode_detections(maps, CFG, self.IDENTITY_META, 0.25) == []
+        assert len(decode_detections(maps, CFG, self.IDENTITY_META, 0.25)) == 0
 
     def test_wrong_channel_count(self):
         maps = _head_maps()

@@ -75,20 +75,6 @@ class ConvBlock:
         self.b = np.zeros(out_ch, dtype=DTYPE) if not bn else None
         self.bn = BatchNormParams.identity(out_ch) if bn else None
 
-    @classmethod
-    def from_parts(cls, spec: Conv2dSpec, w, b, bn, act) -> "ConvBlock":
-        blk = cls.__new__(cls)
-        blk.spec = spec
-        blk.act = act
-        blk.w = np.asarray(w, dtype=DTYPE)
-        blk.b = None if b is None else np.asarray(b, dtype=DTYPE)
-        blk.bn = bn
-        if tuple(blk.w.shape) != spec.weight_shape:
-            raise ShapeError(f"weight axis: {blk.w.shape} != {spec.weight_shape}")
-        if spec.has_bias != (blk.b is not None):
-            raise SpecError("bias presence disagrees with conv spec")
-        return blk
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         return conv_epilogue(conv2d(x, self.spec, self.w, self.b), self.bn, self.act)
 
@@ -128,30 +114,25 @@ class AvgPoolBranch:
 
 
 class RepConvBlock(Composite):
-    """Train-form multi-branch conv: 3x3 + 1x1 + 3x3 avg pool, each with BN,
-    summed by `add_n` and passed through SiLU, as the graph's branch nodes do.
-    `fusion.deploy_repconv` compiles it into one biased 3x3 conv."""
+    """Train-form multi-branch conv on `ch` channels: 3x3 + 1x1 + 3x3 avg pool,
+    each with BN, summed by `add_n` and passed through SiLU, as the graph's branch
+    nodes do. `fusion.deploy_repconv` compiles it into one biased 3x3 conv."""
 
-    def __init__(self, in_ch, out_ch):
-        self.in_ch, self.out_ch = in_ch, out_ch
-        self.branch_3x3 = ConvBlock(in_ch, out_ch, 3, act="none")
-        self.branch_1x1 = ConvBlock(in_ch, out_ch, 1, act="none")
-        # avg pool keeps the channel count, so it exists only when in == out
-        self.branch_avg = AvgPoolBranch(out_ch) if in_ch == out_ch else None
+    def __init__(self, ch):
+        self.out_ch = ch
+        self.branch_3x3 = ConvBlock(ch, ch, 3, act="none")
+        self.branch_1x1 = ConvBlock(ch, ch, 1, act="none")
+        self.branch_avg = AvgPoolBranch(ch)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return silu(add_n([b.forward(x) for _, b in self.children()]))
 
     def children(self):
-        kids = [("k3", self.branch_3x3), ("k1", self.branch_1x1)]
-        if self.branch_avg is not None:
-            kids.append(("avg", self.branch_avg))
-        return kids
+        return [("k3", self.branch_3x3), ("k1", self.branch_1x1), ("avg", self.branch_avg)]
 
     def replace_children(self, new):
         out = copy.copy(self)
-        out.branch_3x3, out.branch_1x1, *avg = new
-        out.branch_avg = avg[0] if avg else None
+        out.branch_3x3, out.branch_1x1, out.branch_avg = new
         return out
 
 

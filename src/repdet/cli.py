@@ -227,7 +227,11 @@ def main(argv=None) -> int:
             v = getattr(args, name, None)
             if v is not None and not 0.0 <= v <= 1.0:
                 raise SpecError(f"--{name} must lie in [0, 1], got {v}")
-        return args.fn(args)
+        if getattr(args, "seed", 0) < 0:
+            raise SpecError(f"--seed must be non-negative, got {args.seed}")
+        # a non-finite value is reported as one typed error, not as numpy warnings
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except SpecError as exc:
         return _fail(1, str(exc))
     except (FormatError, OSError) as exc:

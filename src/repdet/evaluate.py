@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .ppm import read_ppm
 
 
 @dataclass(frozen=True)
@@ -128,9 +127,10 @@ def iou(a, b) -> float:
     return inter / union
 
 
-def match_detections(dets, truth_boxes, iou_thresh: float = 0.5):
-    """Greedy same-class matching by descending score. Each truth is claimed at
-    most once; the flags come back aligned with the input detection order.
+def match_detections(dets, truth_boxes):
+    """Greedy same-class matching by descending score at IoU >= 0.5. Each truth
+    is claimed at most once; the flags come back aligned with the input
+    detection order.
 
     truth_boxes: list of (class_id, (x1, y1, x2, y2)) pixel boxes.
     Returns (tp_flags, fn_count)."""
@@ -146,7 +146,7 @@ def match_detections(dets, truth_boxes, iou_thresh: float = 0.5):
             v = iou(d.box, tbox)
             if v > best_iou:
                 best_iou, best_j = v, j
-        if best_j >= 0 and best_iou >= iou_thresh:
+        if best_j >= 0 and best_iou >= 0.5:
             claimed[best_j] = True
             flags[i] = True
     return flags, claimed.count(False)
@@ -238,14 +238,10 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def evaluate(detections_per_image, items, class_names, iou_thresh: float = 0.5,
-             score_thresh: float | None = None, image_sizes=None) -> EvalReport:
+def evaluate(detections_per_image, items, class_names, image_sizes) -> EvalReport:
     """Match detections to labels image by image, pool per class, and compute
-    P, R, AP@0.5 per class plus mAP@0.5.
-
-    P and R cover the full detection list unless `score_thresh` picks a single
-    operating point (AP is unaffected). `image_sizes` maps items to (w, h); when
-    omitted the PPM headers are read."""
+    P, R, AP@0.5 per class plus mAP@0.5. P and R cover the full detection list.
+    `image_sizes` holds each item's (w, h)."""
     if not items:
         raise ValidationError("empty dataset")
     if len(detections_per_image) != len(items):
@@ -257,15 +253,11 @@ def evaluate(detections_per_image, items, class_names, iou_thresh: float = 0.5,
     pooled = {c: [] for c in range(nc)}  # (score, tp, img_idx, det_idx)
     truths_per_class = [0] * nc
     for img_idx, (dets, item) in enumerate(zip(detections_per_image, items)):
-        if image_sizes is not None:
-            iw, ih = image_sizes[img_idx]
-        else:
-            shape = read_ppm(item.image_path).shape
-            ih, iw = shape[0], shape[1]
+        iw, ih = image_sizes[img_idx]
         truth_boxes = [(t.class_id, t.to_pixels(iw, ih)) for t in item.truths]
         for t in item.truths:
             truths_per_class[t.class_id] += 1
-        flags, _ = match_detections(dets, truth_boxes, iou_thresh)
+        flags, _ = match_detections(dets, truth_boxes)
         for det_idx, (d, f) in enumerate(zip(dets, flags)):
             pooled[d.class_id].append((d.score, f, img_idx, det_idx))
 
@@ -275,12 +267,8 @@ def evaluate(detections_per_image, items, class_names, iou_thresh: float = 0.5,
         recs = sorted(pooled[c], key=lambda r: (-r[0], r[2], r[3]))
         flags = [r[1] for r in recs]
         scores = [r[0] for r in recs]
-        if score_thresh is None:
-            op_flags = flags
-        else:
-            op_flags = [f for f, s in zip(flags, scores) if s >= score_thresh]
-        tp = sum(op_flags)
-        fp = len(op_flags) - tp
+        tp = sum(flags)
+        fp = len(flags) - tp
         fn = truths_per_class[c] - tp
         degenerate = (tp + fp) == 0
         precision = 0.0 if degenerate else tp / (tp + fp)

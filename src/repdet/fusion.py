@@ -14,18 +14,28 @@ import numpy as np
 from .blocks import Composite, ConvBlock, RepConvBlock
 from .errors import NumericError
 from .model import ModelGraph, Node, ParamEntry, _validate_graph
-from .tensor_ops import DTYPE, BatchNormParams
+from .tensor_ops import DTYPE, BatchNormParams, bn_scale_shift
 
 
 def _fold64(w, bn: BatchNormParams):
     """Float64 weights and bias of a bias-free conv `w` followed by `bn`:
-    w' = w*g/sqrt(v+eps), b' = beta - mu*g/sqrt(v+eps)."""
-    var = bn.var.astype(np.float64) + bn.eps
-    if np.any(var <= 0):
+    w * scale and the shift of `bn_scale_shift`."""
+    if np.any(bn.var.astype(np.float64) + bn.eps <= 0):
         raise NumericError("variance + eps must be positive to fold a batch norm")
-    scale = bn.gamma.astype(np.float64) / np.sqrt(var)
-    return (w.astype(np.float64) * scale[:, None, None, None],
-            bn.beta.astype(np.float64) - bn.mean.astype(np.float64) * scale)
+    scale, shift = bn_scale_shift(bn)
+    return w.astype(np.float64) * scale[:, None, None, None], shift
+
+
+def _folded_conv(src: ConvBlock, w, b, act: str) -> ConvBlock:
+    """Shallow copy of `src` as a biased conv without batch norm, holding `w`
+    and `b` as new float32 arrays and running `act`."""
+    w, b = w.astype(DTYPE), b.astype(DTYPE)
+    if not (np.isfinite(w).all() and np.isfinite(b).all()):
+        raise NumericError("a folded conv has non-finite weights or bias; check the weights")
+    out = copy.copy(src)
+    out.spec = replace(src.spec, has_bias=True)
+    out.w, out.b, out.bn, out.act = w, b, None, act
+    return out
 
 
 def deploy_repconv(blk: RepConvBlock) -> ConvBlock:
@@ -36,26 +46,17 @@ def deploy_repconv(blk: RepConvBlock) -> ConvBlock:
     k3, k1 = blk.branch_3x3, blk.branch_1x1
     centre = np.zeros(k3.w.shape, dtype=DTYPE)
     centre[:, :, 1, 1] = k1.w[:, :, 0, 0]
-    branches = [(k3.w, k3.bn), (centre, k1.bn)]
-    if blk.branch_avg is not None:
-        ninths = np.zeros(k3.w.shape, dtype=DTYPE)
-        ninths[np.arange(blk.out_ch), np.arange(blk.out_ch)] = 1.0 / 9.0
-        branches.append((ninths, blk.branch_avg.bn))
-    ws, bs = zip(*(_fold64(k, bn) for k, bn in branches))
-    w, b = sum(ws[1:], ws[0]).astype(DTYPE), sum(bs[1:], bs[0]).astype(DTYPE)
-    if not (np.isfinite(w).all() and np.isfinite(b).all()):
-        raise NumericError("fused RepConv contains non-finite entries")
-    return ConvBlock.from_parts(replace(k3.spec, has_bias=True), w, b, None, "silu")
+    ninths = np.zeros(k3.w.shape, dtype=DTYPE)
+    ninths[np.arange(blk.out_ch), np.arange(blk.out_ch)] = 1.0 / 9.0
+    (w3, b3), (w1, b1), (wa, ba) = (_fold64(k3.w, k3.bn), _fold64(centre, k1.bn),
+                                    _fold64(ninths, blk.branch_avg.bn))
+    return _folded_conv(k3, w3 + w1 + wa, b3 + b1 + ba, "silu")
 
 
 def fold_conv_block(cb: ConvBlock) -> ConvBlock:
     """BN folded into the conv; BN-free blocks are copied unchanged."""
-    if cb.bn is None:
-        b = None if cb.b is None else cb.b.copy()
-        return ConvBlock.from_parts(cb.spec, cb.w.copy(), b, None, cb.act)
-    w, b = _fold64(cb.w, cb.bn)
-    return ConvBlock.from_parts(replace(cb.spec, has_bias=True), w.astype(DTYPE),
-                                b.astype(DTYPE), None, cb.act)
+    w, b = (cb.w, cb.b) if cb.bn is None else _fold64(cb.w, cb.bn)
+    return _folded_conv(cb, w, b, cb.act)
 
 
 def fold_block(block):

@@ -195,7 +195,7 @@ def build_model(variant: str, nc: int = 3) -> ModelGraph:
         # one RepConv stack pair and one box/cls conv pair serve every level;
         # the first level registers them, each level adds a stem and a scale
         h = cfg.head_hidden
-        rep1, rep2 = RepConvBlock(h, h), RepConvBlock(h, h)
+        rep1, rep2 = RepConvBlock(h), RepConvBlock(h)
         box_conv = ConvBlock(h, cfg.box_channels, 1, bn=False, act="none")
         cls_conv = ConvBlock(h, cfg.nc, 1, bn=False, act="none")
         for level, tap, ch in levels:
@@ -316,53 +316,54 @@ def output_shapes(g: ModelGraph, size: int = 640):
     return tuple(shapes[o] for o in g.outputs)
 
 
+def _tensors(g: ModelGraph):
+    """(name, array) of every parameter tensor of `g` in canonical order: the
+    graph's own arrays, under their weight names."""
+    for entry in g.params:
+        for suffix, arr in entry.block.named_arrays():
+            yield f"{entry.name}.{suffix}", arr
+
+
 def init_weights(g: ModelGraph, seed: int = 0) -> WeightStore:
     """Deterministically initialize every parameter in place and return a
     snapshot store. Conv weights are uniform within +/- sqrt(1/fan_in) from a
     PCG64 stream; norms start at identity, biases at zero, scales at one."""
     rng = np.random.default_rng(seed)
-    for entry in g.params:
-        for suffix, arr in entry.block.named_arrays():
-            leaf = suffix.rsplit(".", 1)[-1]
-            if leaf == "w":
-                fan_in = int(np.prod(arr.shape[1:]))
-                bound = float(np.sqrt(1.0 / fan_in))
-                arr[...] = rng.uniform(-bound, bound, arr.shape).astype(DTYPE)
-            elif leaf in ("gamma", "var", "s"):
-                arr[...] = 1.0
-            else:  # b, beta, mean
-                arr[...] = 0.0
+    for name, arr in _tensors(g):
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf == "w":
+            fan_in = int(np.prod(arr.shape[1:]))
+            bound = float(np.sqrt(1.0 / fan_in))
+            arr[...] = rng.uniform(-bound, bound, arr.shape).astype(DTYPE)
+        elif leaf in ("gamma", "var", "s"):
+            arr[...] = 1.0
+        else:  # b, beta, mean
+            arr[...] = 0.0
     return collect_weights(g)
 
 
 def collect_weights(g: ModelGraph) -> WeightStore:
     store = WeightStore()
-    for entry in g.params:
-        for suffix, arr in entry.block.named_arrays():
-            store.put(f"{entry.name}.{suffix}", arr.copy())
+    for name, arr in _tensors(g):
+        store.put(name, arr.copy())
     return store
 
 
 def load_weights(g: ModelGraph, store: WeightStore) -> None:
     """Copy a store into the graph's blocks, validating names and shapes."""
     expected = set()
-    for entry in g.params:
-        for suffix, arr in entry.block.named_arrays():
-            name = f"{entry.name}.{suffix}"
-            expected.add(name)
-            if name not in store:
-                raise ValidationError(f"store is missing tensor {name!r}")
-            src = store[name]
-            if tuple(src.shape) != tuple(arr.shape):
-                raise ValidationError(
-                    f"tensor {name!r}: store shape {tuple(src.shape)} != graph shape {tuple(arr.shape)}"
-                )
+    for name, arr in _tensors(g):
+        expected.add(name)
+        if name not in store:
+            raise ValidationError(f"store is missing tensor {name!r}")
+        if store[name].shape != arr.shape:
+            raise ValidationError(f"tensor {name!r}: store shape {store[name].shape} "
+                                  f"!= graph shape {arr.shape}")
     extra = [n for n in store.names() if n not in expected]
     if extra:
         raise ValidationError(f"store has {len(extra)} tensors unknown to the graph: {extra[:5]}")
-    for entry in g.params:
-        for suffix, arr in entry.block.named_arrays():
-            arr[...] = store[f"{entry.name}.{suffix}"]
+    for name, arr in _tensors(g):
+        arr[...] = store[name]
 
 
 def structurally_equal(g1: ModelGraph, g2: ModelGraph) -> bool:

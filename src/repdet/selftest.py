@@ -87,7 +87,7 @@ def check_repconv_equivalence(trials: int = 20, seed: int = 1):
     worst = 0.0
     for _ in range(trials):
         ch = int(rng.choice([4, 8, 16]))
-        blk = RepConvBlock(ch, ch)
+        blk = RepConvBlock(ch)
         for part in (blk.branch_3x3, blk.branch_1x1):
             part.w[...] = rng.uniform(-1, 1, part.w.shape)
             part.bn.gamma[...] = rng.uniform(0.5, 1.5, ch)

@@ -19,7 +19,9 @@ in tests/oracles.py. Max pooling, elementwise add and mul are bit-identical
 to those references; add_n, the sum of any number of tensors, accumulates in
 float64 and rounds once. The decode kernels (sigmoid, grouped softmax) still
 accumulate in float64. No kernel mutates its inputs except conv_epilogue,
-which runs batch norm and SiLU in place on the new array conv2d returns.
+which runs batch norm and SiLU in place on the new array conv2d returns; it
+is the one batch norm and SiLU body, which batch_norm_inference and silu run
+on a copy.
 """
 from __future__ import annotations
 
@@ -302,56 +304,48 @@ def conv2d(x: np.ndarray, spec: Conv2dSpec, weights: np.ndarray, bias: np.ndarra
     return out
 
 
-def _bn_affine(p: BatchNormParams, factor: float = 1.0):
-    """Batch norm as float32 (scale, shift) per channel, computed in float64
-    and multiplied by `factor` before the one cast."""
+def bn_scale_shift(p: BatchNormParams):
+    """Batch norm as a float64 per-channel affine: scale = gamma / sqrt(var + eps),
+    shift = beta - mean * scale."""
     scale = p.gamma.astype(np.float64) / np.sqrt(p.var.astype(np.float64) + p.eps)
-    shift = p.beta.astype(np.float64) - p.mean.astype(np.float64) * scale
-    return (factor * scale).astype(DTYPE), (factor * shift).astype(DTYPE)
+    return scale, p.beta.astype(np.float64) - p.mean.astype(np.float64) * scale
 
 
 def batch_norm_inference(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
-    check_nchw(x)
-    if x.shape[1] != p.channels:
-        raise ShapeError(f"channel axis: input has {x.shape[1]} channels, batch norm has {p.channels}")
-    scale, shift = _bn_affine(p)
-    out = np.multiply(x, scale[None, :, None, None], dtype=DTYPE)
-    out += shift[None, :, None, None]
-    return out
+    return conv_epilogue(np.array(x, dtype=DTYPE), p, "none")
+
+
+def _silu_half(h: np.ndarray) -> np.ndarray:
+    """SiLU of x = 2h as h * (1 + tanh(h)), written over `h`; the tanh form of
+    sigmoid is stable for any magnitude."""
+    t = np.tanh(h)
+    t += 1.0
+    h *= t
+    return h
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    """x * sigmoid(x); the tanh form of sigmoid is stable for any magnitude."""
-    out = np.multiply(x, 0.5, dtype=DTYPE)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= x
-    out *= 0.5
-    return out
+    """x * sigmoid(x), into a new array."""
+    return _silu_half(np.multiply(x, 0.5, dtype=DTYPE))
 
 
 def conv_epilogue(y: np.ndarray, bn: BatchNormParams | None, act: str) -> np.ndarray:
     """Batch norm (when `bn` is given), then SiLU when `act` is "silu", over a
     conv output `y` that nothing else references: `y` is overwritten and may
-    be the result. Bit for bit `silu(batch_norm_inference(y, bn))`: with SiLU
-    the affine is pre-scaled by 0.5, so y holds h = x / 2 and the result is
-    h * (1 + tanh(h)); halving commutes with float32 rounding."""
-    check_nchw(y, "conv output")
+    be the result. With SiLU the affine is pre-scaled by 0.5, cast to float32
+    once, so y holds h = x / 2 for the SiLU tail; halving commutes with
+    float32 rounding."""
+    check_nchw(y)
     half = 0.5 if act == "silu" else 1.0
     if bn is not None:
         if y.shape[1] != bn.channels:
             raise ShapeError(f"channel axis: input has {y.shape[1]} channels, batch norm has {bn.channels}")
-        scale, shift = _bn_affine(bn, half)
-        y *= scale[None, :, None, None]
-        y += shift[None, :, None, None]
+        scale, shift = bn_scale_shift(bn)
+        y *= (half * scale).astype(DTYPE)[None, :, None, None]
+        y += (half * shift).astype(DTYPE)[None, :, None, None]
     elif act == "silu":
         y *= DTYPE(0.5)
-    if act != "silu":
-        return y
-    t = np.tanh(y)
-    t += 1.0
-    t *= y
-    return t
+    return _silu_half(y) if act == "silu" else y
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -19,6 +19,8 @@ maps, and checks the cell gather, anchors, un-mapping and order around them.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repdet.blocks import HeadConfig
@@ -194,6 +196,43 @@ def c2f_params(cin, cout, n, multiscale=False):
     else:
         total += n * 2 * conv_block_params(h, h, 3)
     return total
+
+
+def ref_fold(w, bn):
+    """Float64 weights and bias of a bias-free conv `w` and its batch norm,
+    channel by channel: w * s and beta - mean * s, s = gamma / sqrt(var + eps).
+    Not rounded."""
+    w64 = np.empty(w.shape, np.float64)
+    b64 = np.empty(w.shape[0], np.float64)
+    for o in range(w.shape[0]):
+        s = float(bn.gamma[o]) / math.sqrt(float(bn.var[o]) + bn.eps)
+        w64[o] = w[o].astype(np.float64) * s
+        b64[o] = float(bn.beta[o]) - float(bn.mean[o]) * s
+    return w64, b64
+
+
+def ref_fold_conv(cb):
+    """float32 (w, b) of a conv block with its batch norm folded in."""
+    w, b = ref_fold(cb.w, cb.bn)
+    return w.astype(DTYPE), b.astype(DTYPE)
+
+
+def ref_deploy_repconv(blk):
+    """float32 (w, b) of a RepConv's deploy conv: the 1x1 branch lowered to
+    the 3x3 centre, the average pool as float32 1/9 on the channel diagonal,
+    each branch folded with its batch norm, summed 3x3 first in float64 and
+    rounded once."""
+    k3, k1 = blk.branch_3x3, blk.branch_1x1
+    ch = k3.w.shape[0]
+    centre = np.zeros((ch, ch, 3, 3), np.float64)
+    ninths = np.zeros((ch, ch, 3, 3), np.float64)
+    for o in range(ch):
+        for i in range(ch):
+            centre[o, i, 1, 1] = k1.w[o, i, 0, 0]
+        ninths[o, o] = float(np.float32(1.0 / 9.0))
+    (w3, b3), (w1, b1), (wa, ba) = (ref_fold(k3.w, k3.bn), ref_fold(centre, k1.bn),
+                                    ref_fold(ninths, blk.branch_avg.bn))
+    return ((w3 + w1) + wa).astype(DTYPE), ((b3 + b1) + ba).astype(DTYPE)
 
 
 def conv2d_f64(x, spec, weights, bias=None):

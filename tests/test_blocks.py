@@ -206,7 +206,7 @@ class TestMSCA:
 
 class TestRepConv:
     def test_avg_branch_isolation(self):
-        blk = RepConvBlock(4, 4)
+        blk = RepConvBlock(4)
         # conv weights default to zero; make every BN exactly identity
         for bn in (blk.branch_3x3.bn, blk.branch_1x1.bn, blk.branch_avg.bn):
             bn.eps = 1e-12
@@ -215,17 +215,14 @@ class TestRepConv:
         assert np.abs(blk.forward(x) - want).max() < 1e-6
 
     def test_zero_everything_gives_zero(self):
-        blk = RepConvBlock(4, 4)
+        blk = RepConvBlock(4)
         x = np.zeros((1, 4, 5, 5), dtype=np.float32)
         assert np.all(blk.forward(x) == 0.0)
-
-    def test_no_avg_branch_when_channels_differ(self):
-        assert RepConvBlock(4, 8).branch_avg is None
 
 
 # every composite kind, small enough to run in a test: name -> (block, input shape)
 COMPOSITES = {
-    "repconv": lambda: (RepConvBlock(4, 4), (1, 4, 6, 6)),
+    "repconv": lambda: (RepConvBlock(4), (1, 4, 6, 6)),
     "split_conv": lambda: (MultiScaleSplitConv(8, 12), (1, 8, 6, 6)),
     "bottleneck": lambda: (Bottleneck(8), (1, 8, 5, 5)),
     "bottleneck_ms": lambda: (Bottleneck(8, "multiscale"), (1, 8, 5, 5)),

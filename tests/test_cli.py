@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,23 @@ def tiny_dataset(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"classes": ["wssv", "bss", "sbgs"], "items": items}))
     return os.fspath(manifest)
+
+
+def bad_store(tmp_path, kind):
+    """An improved-model store whose backbone.conv0 holds a NaN weight
+    ("nan"), a negative running variance ("negvar"), or finite weights whose
+    batch-norm fold overflows float32 ("overflow")."""
+    store = M.init_weights(M.build_model("improved", 3), 0)
+    if kind == "nan":
+        store["backbone.conv0.w"][0, 0, 0, 0] = np.nan
+    elif kind == "negvar":
+        store["backbone.conv0.bn.var"][...] = -1.0
+    else:
+        store["backbone.conv0.w"][...] = 3e38
+        store["backbone.conv0.bn.gamma"][...] = 10.0
+    path = os.fspath(tmp_path / f"{kind}.rwt")
+    store.save(path)
+    return path
 
 
 class TestCompare:
@@ -102,14 +120,28 @@ class TestFuse:
         assert "head.rep1.w" in store and "head.rep1.b" in store
 
     def test_nan_weight_fails_verify(self, capsys, tmp_path):
+        # a scale is not folded, so the NaN reaches --verify in both forms
         w = os.fspath(tmp_path / "nan.rwt")
         store = M.init_weights(M.build_model("improved", 3), 0)
-        store["backbone.conv0.w"][0, 0, 0, 0] = np.nan
+        store["head.p3.scale.s"][0] = np.nan
         store.save(w)
         code, out, err = run_cli(capsys, "fuse", "--model", "improved", "--weights", w, "--verify")
         assert code == 3
         assert "max head-output deviation: nan" in out
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("store", ["nan", "overflow"])
+    def test_nonfinite_fold_is_3_and_writes_nothing(self, capsys, tmp_path, store):
+        w = bad_store(tmp_path, store)
+        out_path = tmp_path / "fused.rwt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "fuse", "--model", "improved", "--weights", w,
+                                     "--out", os.fspath(out_path), "--verify")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "non-finite" in err
+        assert not out_path.exists()
 
     def test_roundtrip_weights_file(self, capsys, tmp_path):
         w_path = os.fspath(tmp_path / "w.rwt")
@@ -235,6 +267,30 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and "backbone.conv0 " in err
+
+    @pytest.mark.parametrize("command", ["infer", "eval", "fuse"])
+    def test_negative_seed_is_1(self, capsys, black_image, tiny_dataset, command):
+        source = {"infer": ("--image", black_image), "eval": ("--manifest", tiny_dataset),
+                  "fuse": ()}[command]
+        code, out, err = run_cli(capsys, command, "--model", "improved", "--seed", "-1", *source)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "--seed" in err
+
+    @pytest.mark.parametrize("command,store", [("infer", "negvar"), ("fuse", "negvar"),
+                                               ("infer", "overflow")])
+    def test_bad_store_gives_one_line_and_no_warning(self, capsys, black_image, tmp_path,
+                                                      command, store):
+        w = bad_store(tmp_path, store)
+        source = ("--image", black_image) if command == "infer" else ("--verify",)
+        # pytest records warnings instead of printing them, so make them raise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, "--model", "improved", "--weights", w,
+                                     *source)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_bad_threshold_is_1(self, capsys, black_image):
         code, _, err = run_cli(capsys, "infer", "--model", "improved",

@@ -240,16 +240,9 @@ class TestEvaluate:
             else:
                 assert abs(c.ap50 - ap) < 1e-9
 
-    def test_operating_point_threshold(self):
-        dets, items, sizes = _single_image_case()
-        report = evaluate(dets, items, CLASS_NAMES, image_sizes=sizes, score_thresh=0.85)
-        assert report.classes[0].tp == 1   # score 0.9 kept
-        assert report.classes[1].tp == 0   # score 0.8 cut
-        assert report.classes[1].ap50 == 1.0  # AP ignores the operating point
-
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
-            evaluate([], [], CLASS_NAMES)
+            evaluate([], [], CLASS_NAMES, image_sizes=[])
 
     def test_report_serialization(self):
         dets, items, sizes = _single_image_case()

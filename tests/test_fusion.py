@@ -2,6 +2,8 @@
 lowering, and the whole-graph fusion pass."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repdet.model as M
 from repdet.blocks import ConvBlock, RepConvBlock
@@ -9,11 +11,12 @@ from repdet.errors import NumericError
 from repdet.fusion import deploy_repconv, fold_block, fold_conv_block, fuse_model_graph
 from repdet.tensor_ops import BatchNormParams, batch_norm_inference, conv2d, pool2d, silu
 
+from oracles import ref_deploy_repconv, ref_fold_conv
 from test_blocks import COMPOSITES, randomize
 
 
 def random_repconv(rng, ch):
-    blk = RepConvBlock(ch, ch)
+    blk = RepConvBlock(ch)
     for part in (blk.branch_3x3, blk.branch_1x1):
         randomize(part, rng)
     randomize(blk.branch_avg, rng)
@@ -70,37 +73,46 @@ class TestBranchLowering:
     zeroed and every BN at identity."""
 
     def test_1x1_sits_at_center(self):
-        blk = identity_bns(RepConvBlock(1, 2))  # in != out: no avg branch
-        blk.branch_1x1.w[...] = [[[[5.0]]], [[[-3.0]]]]
-        want = np.zeros((2, 1, 3, 3), dtype=np.float32)
-        want[:, 0, 1, 1] = [5.0, -3.0]
+        blk = identity_bns(RepConvBlock(2))
+        blk.branch_avg.bn.gamma[...] = 0.0  # the average branch folds to zero
+        blk.branch_1x1.w[:, :, 0, 0] = [[5.0, 1.0], [-3.0, 2.0]]
+        want = np.zeros((2, 2, 3, 3), dtype=np.float32)
+        want[:, :, 1, 1] = [[5.0, 1.0], [-3.0, 2.0]]
         dep = deploy_repconv(blk)
         assert np.array_equal(dep.w, want)
         assert np.array_equal(dep.b, np.zeros(2, dtype=np.float32))
 
     def test_avg_kernel_is_diagonal_ninths(self):
-        dep = deploy_repconv(identity_bns(RepConvBlock(2, 2)))
+        dep = deploy_repconv(identity_bns(RepConvBlock(2)))
         assert dep.w.shape == (2, 2, 3, 3)
         assert np.array_equal(dep.w, ninths(2))
 
     def test_avg_kernel_reproduces_pool(self):
         x = np.random.default_rng(2).uniform(-1, 1, (1, 3, 7, 7)).astype(np.float32)
-        dep = deploy_repconv(identity_bns(RepConvBlock(3, 3)))
+        dep = deploy_repconv(identity_bns(RepConvBlock(3)))
         assert np.abs(dep.forward(x) - silu(pool2d(x, "avg", 3, 1, 1))).max() < 1e-6
 
 
 class TestFuseRepConv:
     def test_all_zero_weights_leave_avg_ninths(self):
-        dep = deploy_repconv(identity_bns(RepConvBlock(3, 3)))
+        dep = deploy_repconv(identity_bns(RepConvBlock(3)))
         assert np.abs(dep.w - ninths(3)).max() < 1e-6
         assert np.abs(dep.b).max() < 1e-6
 
     def test_3x3_branch_isolation(self):
         rng = np.random.default_rng(3)
-        blk = identity_bns(RepConvBlock(3, 3))
+        blk = identity_bns(RepConvBlock(3))
         blk.branch_3x3.w[...] = rng.uniform(-1, 1, blk.branch_3x3.w.shape)
         dep = deploy_repconv(blk)
         assert np.abs(dep.w - (blk.branch_3x3.w + ninths(3))).max() < 1e-6
+
+    def test_branches_sum_3x3_first(self):
+        # the 3x3 and 1x1 biases cancel exactly in float64 before the small
+        # average-branch bias is added; the other association loses it
+        blk = identity_bns(RepConvBlock(1))
+        for (_, branch), beta in zip(blk.children(), (2.0 ** 24, -2.0 ** 24, 2.0 ** -30)):
+            branch.bn.beta[...] = beta
+        assert deploy_repconv(blk).b[0] == np.float32(2.0 ** -30)
 
     def test_equivalence_100_random_blocks(self):
         rng = np.random.default_rng(4)
@@ -122,7 +134,7 @@ class TestFuseRepConv:
     def test_fused_conv_rejects_nonfinite(self):
         # 3e38 is finite in every branch, but the 3x3 + 1x1 sum is not in float32
         for value in (np.nan, 3e38):
-            blk = identity_bns(RepConvBlock(1, 1))
+            blk = identity_bns(RepConvBlock(1))
             blk.branch_3x3.w[0, 0, 1, 1] = value
             blk.branch_1x1.w[...] = value
             with pytest.raises(NumericError), np.errstate(over="ignore"):
@@ -144,6 +156,70 @@ class TestFoldConvBlock:
         folded = fold_conv_block(blk)
         assert folded.w is not blk.w
         assert np.array_equal(folded.w, blk.w)
+
+
+FOLD = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def batch_norms(draw, ch):
+    """Batch norms with gamma that may be 0, variances down to 0 and means up
+    to +-1e4, at either of two eps values."""
+    def channels(values):
+        return draw(st.lists(values, min_size=ch, max_size=ch))
+    gamma = channels(st.one_of(st.just(0.0), st.floats(-4, 4, width=32)))
+    var = channels(st.one_of(st.just(0.0), st.floats(0, 2.0 ** -20, width=32),
+                             st.floats(0, 4, width=32)))
+    mean = channels(st.floats(-1e4, 1e4, width=32))
+    beta = channels(st.floats(-4, 4, width=32))
+    return BatchNormParams(gamma, beta, mean, var, eps=draw(st.sampled_from([1e-3, 1e-5])))
+
+
+def assert_bits(got, want):
+    assert got.dtype == np.float32 and np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+class TestExactFold:
+    """Every fold equals the float64 reference in oracles.py bit for bit."""
+
+    @FOLD
+    @given(data=st.data(), cin=st.integers(1, 8), cout=st.integers(1, 8),
+           k=st.sampled_from([1, 3]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_conv_bn_fold(self, data, cin, cout, k, seed):
+        blk = ConvBlock(cin, cout, k, act=data.draw(st.sampled_from(["silu", "none"])))
+        randomize(blk, np.random.default_rng(seed), scale=2.0)
+        blk.bn = data.draw(batch_norms(cout))
+        folded = fold_conv_block(blk)
+        want_w, want_b = ref_fold_conv(blk)
+        assert_bits(folded.w, want_w)
+        assert_bits(folded.b, want_b)
+        assert folded.bn is None and folded.spec.has_bias and folded.act == blk.act
+
+    @FOLD
+    @given(data=st.data(), ch=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+    def test_repconv_deploy(self, data, ch, seed):
+        blk = RepConvBlock(ch)
+        randomize(blk, np.random.default_rng(seed), scale=2.0)
+        for _, branch in blk.children():
+            branch.bn = data.draw(batch_norms(ch))
+        dep = deploy_repconv(blk)
+        want_w, want_b = ref_deploy_repconv(blk)
+        assert_bits(dep.w, want_w)
+        assert_bits(dep.b, want_b)
+        assert dep.bn is None and dep.spec.has_bias and dep.act == "silu"
+
+    @FOLD
+    @given(cin=st.integers(1, 8), cout=st.integers(1, 8), k=st.sampled_from([1, 3]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bn_free_fold_copies_bits(self, cin, cout, k, seed):
+        blk = ConvBlock(cin, cout, k, bn=False, act="none")
+        randomize(blk, np.random.default_rng(seed), scale=2.0)
+        folded = fold_conv_block(blk)
+        assert_bits(folded.w, blk.w)
+        assert_bits(folded.b, blk.b)
+        assert not np.shares_memory(folded.w, blk.w)
+        assert not np.shares_memory(folded.b, blk.b)
+        assert folded.spec == blk.spec and folded.act == blk.act
 
 
 @pytest.mark.parametrize("kind", COMPOSITES)

@@ -2,12 +2,12 @@
 stack and the head geometry, which `model.build_model` wires into graphs.
 
 Blocks own their parameter arrays (created zero-filled, batch norms at identity)
-and are immutable after construction: forwards are pure, and every transform that
-changes structure (e.g. branch fusion) builds a new block instead of mutating.
+and forwards are pure. Every conv block takes a `bn` flag: with `bn=False` it is
+built in deploy form, BN-free with a bias, which `fusion` fills with folded
+arrays.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -38,8 +38,7 @@ def _autopad(kernel, dilation) -> tuple[int, int]:
 
 class Composite:
     """A block built from child blocks. `children()` lists (prefix, block) pairs
-    in weight-name order; `replace_children(new)` returns a shallow copy that
-    holds the blocks of `new` in their place, in the same order.
+    in weight-name order, the same for the train and the deploy form.
 
     Every conv inside a composite runs once per forward, on a map of the
     composite's output height and width, and the output keeps the input's
@@ -130,24 +129,19 @@ class RepConvBlock(Composite):
     def children(self):
         return [("k3", self.branch_3x3), ("k1", self.branch_1x1), ("avg", self.branch_avg)]
 
-    def replace_children(self, new):
-        out = copy.copy(self)
-        out.branch_3x3, out.branch_1x1, out.branch_avg = new
-        return out
-
 
 class MultiScaleSplitConv(Composite):
     """Split-transform-merge conv: half the channels pass through untouched,
     the other half goes through parallel 3x3 and 5x5 paths, then a 1x1 merge."""
 
-    def __init__(self, in_ch, out_ch):
+    def __init__(self, in_ch, out_ch, bn=True):
         if in_ch % 4:
             raise SpecError(f"in_ch {in_ch} not divisible by 4")
         self.in_ch, self.out_ch = in_ch, out_ch
         q = in_ch // 4
-        self.path3 = ConvBlock(q, q, 3)
-        self.path5 = ConvBlock(q, q, 5)
-        self.fuse = ConvBlock(in_ch, out_ch, 1)
+        self.path3 = ConvBlock(q, q, 3, bn=bn)
+        self.path5 = ConvBlock(q, q, 5, bn=bn)
+        self.fuse = ConvBlock(in_ch, out_ch, 1, bn=bn)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.in_ch:
@@ -159,22 +153,17 @@ class MultiScaleSplitConv(Composite):
     def children(self):
         return [("p3", self.path3), ("p5", self.path5), ("fuse", self.fuse)]
 
-    def replace_children(self, new):
-        out = copy.copy(self)
-        out.path3, out.path5, out.fuse = new
-        return out
-
 
 class Bottleneck(Composite):
     """Two stacked transforms with an optional additive shortcut."""
 
-    def __init__(self, ch, variant="standard", shortcut=True):
+    def __init__(self, ch, variant="standard", shortcut=True, bn=True):
         if variant == "standard":
-            self.cv1 = ConvBlock(ch, ch, 3)
-            self.cv2 = ConvBlock(ch, ch, 3)
+            self.cv1 = ConvBlock(ch, ch, 3, bn=bn)
+            self.cv2 = ConvBlock(ch, ch, 3, bn=bn)
         elif variant == "multiscale":
-            self.cv1 = MultiScaleSplitConv(ch, ch)
-            self.cv2 = MultiScaleSplitConv(ch, ch)
+            self.cv1 = MultiScaleSplitConv(ch, ch, bn)
+            self.cv2 = MultiScaleSplitConv(ch, ch, bn)
         else:
             raise SpecError(f"unknown bottleneck variant {variant!r}")
         self.out_ch = ch
@@ -188,17 +177,12 @@ class Bottleneck(Composite):
     def children(self):
         return [("cv1", self.cv1), ("cv2", self.cv2)]
 
-    def replace_children(self, new):
-        out = copy.copy(self)
-        out.cv1, out.cv2 = new
-        return out
-
 
 class C2f(Composite):
     """Cross-stage partial block: 1x1 expand, chained bottlenecks on one half,
     concat of every intermediate map, 1x1 merge."""
 
-    def __init__(self, in_ch, out_ch, n=1, shortcut=False, variant="standard"):
+    def __init__(self, in_ch, out_ch, n=1, shortcut=False, variant="standard", bn=True):
         if out_ch % 2:
             raise SpecError(f"out_ch {out_ch} must be even")
         h = out_ch // 2
@@ -206,9 +190,9 @@ class C2f(Composite):
             raise SpecError(f"hidden width {h} not divisible by 4 for the multiscale variant")
         self.in_ch, self.out_ch, self.n, self.hidden = in_ch, out_ch, n, h
         self.variant = variant
-        self.cv1 = ConvBlock(in_ch, 2 * h, 1)
-        self.bottlenecks = [Bottleneck(h, variant, shortcut) for _ in range(n)]
-        self.cv2 = ConvBlock((2 + n) * h, out_ch, 1)
+        self.cv1 = ConvBlock(in_ch, 2 * h, 1, bn=bn)
+        self.bottlenecks = [Bottleneck(h, variant, shortcut, bn) for _ in range(n)]
+        self.cv2 = ConvBlock((2 + n) * h, out_ch, 1, bn=bn)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         parts = split_channels(self.cv1.forward(x), [self.hidden, self.hidden])
@@ -220,19 +204,14 @@ class C2f(Composite):
         return ([("cv1", self.cv1)] + [(f"m{i}", m) for i, m in enumerate(self.bottlenecks)]
                 + [("cv2", self.cv2)])
 
-    def replace_children(self, new):
-        out = copy.copy(self)
-        out.cv1, *out.bottlenecks, out.cv2 = new
-        return out
-
 
 class SPPF(Composite):
     """Spatial pyramid pooling (fast): three chained 5x5 max pools, concatenated."""
 
-    def __init__(self, ch):
+    def __init__(self, ch, bn=True):
         self.out_ch = ch
-        self.cv1 = ConvBlock(ch, ch // 2, 1)
-        self.cv2 = ConvBlock(ch * 2, ch, 1)
+        self.cv1 = ConvBlock(ch, ch // 2, 1, bn=bn)
+        self.cv2 = ConvBlock(ch * 2, ch, 1, bn=bn)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         y = self.cv1.forward(x)
@@ -243,11 +222,6 @@ class SPPF(Composite):
 
     def children(self):
         return [("cv1", self.cv1), ("cv2", self.cv2)]
-
-    def replace_children(self, new):
-        out = copy.copy(self)
-        out.cv1, out.cv2 = new
-        return out
 
 
 class MSCABlock(Composite):
@@ -280,12 +254,6 @@ class MSCABlock(Composite):
         for (row, col), L in zip(self.pairs, self.STRIP_LENGTHS):
             kids += [(f"strip{L}.row", row), (f"strip{L}.col", col)]
         return kids + [("mix", self.mix)]
-
-    def replace_children(self, new):
-        out = copy.copy(self)
-        out.base, *strips, out.mix = new
-        out.pairs = list(zip(strips[::2], strips[1::2]))
-        return out
 
 
 class ScaleParam:

@@ -4,6 +4,11 @@ fusion, single-image inference, dataset evaluation, and the embedded selftest.
 Exit codes: 0 success, 1 usage error, 2 I/O or format error, 3 verification or
 validation failure. All diagnostics go to stderr as one "error: ..." line, and
 every output file is written to a temp path and atomically renamed.
+
+`infer`, `eval` and `fuse` accept a train store or a fused store (the one
+`fuse --out` writes) and run the graph in the store's form: a store holding any
+batch-norm (`.bn.`) tensor is a train store, any other a fused store. A store
+that mixes the forms, or matches neither, exits 3 naming one tensor.
 """
 from __future__ import annotations
 
@@ -53,11 +58,16 @@ def _forward_finite(g, tensor):
 
 
 def _prepare_graph(variant, nc, weights_path, seed):
-    g = M.build_model(variant, nc)
+    """The graph with seeded weights, or in the form of the store at
+    `weights_path`: a store holding any batch-norm tensor is a train store,
+    any other a fused one."""
     if weights_path is None:
+        g = M.build_model(variant, nc)
         M.init_weights(g, seed)
-    else:
-        M.load_weights(g, WeightStore.load(weights_path))
+        return g
+    store = WeightStore.load(weights_path)
+    g = M.build_model(variant, nc, fused=not any(".bn." in n for n in store.names()))
+    M.load_weights(g, store)
     return g
 
 

@@ -120,9 +120,12 @@ class _Builder:
         return name
 
     def wire_repconv(self, rep, stack, level, x, first):
-        """Expand a RepConv application site into its branch subgraph; the
-        first site registers the whole stack under `head.<stack>`."""
+        """Wire a RepConv application site; the first site registers the whole
+        stack under `head.<stack>`. A deploy-form stack is one conv node, a
+        train-form one expands into its branch subgraph."""
         base = f"head.{level}.{stack}"
+        if isinstance(rep, ConvBlock):
+            return self.add(base, "conv", [x], rep, register=first, owner=f"head.{stack}")
         gid = f"head.{stack}@{level}"
         if first:
             self.params.append(ParamEntry(f"head.{stack}", rep))
@@ -134,16 +137,19 @@ class _Builder:
         return self.add(f"{base}.act", "silu", [s], group=gid)
 
 
-def build_model(variant: str, nc: int = 3) -> ModelGraph:
+def build_model(variant: str, nc: int = 3, fused: bool = False) -> ModelGraph:
     """Assemble the detector graph. The improved variant swaps the last two
     backbone C2f stages and neck stages 1/3/4 to the split-path conv variant,
     gates the backbone tail with strip-conv attention, and replaces the
-    decoupled head with the shared reparameterizable head."""
+    decoupled head with the shared reparameterizable head. With `fused`, the
+    graph is built in deploy form: every conv BN-free with a bias, and each
+    RepConv site one biased 3x3 conv node with SiLU."""
     if variant not in ("baseline", "improved"):
         raise SpecError(f"unknown model variant {variant!r}")
     improved = variant == "improved"
     cfg = HeadConfig(nc=nc)
     b = _Builder()
+    bn = not fused
 
     def c2f_kind(ms):
         return "c2f_ms" if ms else "c2f"
@@ -152,18 +158,18 @@ def build_model(variant: str, nc: int = 3) -> ModelGraph:
         return "multiscale" if ms else "standard"
 
     x = INPUT
-    x = b.add("backbone.conv0", "conv", [x], ConvBlock(3, 16, 3, 2))
-    x = b.add("backbone.conv1", "conv", [x], ConvBlock(16, 32, 3, 2))
-    x = b.add("backbone.c2f2", "c2f", [x], C2f(32, 32, 1, shortcut=True))
-    x = b.add("backbone.conv3", "conv", [x], ConvBlock(32, 64, 3, 2))
-    p3b = b.add("backbone.c2f4", "c2f", [x], C2f(64, 64, 2, shortcut=True))
-    x = b.add("backbone.conv5", "conv", [p3b], ConvBlock(64, 128, 3, 2))
+    x = b.add("backbone.conv0", "conv", [x], ConvBlock(3, 16, 3, 2, bn=bn))
+    x = b.add("backbone.conv1", "conv", [x], ConvBlock(16, 32, 3, 2, bn=bn))
+    x = b.add("backbone.c2f2", "c2f", [x], C2f(32, 32, 1, shortcut=True, bn=bn))
+    x = b.add("backbone.conv3", "conv", [x], ConvBlock(32, 64, 3, 2, bn=bn))
+    p3b = b.add("backbone.c2f4", "c2f", [x], C2f(64, 64, 2, shortcut=True, bn=bn))
+    x = b.add("backbone.conv5", "conv", [p3b], ConvBlock(64, 128, 3, 2, bn=bn))
     p4b = b.add("backbone.c2f6", c2f_kind(improved), [x],
-                C2f(128, 128, 2, shortcut=True, variant=c2f_variant(improved)))
-    x = b.add("backbone.conv7", "conv", [p4b], ConvBlock(128, 256, 3, 2))
+                C2f(128, 128, 2, shortcut=True, variant=c2f_variant(improved), bn=bn))
+    x = b.add("backbone.conv7", "conv", [p4b], ConvBlock(128, 256, 3, 2, bn=bn))
     x = b.add("backbone.c2f8", c2f_kind(improved), [x],
-              C2f(256, 256, 1, shortcut=True, variant=c2f_variant(improved)))
-    x = b.add("backbone.sppf", "sppf", [x], SPPF(256))
+              C2f(256, 256, 1, shortcut=True, variant=c2f_variant(improved), bn=bn))
+    x = b.add("backbone.sppf", "sppf", [x], SPPF(256, bn))
 
     if improved:
         # strip-conv attention unit gating the backbone tail, with a residual
@@ -176,18 +182,18 @@ def build_model(variant: str, nc: int = 3) -> ModelGraph:
     u = b.add("neck.up10", "upsample", [p5b])
     c = b.add("neck.cat11", "concat", [u, p4b])
     n1 = b.add("neck.c2f12", c2f_kind(improved), [c],
-               C2f(256 + 128, 128, 1, variant=c2f_variant(improved)))
+               C2f(256 + 128, 128, 1, variant=c2f_variant(improved), bn=bn))
     u = b.add("neck.up13", "upsample", [n1])
     c = b.add("neck.cat14", "concat", [u, p3b])
-    p3 = b.add("neck.c2f15", "c2f", [c], C2f(128 + 64, 64, 1))
-    d = b.add("neck.conv16", "conv", [p3], ConvBlock(64, 64, 3, 2))
+    p3 = b.add("neck.c2f15", "c2f", [c], C2f(128 + 64, 64, 1, bn=bn))
+    d = b.add("neck.conv16", "conv", [p3], ConvBlock(64, 64, 3, 2, bn=bn))
     c = b.add("neck.cat17", "concat", [d, n1])
     p4 = b.add("neck.c2f18", c2f_kind(improved), [c],
-               C2f(128 + 64, 128, 1, variant=c2f_variant(improved)))
-    d = b.add("neck.conv19", "conv", [p4], ConvBlock(128, 128, 3, 2))
+               C2f(128 + 64, 128, 1, variant=c2f_variant(improved), bn=bn))
+    d = b.add("neck.conv19", "conv", [p4], ConvBlock(128, 128, 3, 2, bn=bn))
     c = b.add("neck.cat20", "concat", [d, p5b])
     p5 = b.add("neck.c2f21", c2f_kind(improved), [c],
-               C2f(256 + 128, 256, 1, variant=c2f_variant(improved)))
+               C2f(256 + 128, 256, 1, variant=c2f_variant(improved), bn=bn))
 
     outputs = []
     levels = zip(("p3", "p4", "p5"), (p3, p4, p5), cfg.in_channels)
@@ -195,12 +201,13 @@ def build_model(variant: str, nc: int = 3) -> ModelGraph:
         # one RepConv stack pair and one box/cls conv pair serve every level;
         # the first level registers them, each level adds a stem and a scale
         h = cfg.head_hidden
-        rep1, rep2 = RepConvBlock(h), RepConvBlock(h)
+        rep1, rep2 = (ConvBlock(h, h, 3, bn=False) if fused else RepConvBlock(h)
+                      for _ in range(2))
         box_conv = ConvBlock(h, cfg.box_channels, 1, bn=False, act="none")
         cls_conv = ConvBlock(h, cfg.nc, 1, bn=False, act="none")
         for level, tap, ch in levels:
             first = level == "p3"
-            t = b.add(f"head.{level}.stem", "conv", [tap], ConvBlock(ch, h, 1))
+            t = b.add(f"head.{level}.stem", "conv", [tap], ConvBlock(ch, h, 1, bn=bn))
             t = b.wire_repconv(rep1, "rep1", level, t, first)
             t = b.wire_repconv(rep2, "rep2", level, t, first)
             box = b.add(f"head.{level}.box", "conv", [t], box_conv,
@@ -213,12 +220,12 @@ def build_model(variant: str, nc: int = 3) -> ModelGraph:
         # decoupled per-level head: independent box and class towers
         hid = cfg.cls_hidden
         for level, tap, ch in levels:
-            x = b.add(f"head.{level}.box1", "conv", [tap], ConvBlock(ch, 64, 3))
-            x = b.add(f"head.{level}.box2", "conv", [x], ConvBlock(64, 64, 3))
+            x = b.add(f"head.{level}.box1", "conv", [tap], ConvBlock(ch, 64, 3, bn=bn))
+            x = b.add(f"head.{level}.box2", "conv", [x], ConvBlock(64, 64, 3, bn=bn))
             box = b.add(f"head.{level}.box3", "conv", [x],
                         ConvBlock(64, cfg.box_channels, 1, bn=False, act="none"))
-            x = b.add(f"head.{level}.cls1", "conv", [tap], ConvBlock(ch, hid, 3))
-            x = b.add(f"head.{level}.cls2", "conv", [x], ConvBlock(hid, hid, 3))
+            x = b.add(f"head.{level}.cls1", "conv", [tap], ConvBlock(ch, hid, 3, bn=bn))
+            x = b.add(f"head.{level}.cls2", "conv", [x], ConvBlock(hid, hid, 3, bn=bn))
             cls = b.add(f"head.{level}.cls3", "conv", [x],
                         ConvBlock(hid, cfg.nc, 1, bn=False, act="none"))
             outputs.append(b.add(f"head.{level}.out", "concat", [box, cls]))
@@ -359,6 +366,8 @@ def load_weights(g: ModelGraph, store: WeightStore) -> None:
         if store[name].shape != arr.shape:
             raise ValidationError(f"tensor {name!r}: store shape {store[name].shape} "
                                   f"!= graph shape {arr.shape}")
+        if name.endswith("bn.var") and np.any(store[name] < 0):
+            raise ValidationError(f"tensor {name!r} holds a negative running variance")
     extra = [n for n in store.names() if n not in expected]
     if extra:
         raise ValidationError(f"store has {len(extra)} tensors unknown to the graph: {extra[:5]}")

@@ -60,6 +60,35 @@ def bad_store(tmp_path, kind):
     return path
 
 
+# final-conv factors that lift the tiny head features of seeded weights to a
+# spread of scores and box sizes: variant -> (cls scale, cls bias, box scale)
+CALIBRATION = {"improved": (4.4e6, -4.9, 2.7e6), "baseline": (6.7e6, -3.3, 4.7e6)}
+
+
+def calibrated_store(tmp_path, variant):
+    """A train store of seeded weights whose detections at conf 0.25 have
+    distinct scores, so that the fused form keeps them one to one."""
+    store = M.init_weights(M.build_model(variant, 3), 0)
+    cls_scale, cls_bias, box_scale = CALIBRATION[variant]
+    for name, arr in store.items():
+        if name.endswith((".cls.w", ".cls3.w")):
+            arr *= np.float32(cls_scale)
+        elif name.endswith((".cls.b", ".cls3.b")):
+            arr[...] = cls_bias
+        elif name.endswith((".box.w", ".box3.w")):
+            arr *= np.float32(box_scale)
+    path = os.fspath(tmp_path / f"{variant}.rwt")
+    store.save(path)
+    return path
+
+
+def fused_store(capsys, tmp_path, variant, weights):
+    path = os.fspath(tmp_path / f"{variant}-fused.rwt")
+    code, _, _ = run_cli(capsys, "fuse", "--model", variant, "--weights", weights, "--out", path)
+    assert code == 0
+    return path
+
+
 class TestCompare:
     def test_reports_reduction_over_thirty_percent(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--nc", "3")
@@ -141,6 +170,7 @@ class TestFuse:
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "non-finite" in err
+        assert "the fold of backbone.conv0 " in err
         assert not out_path.exists()
 
     def test_roundtrip_weights_file(self, capsys, tmp_path):
@@ -152,6 +182,63 @@ class TestFuse:
                                "--weights", w_path, "--out",
                                os.fspath(tmp_path / "f.rwt"), "--verify")
         assert code == 0
+
+
+def dets_close(got, want):
+    """One to one within perfbench's golden tolerances: the same class, score
+    within 1e-3 and box corners within 0.5 px."""
+    return len(got) == len(want) and all(
+        a["class_id"] == b["class_id"] and abs(a["score"] - b["score"]) <= 1e-3
+        and max(abs(u - v) for u, v in zip(a["box"], b["box"])) <= 0.5
+        for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("variant", ["baseline", "improved"])
+class TestFusedStore:
+    def test_infer_and_eval_match_the_train_store(self, capsys, tmp_path, tiny_dataset,
+                                                  variant):
+        train = calibrated_store(tmp_path, variant)
+        fused = fused_store(capsys, tmp_path, variant, train)
+        image = os.path.join(os.path.dirname(tiny_dataset), "im0.ppm")
+        runs = []
+        for weights in (train, fused):
+            code, dets, _ = run_cli(capsys, "infer", "--model", variant, "--weights", weights,
+                                    "--image", image)
+            assert code == 0
+            code, report, _ = run_cli(capsys, "eval", "--model", variant, "--weights", weights,
+                                      "--manifest", tiny_dataset, "--conf", "0.25")
+            assert code == 0
+            runs.append((json.loads(dets), json.loads(report)))
+        (dets, report), (fused_dets, fused_report) = runs
+        assert len(dets) > 10 and dets_close(fused_dets, dets)
+        assert fused_report["total_detections"] == report["total_detections"] > 0
+        assert abs(fused_report["map50"] - report["map50"]) <= 5e-3
+
+    def test_fuse_of_a_fused_store_writes_the_same_bytes(self, capsys, tmp_path, variant):
+        fused = fused_store(capsys, tmp_path, variant, calibrated_store(tmp_path, variant))
+        again = os.fspath(tmp_path / "again.rwt")
+        code, out, _ = run_cli(capsys, "fuse", "--model", variant, "--weights", fused,
+                               "--out", again, "--verify")
+        assert code == 0
+        assert "max head-output deviation: 0.000e+00" in out
+        assert open(again, "rb").read() == open(fused, "rb").read()
+
+    def test_mixed_or_partial_store_is_3_and_names_a_tensor(self, capsys, tmp_path,
+                                                             black_image, variant):
+        train = calibrated_store(tmp_path, variant)
+        fused = WeightStore.load(fused_store(capsys, tmp_path, variant, train))
+        mixed = WeightStore.load(train)
+        mixed.put("backbone.conv0.b", fused["backbone.conv0.b"])
+        last = fused.names()[-1]
+        partial = WeightStore((n, a) for n, a in fused.items() if n != last)
+        for store, name in ((mixed, "backbone.conv0.b"), (partial, last)):
+            path = os.fspath(tmp_path / "bad.rwt")
+            store.save(path)
+            code, out, err = run_cli(capsys, "infer", "--model", variant, "--weights", path,
+                                     "--image", black_image)
+            assert code == 3
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1 and repr(name) in err
 
 
 class TestInfer:
@@ -277,12 +364,15 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "--seed" in err
 
-    @pytest.mark.parametrize("command,store", [("infer", "negvar"), ("fuse", "negvar"),
-                                               ("infer", "overflow")])
-    def test_bad_store_gives_one_line_and_no_warning(self, capsys, black_image, tmp_path,
-                                                      command, store):
+    @pytest.mark.parametrize("command,store", [("infer", "negvar"), ("eval", "negvar"),
+                                               ("fuse", "negvar"), ("infer", "overflow")])
+    def test_bad_store_gives_one_line_and_no_warning(self, capsys, black_image, tiny_dataset,
+                                                      tmp_path, command, store):
         w = bad_store(tmp_path, store)
-        source = ("--image", black_image) if command == "infer" else ("--verify",)
+        # the message names where the bad value is: the tensor, or the first node
+        where = {"negvar": "'backbone.conv0.bn.var'", "overflow": "node backbone.conv0 "}[store]
+        source = {"infer": ("--image", black_image), "eval": ("--manifest", tiny_dataset),
+                  "fuse": ("--verify",)}[command]
         # pytest records warnings instead of printing them, so make them raise
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -290,7 +380,7 @@ class TestExitCodes:
                                      *source)
         assert code == 3
         assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and where in err
 
     def test_bad_threshold_is_1(self, capsys, black_image):
         code, _, err = run_cli(capsys, "infer", "--model", "improved",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import repdet.model as M
 from repdet.blocks import ConvBlock, RepConvBlock
 from repdet.errors import NumericError
-from repdet.fusion import deploy_repconv, fold_block, fold_conv_block, fuse_model_graph
+from repdet.fusion import deploy_repconv, fold_conv_block, fold_into, fuse_model_graph
 from repdet.tensor_ops import BatchNormParams, batch_norm_inference, conv2d, pool2d, silu
 
 from oracles import ref_deploy_repconv, ref_fold_conv
@@ -222,22 +222,60 @@ class TestExactFold:
         assert folded.spec == blk.spec and folded.act == blk.act
 
 
-@pytest.mark.parametrize("kind", COMPOSITES)
-def test_fold_block_preserves_forward(kind):
-    rng = np.random.default_rng(9)
+def folded(kind, rng):
+    """A randomized composite of `kind`, a copy of its arrays, and its
+    deploy-form twin filled by `fold_into`."""
     blk, shape = COMPOSITES[kind]()
     randomize(blk, rng, scale=0.5)
     source = [(k, a.copy()) for k, a in blk.named_arrays()]
-    folded = fold_block(blk)
-    names = [k for k, _ in folded.named_arrays()]
-    # every conv lost its BN; the avg-pool branch is a leaf and keeps its own
-    assert not any(".bn." in f".{k}" for k in names if not k.startswith("avg."))
+    twin, _ = COMPOSITES[kind](bn=False)
+    fold_into(blk, twin, kind)
+    return blk, source, twin, shape
+
+
+def shares_no_memory(a, b):
+    return not any(np.shares_memory(u, v) for _, u in a.named_arrays()
+                   for _, v in b.named_arrays())
+
+
+@pytest.mark.parametrize("kind", COMPOSITES)
+def test_fold_into_preserves_forward(kind):
+    rng = np.random.default_rng(9)
+    blk, source, twin, shape = folded(kind, rng)
+    # every conv lost its BN; a RepConv's average-pool branch folds into its conv
+    assert not any(".bn." in f".{k}" for k, _ in twin.named_arrays())
     x = rng.uniform(-1, 1, shape).astype(np.float32)
-    assert np.abs(blk.forward(x) - folded.forward(x)).max() < 1e-5
-    # the source is untouched and shares no array with the folded block
+    assert np.abs(blk.forward(x) - twin.forward(x)).max() < 1e-5
+    # the source is untouched and shares no array with its twin
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(source, blk.named_arrays()))
-    assert not any(np.shares_memory(a, b) for _, a in blk.named_arrays()
-                   for _, b in folded.named_arrays())
+    assert shares_no_memory(blk, twin)
+
+
+@pytest.mark.parametrize("kind", COMPOSITES)
+def test_fold_into_twin_copies_bits(kind):
+    # folding a deploy-form block is a copy, so fusion of a fused graph is one
+    rng = np.random.default_rng(10)
+    _, _, twin, shape = folded(kind, rng)
+    again, _ = COMPOSITES[kind](bn=False)
+    fold_into(twin, again, kind)
+    for (_, a), (_, b) in zip(twin.named_arrays(), again.named_arrays()):
+        assert_bits(b, a)
+    assert shares_no_memory(twin, again)
+    x = rng.uniform(-1, 1, shape).astype(np.float32)
+    assert np.array_equal(twin.forward(x), again.forward(x))
+
+
+@pytest.mark.parametrize("kind", COMPOSITES)
+def test_fold_into_names_the_child(kind):
+    # a NaN in the first conv weight is reported at that child; a RepConv
+    # collapses into one conv, so it is reported as a whole
+    blk, _ = COMPOSITES[kind]()
+    first = next(k for k, _ in blk.named_arrays() if k.endswith("w"))
+    dict(blk.named_arrays())[first][...] = np.nan
+    want = kind if isinstance(blk, RepConvBlock) else f"{kind}.{first[:-2]}"
+    twin, _ = COMPOSITES[kind](bn=False)
+    with pytest.raises(NumericError, match=f"the fold of {want} has non-finite"):
+        fold_into(blk, twin, kind)
 
 
 class TestFuseModelGraph:
@@ -276,6 +314,26 @@ class TestFuseModelGraph:
         x = np.random.default_rng(8).uniform(0, 1, (1, 3, 192, 192)).astype(np.float32)
         for a, b in zip(M.forward(g, x), M.forward(fused, x)):
             assert np.abs(a - b).max() < 1e-3
+
+    @pytest.mark.parametrize("variant", ["baseline", "improved"])
+    def test_drawn_statistics_fuse_equivalently(self, variant):
+        # BN statistics, biases and scales away from their initial values, so a
+        # fold or a leaf copy that is skipped shows in the head maps
+        g = M.build_model(variant, 3)
+        M.init_weights(g, 0)
+        rng = np.random.default_rng(12)
+        for entry in g.params:
+            for suffix, arr in entry.block.named_arrays():
+                leaf = suffix.rsplit(".", 1)[-1]
+                if leaf == "var":
+                    arr[...] = rng.uniform(0.05, 3.0, arr.shape)
+                elif leaf in ("gamma", "s"):
+                    arr[...] = rng.uniform(0.3, 1.7, arr.shape)
+                elif leaf != "w":
+                    arr[...] = rng.uniform(-0.5, 0.5, arr.shape)
+        x = np.random.default_rng(13).uniform(0, 1, (1, 3, 64, 64)).astype(np.float32)
+        for a, b in zip(M.forward(g, x), M.forward(fuse_model_graph(g), x)):
+            assert np.abs(a - b).max() < 1e-4
 
     def test_idempotent(self):
         g = M.build_model("improved", 3)

@@ -79,6 +79,26 @@ class TestBuild:
             assert len(g.nodes) == train
             assert len(fuse_model_graph(g).nodes) == fused
 
+    @pytest.mark.parametrize("variant", ["baseline", "improved"])
+    def test_fused_build_has_the_fused_weight_names(self, variant):
+        built = M.build_model(variant, 3, fused=True)
+        names = M.collect_weights(built).names()
+        assert names == M.collect_weights(fuse_model_graph(M.build_model(variant, 3))).names()
+        assert not any(".bn." in n for n in names)
+        assert all(n.group is None and n.kind != "avgpool_bn" for n in built.nodes)
+
+    def test_fused_build_wires_each_repconv_site_as_one_conv(self):
+        g = M.build_model("improved", 3, fused=True)
+        assert len(g.nodes) == M.IMPROVED_FUSED_NODE_COUNT
+        nodes = g.node_map()
+        for level in ("p3", "p4", "p5"):
+            assert nodes[f"head.{level}.rep1"].inputs == (f"head.{level}.stem",)
+            assert nodes[f"head.{level}.rep2"].inputs == (f"head.{level}.rep1",)
+            assert nodes[f"head.{level}.box"].inputs == (f"head.{level}.rep2",)
+            assert nodes[f"head.{level}.rep1"].block is nodes["head.p3.rep1"].block
+        assert [e.name for e in g.params if e.name.startswith("head.rep")] == ["head.rep1",
+                                                                               "head.rep2"]
+
     def test_placement_audit(self):
         g = M.build_model("improved", 3)
         ms = [n for n in g.nodes if n.kind == "c2f_ms"]
@@ -335,7 +355,7 @@ class TestWeightsIO:
         fused = fuse_model_graph(g)
         path = os.fspath(tmp_path / "fused.rwt")
         M.collect_weights(fused).save(path)
-        target = fuse_model_graph(M.build_model("improved", 3))
+        target = M.build_model("improved", 3, fused=True)
         M.load_weights(target, WeightStore.load(path))
         x = np.random.default_rng(3).uniform(0, 1, (1, 3, 64, 64)).astype(np.float32)
         a = M.forward(fused, x)

@@ -14,6 +14,10 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ShapeError, SpecError
+
+# perfbench's traced run times kernels by swapping these names on this module
+# (its KernelTimer lists them), so concat_channels stays imported though no
+# block calls it: the concatenating blocks fill their buffers part by part
 from .tensor_ops import (
     DTYPE,
     BatchNormParams,
@@ -34,6 +38,13 @@ def _autopad(kernel, dilation) -> tuple[int, int]:
     (kh, kw) = kernel
     (dh, dw) = dilation
     return (dh * (kh - 1)) // 2, (dw * (kw - 1)) // 2
+
+
+def _concat_buffer(x: np.ndarray, channels: int) -> np.ndarray:
+    """An empty NCHW buffer with `x`'s batch, height and width. A block that
+    concatenates copies each part into its channel slice as soon as the part
+    exists, so no part outlives its copy."""
+    return np.empty((x.shape[0], channels, *x.shape[2:]), DTYPE)
 
 
 class Composite:
@@ -146,8 +157,12 @@ class MultiScaleSplitConv(Composite):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.in_ch:
             raise ShapeError(f"channel axis: {x.shape[1]} != {self.in_ch}")
-        keep, a, b = split_channels(x, [self.in_ch // 2, self.in_ch // 4, self.in_ch // 4])
-        merged = concat_channels([keep, self.path3.forward(a), self.path5.forward(b)])
+        half, q = self.in_ch // 2, self.in_ch // 4
+        keep, a, b = split_channels(x, [half, q, q])
+        merged = _concat_buffer(x, self.in_ch)
+        merged[:, :half] = keep
+        merged[:, half:half + q] = self.path3.forward(a)
+        merged[:, half + q:] = self.path5.forward(b)
         return self.fuse.forward(merged)
 
     def children(self):
@@ -195,10 +210,12 @@ class C2f(Composite):
         self.cv2 = ConvBlock((2 + n) * h, out_ch, 1, bn=bn)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        parts = split_channels(self.cv1.forward(x), [self.hidden, self.hidden])
-        for m in self.bottlenecks:
-            parts.append(m.forward(parts[-1]))
-        return self.cv2.forward(concat_channels(parts))
+        h = self.hidden
+        merged = _concat_buffer(x, (2 + self.n) * h)
+        merged[:, :2 * h] = self.cv1.forward(x)
+        for i, m in enumerate(self.bottlenecks, 1):
+            merged[:, (i + 1) * h:(i + 2) * h] = m.forward(merged[:, i * h:(i + 1) * h])
+        return self.cv2.forward(merged)
 
     def children(self):
         return ([("cv1", self.cv1)] + [(f"m{i}", m) for i, m in enumerate(self.bottlenecks)]
@@ -214,11 +231,12 @@ class SPPF(Composite):
         self.cv2 = ConvBlock(ch * 2, ch, 1, bn=bn)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        y = self.cv1.forward(x)
-        p1 = pool2d(y, "max", 5, 1, 2)
-        p2 = pool2d(p1, "max", 5, 1, 2)
-        p3 = pool2d(p2, "max", 5, 1, 2)
-        return self.cv2.forward(concat_channels([y, p1, p2, p3]))
+        h = self.out_ch // 2
+        merged = _concat_buffer(x, 4 * h)
+        merged[:, :h] = self.cv1.forward(x)
+        for i in range(1, 4):
+            merged[:, i * h:(i + 1) * h] = pool2d(merged[:, (i - 1) * h:i * h], "max", 5, 1, 2)
+        return self.cv2.forward(merged)
 
     def children(self):
         return [("cv1", self.cv1), ("cv2", self.cv2)]
@@ -275,17 +293,21 @@ class ScaleParam:
 @dataclass(frozen=True)
 class HeadConfig:
     """Detection head geometry shared by both head designs; only the class
-    count varies."""
+    count varies, from 1 to `max_nc`. The baseline's class tower is
+    max(64, nc) wide, so its size grows with nc squared: at `max_nc` the
+    baseline holds 36.7M parameters (3.0M at nc = 3). The bound turns an
+    absurd count into a SpecError before any array is allocated."""
 
     nc: int
+    max_nc: ClassVar[int] = 1000
     reg_max: ClassVar[int] = 16
     strides: ClassVar[tuple] = (8, 16, 32)
     in_channels: ClassVar[tuple] = (64, 128, 256)
     head_hidden: ClassVar[int] = 64
 
     def __post_init__(self):
-        if self.nc < 1:
-            raise SpecError(f"class count must be >= 1, got {self.nc}")
+        if not 1 <= self.nc <= self.max_nc:
+            raise SpecError(f"class count must lie in [1, {self.max_nc}], got {self.nc}")
 
     @property
     def box_channels(self) -> int:

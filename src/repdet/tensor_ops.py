@@ -4,14 +4,16 @@ Tensors are plain 4-D numpy arrays of float32, indexed (n, c, h, w). The
 forward kernels (conv2d, batch norm, SiLU, pooling, elementwise) compute in
 float32. A dense conv does a float32 im2col over a strided window view and
 a single-precision GEMM, and a grouped conv runs one dense conv per group.
-A dense conv gathers and multiplies one
-block of output rows at a time, through one buffer of about IM2COL_BUDGET
-bytes, straight into its output; a 1x1 stride-1 conv multiplies a view of its
-input. The window ops loop over kernel taps and work on whole-tensor slices:
-pooling reduces the column-shifted slices, then the row-shifted ones; a
-depthwise conv does one multiply-add per tap into a channels-last float32
-accumulator and returns it through an NCHW view. Padding fills a new buffer
-with 0 or -inf and copies the interior.
+A dense conv gathers and multiplies one block of output rows at a time,
+through one buffer of about IM2COL_BUDGET bytes, straight into its output. It
+pads by copying the input rows a band of blocks reads into one reused
+zero-bordered buffer of about SLAB_BUDGET bytes, so it holds no padded copy of
+its whole input. A 1x1 stride-1 conv multiplies a view of its input. The
+window ops loop over kernel taps and work on whole-tensor slices: pooling
+reduces the column-shifted slices, then the row-shifted ones; a depthwise
+conv does one multiply-add per tap into a channels-last float32 accumulator
+and returns it through an NCHW view. Their padding fills a new whole-map
+buffer with 0 or -inf and copies the interior.
 
 Results repeat run to run and agree with float64 references to within float32
 resolution; the float64 versions, including the einsum depthwise conv, live
@@ -19,9 +21,10 @@ in tests/oracles.py. Max pooling, elementwise add and mul are bit-identical
 to those references; add_n, the sum of any number of tensors, accumulates in
 float64 and rounds once. The decode kernels (sigmoid, grouped softmax) still
 accumulate in float64. No kernel mutates its inputs except conv_epilogue,
-which runs batch norm and SiLU in place on the new array conv2d returns; it
-is the one batch norm and SiLU body, which batch_norm_inference and silu run
-on a copy.
+which runs batch norm and SiLU in place on the new array conv2d returns, one
+slab of whole channels at a time through one reused tanh buffer, so it
+allocates nothing the size of its input; it is the one batch norm and SiLU
+body, which batch_norm_inference and silu run on a copy.
 """
 from __future__ import annotations
 
@@ -224,6 +227,11 @@ IM2COL_BUDGET = 1 << 20
 # cores), so no block is that small unless it is the whole image
 SMALL_GEMM_MACS = 100 ** 3
 
+# bytes of the padded input rows a dense conv copies at once, and of the
+# channel slab the conv epilogue works on at once. The band sets the 640x640
+# forward's tracemalloc peak: 12.97 MiB with 1 MiB bands, 12.24 with these
+SLAB_BUDGET = 1 << 18
+
 
 def _row_blocks(ho: int, wo: int, k: int, out_ch: int) -> list[tuple[int, int]]:
     """(first, end) output rows of each block of a dense conv with `k` im2col
@@ -235,28 +243,61 @@ def _row_blocks(ho: int, wo: int, k: int, out_ch: int) -> list[tuple[int, int]]:
     return [(i * ho // count, (i + 1) * ho // count) for i in range(count)]
 
 
+def _bands(blocks, rows_read, row_bytes: int) -> list[list[tuple[int, int]]]:
+    """Consecutive row blocks grouped into bands whose padded input rows,
+    `rows_read(first, end)` of `row_bytes` each, fit SLAB_BUDGET; a block
+    that does not fit alone is a band of its own."""
+    bands = [[blocks[0]]]
+    for block in blocks[1:]:
+        if rows_read(bands[-1][0][0], block[1]) * row_bytes <= SLAB_BUDGET:
+            bands[-1].append(block)
+        else:
+            bands.append([block])
+    return bands
+
+
 def _dense(x: np.ndarray, spec: Conv2dSpec, wf: np.ndarray, ho: int, wo: int,
            bias: np.ndarray | None) -> np.ndarray:
-    """Dense conv as im2col + GEMM by blocks of output rows. A block's column
-    matrix is gathered into one reused buffer and multiplied straight into its
-    rows of the output, and each output value is the same dot product the
-    whole-image GEMM computes."""
-    n, c = x.shape[:2]
+    """Dense conv as im2col + GEMM by blocks of output rows. Each band of
+    blocks copies the input rows it reads into one reused zero-bordered
+    buffer, so no padded copy of the whole input exists. A block's column
+    matrix is gathered from the band into a second reused buffer and
+    multiplied straight into its rows of the output, and each output value is
+    the same dot product the whole-image GEMM computes."""
+    n, c, h, w = x.shape
     kh, kw = spec.kernel
+    sh, dh, ph, pw = spec.stride[0], spec.dilation[0], *spec.padding
     k = c * kh * kw
     wm = wf.reshape(spec.out_ch, k)
-    pat = _window_view(_padded(x, *spec.padding), spec.kernel, spec.stride, spec.dilation, (ho, wo))
-    blocks = _row_blocks(ho, wo, k, spec.out_ch)
-    buf = np.empty(k * max(r1 - r0 for r0, r1 in blocks) * wo, DTYPE)
+
+    def rows_read(r0, r1):  # padded input rows that output rows r0..r1-1 read
+        return (r1 - r0 - 1) * sh + dh * (kh - 1) + 1
+
+    bands = _bands(_row_blocks(ho, wo, k, spec.out_ch), rows_read, 4 * c * (w + 2 * pw))
+    # the border columns are zeroed here once; band rows are written per band
+    pad = np.zeros((1, c, max(rows_read(b[0][0], b[-1][1]) for b in bands), w + 2 * pw), DTYPE)
+    buf = np.empty(k * max(r1 - r0 for band in bands for r0, r1 in band) * wo, DTYPE)
     out = np.empty((n, spec.out_ch, ho, wo), DTYPE)
     for b in range(n):
-        for r0, r1 in blocks:
-            cols = buf[:k * (r1 - r0) * wo]
-            cols.reshape(c, kh, kw, r1 - r0, wo)[...] = pat[b, :, :, :, r0:r1]
-            block = out[b, :, r0:r1].reshape(spec.out_ch, -1)
-            np.matmul(wm, cols.reshape(k, -1), out=block)
-            if bias is not None:
-                block += bias[:, None]
+        for band in bands:
+            first, rows = band[0][0], rows_read(band[0][0], band[-1][1])
+            top = first * sh - ph  # the input row of the band's first padded row
+            # buffer rows [a, e) hold input rows [top + a, top + e); the rest are zero
+            a = min(max(-top, 0), rows)
+            e = max(a, min(h - top, rows))
+            xp = pad[:, :, :rows]
+            xp[:, :, :a] = 0.0
+            xp[:, :, e:] = 0.0
+            xp[0, :, a:e, pw:pw + w] = x[b, :, top + a:top + e]
+            pat = _window_view(xp, spec.kernel, spec.stride, spec.dilation,
+                               (band[-1][1] - first, wo))
+            for r0, r1 in band:
+                cols = buf[:k * (r1 - r0) * wo]
+                cols.reshape(c, kh, kw, r1 - r0, wo)[...] = pat[0, :, :, :, r0 - first:r1 - first]
+                block = out[b, :, r0:r1].reshape(spec.out_ch, -1)
+                np.matmul(wm, cols.reshape(k, -1), out=block)
+                if bias is not None:
+                    block += bias[:, None]
     return out
 
 
@@ -315,37 +356,44 @@ def batch_norm_inference(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
     return conv_epilogue(np.array(x, dtype=DTYPE), p, "none")
 
 
-def _silu_half(h: np.ndarray) -> np.ndarray:
-    """SiLU of x = 2h as h * (1 + tanh(h)), written over `h`; the tanh form of
-    sigmoid is stable for any magnitude."""
-    t = np.tanh(h)
-    t += 1.0
-    h *= t
-    return h
-
-
 def silu(x: np.ndarray) -> np.ndarray:
     """x * sigmoid(x), into a new array."""
-    return _silu_half(np.multiply(x, 0.5, dtype=DTYPE))
+    return conv_epilogue(np.array(x, dtype=DTYPE), None, "silu")
 
 
 def conv_epilogue(y: np.ndarray, bn: BatchNormParams | None, act: str) -> np.ndarray:
     """Batch norm (when `bn` is given), then SiLU when `act` is "silu", over a
     conv output `y` that nothing else references: `y` is overwritten and may
     be the result. With SiLU the affine is pre-scaled by 0.5, cast to float32
-    once, so y holds h = x / 2 for the SiLU tail; halving commutes with
-    float32 rounding."""
+    once, so y holds h = x / 2, and the tail writes SiLU(x) = h * (1 + tanh(h))
+    over it; halving commutes with float32 rounding, and the tanh form of
+    sigmoid is stable for any magnitude. The work runs over slabs of whole
+    channels of about SLAB_BUDGET bytes, through one reused tanh buffer."""
     check_nchw(y)
-    half = 0.5 if act == "silu" else 1.0
+    n, c, h, w = y.shape
+    silu_tail = act == "silu"
     if bn is not None:
-        if y.shape[1] != bn.channels:
-            raise ShapeError(f"channel axis: input has {y.shape[1]} channels, batch norm has {bn.channels}")
-        scale, shift = bn_scale_shift(bn)
-        y *= (half * scale).astype(DTYPE)[None, :, None, None]
-        y += (half * shift).astype(DTYPE)[None, :, None, None]
-    elif act == "silu":
-        y *= DTYPE(0.5)
-    return _silu_half(y) if act == "silu" else y
+        if c != bn.channels:
+            raise ShapeError(f"channel axis: input has {c} channels, batch norm has {bn.channels}")
+        half = 0.5 if silu_tail else 1.0
+        scale, shift = ((half * v).astype(DTYPE)[:, None, None] for v in bn_scale_shift(bn))
+    elif silu_tail:
+        scale, shift = np.full((c, 1, 1), 0.5, DTYPE), None
+    else:
+        return y
+    step = max(1, SLAB_BUDGET // max(4 * h * w, 1))  # channels per slab
+    t = np.empty(min(c, step) * h * w, DTYPE) if silu_tail else None
+    for b in range(n):
+        for c0 in range(0, c, step):
+            s = y[b, c0:c0 + step]
+            s *= scale[c0:c0 + step]
+            if shift is not None:
+                s += shift[c0:c0 + step]
+            if silu_tail:
+                ts = np.tanh(s, out=t[:s.size].reshape(s.shape))
+                ts += 1.0
+                s *= ts
+    return y
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

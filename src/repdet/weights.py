@@ -29,7 +29,8 @@ class WeightStore:
     def put(self, name: str, arr: np.ndarray) -> None:
         if name in self._tensors:
             raise ValidationError(f"duplicate tensor name {name!r}")
-        self._tensors[name] = np.ascontiguousarray(arr, dtype=np.float32)
+        # asarray keeps a rank-0 tensor's rank, where ascontiguousarray makes it (1,)
+        self._tensors[name] = np.asarray(arr, dtype=np.float32, order="C")
 
     def __len__(self) -> int:
         return len(self._tensors)

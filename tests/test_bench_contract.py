@@ -8,10 +8,12 @@ import os
 import sys
 
 import numpy as np
+import pytest
 
 import repdet.blocks
 import repdet.model as M
 from repdet.blocks import HeadConfig
+from repdet.fusion import fuse_model_graph
 from repdet.pipeline import Detection, LetterboxMeta, decode_detections, nms
 
 from oracles import ref_decode_detections
@@ -20,18 +22,41 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SPANS = os.path.join(BENCH, "spans.py")
 
 
-def test_kernel_timer_names_are_block_imports(monkeypatch):
+def load_spans(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up by name while the class is built
     monkeypatch.setitem(sys.modules, spec.name, spans)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_kernel_timer_names_are_block_imports(monkeypatch):
+    spans = load_spans(monkeypatch)
     # KernelTimer swaps these names on repdet.blocks for the traced walk
     assert [n for n in spans.BLOCK_KERNELS if not hasattr(repdet.blocks, n)] == []
     # the per-kind metrics are keyed by these; a kind renamed in the engine
     # would leave its blocks.<kind>_ms metric at zero
     assert spans.BLOCK_KINDS == M.BLOCK_KINDS
     assert set(spans.GLUE_KINDS) == set(M.GLUE)
+
+
+@pytest.mark.parametrize("variant", ["baseline", "improved"])
+@pytest.mark.parametrize("fused", [False, True], ids=["train", "fused"])
+def test_traced_walk_gives_forward_bits(monkeypatch, variant, fused):
+    # the traced run calls the engine through KernelTimer's fixed-signature
+    # wrappers and its own node walk; it must compute what model.forward does
+    spans = load_spans(monkeypatch)
+    g = M.build_model(variant, 3)
+    M.init_weights(g, 1)
+    if fused:
+        g = fuse_model_graph(g)
+    x = np.random.default_rng(2).uniform(0, 1, (1, 3, 64, 96)).astype(np.float32)
+    with spans.KernelTimer() as timer:
+        maps, rows = spans.walk(g, x, timer.glue)
+    assert [row[0].name for row in rows] == [node.name for node in g.nodes]
+    assert timer.stats.conv_calls > 0 and timer.stats.other_s > 0
+    assert all(np.array_equal(a, b) for a, b in zip(maps, M.forward(g, x)))
 
 
 def test_profile_total_macs_is_sum_of_rows():

@@ -90,21 +90,20 @@ class TestC2f:
         assert ms < std
 
     def test_forward_matches_manual_composition(self):
+        # the block copies each part into its concat buffer as it is made; at
+        # batch 2 every channel slice it reads is a strided view
         rng = np.random.default_rng(4)
-        blk = C2f(16, 16, n=2, shortcut=True)
-        randomize(blk.cv1, rng)
-        randomize(blk.cv2, rng)
-        for m in blk.bottlenecks:
-            randomize(m.cv1, rng)
-            randomize(m.cv2, rng)
-        x = rng.uniform(-1, 1, (1, 16, 8, 8)).astype(np.float32)
-        parts = split_channels(blk.cv1.forward(x), [8, 8])
-        y = parts[1]
-        for m in blk.bottlenecks:
-            y = m.cv2.forward(m.cv1.forward(y)) + y
-            parts.append(y)
-        want = blk.cv2.forward(concat_channels(parts))
-        assert np.abs(blk.forward(x) - want).max() < 1e-5
+        for variant in ("standard", "multiscale"):
+            blk = randomize(C2f(16, 16, n=2, shortcut=True, variant=variant), rng)
+            for batch in (1, 2):
+                x = rng.uniform(-1, 1, (batch, 16, 8, 8)).astype(np.float32)
+                parts = split_channels(blk.cv1.forward(x), [8, 8])
+                y = parts[1]
+                for m in blk.bottlenecks:
+                    y = m.cv2.forward(m.cv1.forward(y)) + y
+                    parts.append(y)
+                want = blk.cv2.forward(concat_channels(parts))
+                assert np.array_equal(blk.forward(x), want), (variant, batch)
 
     def test_odd_out_channels_rejected(self):
         with pytest.raises(SpecError, match="even"):
@@ -134,13 +133,14 @@ class TestSPPF:
         blk = SPPF(8)
         randomize(blk.cv1, rng)
         randomize(blk.cv2, rng)
-        x = rng.uniform(-1, 1, (1, 8, 7, 7)).astype(np.float32)
-        y = blk.cv1.forward(x)
-        p1 = pool2d(y, "max", 5, 1, 2)
-        p2 = pool2d(p1, "max", 5, 1, 2)
-        p3 = pool2d(p2, "max", 5, 1, 2)
-        want = blk.cv2.forward(concat_channels([y, p1, p2, p3]))
-        assert np.array_equal(blk.forward(x), want)
+        for batch in (1, 2):
+            x = rng.uniform(-1, 1, (batch, 8, 7, 7)).astype(np.float32)
+            y = blk.cv1.forward(x)
+            p1 = pool2d(y, "max", 5, 1, 2)
+            p2 = pool2d(p1, "max", 5, 1, 2)
+            p3 = pool2d(p2, "max", 5, 1, 2)
+            want = blk.cv2.forward(concat_channels([y, p1, p2, p3]))
+            assert np.array_equal(blk.forward(x), want), batch
 
 
 class TestMultiScaleSplitConv:
@@ -162,11 +162,12 @@ class TestMultiScaleSplitConv:
         blk = MultiScaleSplitConv(16, 12)
         for part in (blk.path3, blk.path5, blk.fuse):
             randomize(part, rng)
-        x = rng.uniform(-1, 1, (1, 16, 6, 6)).astype(np.float32)
-        keep, a, b = split_channels(x, [8, 4, 4])
-        want = blk.fuse.forward(concat_channels(
-            [keep, blk.path3.forward(a), blk.path5.forward(b)]))
-        assert np.abs(blk.forward(x) - want).max() < 1e-5
+        for batch in (1, 2):
+            x = rng.uniform(-1, 1, (batch, 16, 6, 6)).astype(np.float32)
+            keep, a, b = split_channels(x, [8, 4, 4])
+            want = blk.fuse.forward(concat_channels(
+                [keep, blk.path3.forward(a), blk.path5.forward(b)]))
+            assert np.array_equal(blk.forward(x), want), batch
 
     def test_divisibility_check(self):
         with pytest.raises(SpecError, match="divisible"):

@@ -11,6 +11,7 @@ import pytest
 
 import repdet
 import repdet.model as M
+from repdet.blocks import HeadConfig
 from repdet.cli import main
 from repdet.ppm import read_ppm, write_ppm
 from repdet.weights import WeightStore
@@ -381,6 +382,29 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and where in err
+
+    @pytest.mark.parametrize("argv", [
+        ("compare", "--nc", "1000000000000"),
+        ("summarize", "--model", "baseline", "--nc", "99999999999999999999999"),
+        ("fuse", "--model", "improved", "--nc", str(HeadConfig.max_nc + 1)),
+        ("compare", "--nc", "0"),
+    ])
+    def test_class_count_out_of_bounds_is_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "class count" in err
+
+    def test_manifest_class_count_out_of_bounds_is_1(self, capsys, tmp_path, tiny_dataset):
+        doc = json.loads(open(tiny_dataset).read())
+        doc["classes"] = [f"c{i}" for i in range(HeadConfig.max_nc + 1)]
+        manifest = tmp_path / "many.json"
+        manifest.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "eval", "--model", "baseline",
+                                 "--manifest", os.fspath(manifest))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "class count" in err
 
     def test_bad_threshold_is_1(self, capsys, black_image):
         code, _, err = run_cli(capsys, "infer", "--model", "improved",

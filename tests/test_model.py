@@ -1,6 +1,7 @@
 """Graph assembly, forward, accounting, deterministic init, and weight-container
 tests."""
 import os
+import struct
 import tracemalloc
 from dataclasses import replace
 
@@ -167,6 +168,26 @@ class TestForward:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= 0.6 * peaks[1]
+
+    @pytest.mark.parametrize("variant", ["baseline", "improved"])
+    @pytest.mark.parametrize("fused", [False, True], ids=["train", "fused"])
+    def test_forward_working_set_is_bounded(self, variant, fused):
+        # the conv epilogue, the dense conv's padding and the concat blocks
+        # allocate no whole-map temporary; at 640x640 the peak is 12.2 MiB
+        # (18.8 MiB with them), set by backbone.c2f2's input, concat buffer
+        # and the live maps of its bottleneck
+        g = M.build_model(variant, 3)
+        M.init_weights(g, 0)
+        if fused:
+            g = fuse_model_graph(g)
+        x = np.random.default_rng(5).uniform(0, 1, (1, 3, 640, 640)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            M.forward(g, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13 * 2 ** 20
 
 
 class TestAccounting:
@@ -361,6 +382,20 @@ class TestWeightsIO:
         a = M.forward(fused, x)
         b = M.forward(target, x)
         assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
+    def test_rank0_tensor_round_trips_bytes(self, tmp_path):
+        # a scalar (rank 0), a rank-1 and a rank-2 tensor, written by hand
+        blob = (b"RWT1" + struct.pack("<I", 3)
+                + struct.pack("<H", 1) + b"s" + struct.pack("<B", 0) + struct.pack("<f", 2.5)
+                + struct.pack("<H", 1) + b"v" + struct.pack("<BI", 1, 1) + struct.pack("<f", -1.0)
+                + struct.pack("<H", 1) + b"m" + struct.pack("<BII", 2, 1, 2)
+                + struct.pack("<2f", 0.5, 3.0))
+        src, out = tmp_path / "in.rwt", tmp_path / "out.rwt"
+        src.write_bytes(blob)
+        store = WeightStore.load(os.fspath(src))
+        assert [store[n].shape for n in store.names()] == [(), (1,), (1, 2)]
+        store.save(os.fspath(out))
+        assert out.read_bytes() == blob
 
     def test_duplicate_name_rejected(self):
         store = WeightStore()

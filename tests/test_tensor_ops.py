@@ -3,6 +3,7 @@ declared algebraic properties."""
 import numpy as np
 import pytest
 
+import repdet.tensor_ops as T
 from repdet.errors import NumericError, ShapeError, SpecError
 from repdet.tensor_ops import (
     BatchNormParams,
@@ -10,6 +11,7 @@ from repdet.tensor_ops import (
     batch_norm_inference,
     concat_channels,
     conv2d,
+    conv_epilogue,
     elementwise,
     pool2d,
     sigmoid,
@@ -20,7 +22,7 @@ from repdet.tensor_ops import (
     upsample_nearest2x,
 )
 
-from oracles import ref_conv2d, ref_pool2d, ref_softmax_group
+from oracles import conv_epilogue_f64, ref_conv2d, ref_pool2d, ref_softmax_group
 
 RAMP = tensor(np.arange(9.0), (1, 1, 3, 3))
 
@@ -111,6 +113,65 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             conv2d(np.zeros((1, 1, 3, 3), dtype=np.float32), spec,
                    np.zeros((1, 1, 5, 5), dtype=np.float32))
+
+
+class TestSlabsAndBands:
+    """The conv epilogue's channel slabs and the dense conv's input bands set
+    how much is held at once, never a bit of the result."""
+
+    @pytest.mark.parametrize("bn, act", [(True, "silu"), (True, "none"),
+                                         (False, "silu"), (False, "none")])
+    def test_epilogue_slabs_are_bit_identical(self, monkeypatch, bn, act):
+        rng = np.random.default_rng(10)
+        y = rng.uniform(-6, 6, (2, 5, 7, 9)).astype(np.float32)
+        p = BatchNormParams(rng.uniform(0.5, 1.5, 5), rng.uniform(-0.3, 0.3, 5),
+                            rng.uniform(-0.3, 0.3, 5), rng.uniform(0.25, 2.0, 5)) if bn else None
+        monkeypatch.setattr(T, "SLAB_BUDGET", 1 << 62)
+        whole = conv_epilogue(y.copy(), p, act)
+        # two channels per slab: slabs of 2, 2 and a ragged 1 in each image
+        monkeypatch.setattr(T, "SLAB_BUDGET", 2 * 4 * 7 * 9)
+        got = conv_epilogue(y.copy(), p, act)
+        # a channels-last buffer seen as NCHW takes the same slabs as strided views
+        strided = conv_epilogue(np.ascontiguousarray(y.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
+                                p, act)
+        assert np.array_equal(got, whole) and np.array_equal(strided, whole)
+        assert np.abs(whole - conv_epilogue_f64(y, p, act)).max() < 4e-6
+
+    # (kernel, stride, padding, dilation): stride 2, padding 2, dilation 2, and
+    # a padded 1x1 whose first and last bands hold only zero rows
+    @pytest.mark.parametrize("k, s, p, d", [(3, 1, 1, 1), (3, 2, 1, 1), (5, 1, 2, 1),
+                                            (3, 1, 2, 2), (5, 2, 2, 2), (1, 1, 1, 1)])
+    def test_dense_bands_are_bit_identical(self, monkeypatch, k, s, p, d):
+        rng = np.random.default_rng(11)
+        c, h, w = 3, 11, 8
+        x = rng.uniform(-1, 1, (2, c, h, w)).astype(np.float32)
+        spec = Conv2dSpec(c, 4, k, s, p, d, has_bias=True)
+        wt = rng.uniform(-1, 1, spec.weight_shape).astype(np.float32)
+        b = rng.uniform(-1, 1, 4).astype(np.float32)
+        ho = spec.out_hw(h, w)[0]
+        # one output row per GEMM block, so that bands can split anywhere
+        monkeypatch.setattr(T, "IM2COL_BUDGET", 1)
+        monkeypatch.setattr(T, "SMALL_GEMM_MACS", 0)
+        monkeypatch.setattr(T, "SLAB_BUDGET", 1 << 62)
+        whole = conv2d(x, spec, wt, b)
+        heights = []
+        view = T._window_view
+
+        def spy(xp, kernel, stride, dilation, out_hw):
+            heights.append(out_hw[0])
+            return view(xp, kernel, stride, dilation, out_hw)
+
+        monkeypatch.setattr(T, "_window_view", spy)
+        two_rows = 4 * c * (w + 2 * p) * (s + d * (k - 1) + 1)  # the padded rows of 2 output rows
+        for budget, band in ((1, 1), (two_rows, 2)):
+            monkeypatch.setattr(T, "SLAB_BUDGET", budget)
+            heights.clear()
+            got = conv2d(x, spec, wt, b)
+            per_image = heights[:len(heights) // 2]
+            assert heights == 2 * per_image and sum(per_image) == ho
+            assert set(per_image[:-1]) == {band} and per_image[-1] <= band
+            assert np.array_equal(got, whole)
+        assert np.abs(whole - ref_conv2d(x, wt, b, (s, s), (p, p), (d, d))).max() < 1e-5
 
 
 class TestBatchNorm:

@@ -53,18 +53,15 @@ class Composite:
 
     Every conv inside a composite runs once per forward, on a map of the
     composite's output height and width, and the output keeps the input's
-    height and width with `out_ch` channels. So `out_shape` needs no walk of
-    the children, and `model.profile_graph` counts a composite's MACs as its
-    output pixels times the element count of its conv weights."""
+    height and width. So `model.profile_graph` counts a composite's MACs as
+    its output pixels times the element count of its conv weights. A block
+    states its output shape only through `forward`: the profile reads it off
+    a forward over an empty batch."""
 
     def named_arrays(self):
         for prefix, child in self.children():
             for k, v in child.named_arrays():
                 yield f"{prefix}.{k}", v
-
-    def out_shape(self, in_shape):
-        n, _, h, w = in_shape
-        return (n, self.out_ch, h, w)
 
 
 class ConvBlock:
@@ -98,10 +95,6 @@ class ConvBlock:
             yield "bn.mean", self.bn.mean
             yield "bn.var", self.bn.var
 
-    def out_shape(self, in_shape):
-        n, _, h, w = in_shape
-        return (n, self.spec.out_ch, *self.spec.out_hw(h, w))
-
 
 class AvgPoolBranch:
     """3x3 stride-1 average pool (padding counted in the mean) followed by BN."""
@@ -118,9 +111,6 @@ class AvgPoolBranch:
         yield "bn.beta", self.bn.beta
         yield "bn.mean", self.bn.mean
         yield "bn.var", self.bn.var
-
-    def out_shape(self, in_shape):
-        return in_shape
 
 
 class RepConvBlock(Composite):
@@ -148,7 +138,7 @@ class MultiScaleSplitConv(Composite):
     def __init__(self, in_ch, out_ch, bn=True):
         if in_ch % 4:
             raise SpecError(f"in_ch {in_ch} not divisible by 4")
-        self.in_ch, self.out_ch = in_ch, out_ch
+        self.in_ch = in_ch
         q = in_ch // 4
         self.path3 = ConvBlock(q, q, 3, bn=bn)
         self.path5 = ConvBlock(q, q, 5, bn=bn)
@@ -181,7 +171,6 @@ class Bottleneck(Composite):
             self.cv2 = MultiScaleSplitConv(ch, ch, bn)
         else:
             raise SpecError(f"unknown bottleneck variant {variant!r}")
-        self.out_ch = ch
         self.variant = variant
         self.shortcut = shortcut
 
@@ -203,7 +192,7 @@ class C2f(Composite):
         h = out_ch // 2
         if variant == "multiscale" and h % 4:
             raise SpecError(f"hidden width {h} not divisible by 4 for the multiscale variant")
-        self.in_ch, self.out_ch, self.n, self.hidden = in_ch, out_ch, n, h
+        self.n, self.hidden = n, h
         self.variant = variant
         self.cv1 = ConvBlock(in_ch, 2 * h, 1, bn=bn)
         self.bottlenecks = [Bottleneck(h, variant, shortcut, bn) for _ in range(n)]
@@ -250,7 +239,6 @@ class MSCABlock(Composite):
     STRIP_LENGTHS = (7, 11, 21)
 
     def __init__(self, ch):
-        self.out_ch = ch
         self.base = ConvBlock(ch, ch, 5, groups=ch, bn=False, act="none")
         self.pairs = []
         for L in self.STRIP_LENGTHS:
@@ -285,9 +273,6 @@ class ScaleParam:
 
     def named_arrays(self):
         yield "s", self.s
-
-    def out_shape(self, in_shape):
-        return in_shape
 
 
 @dataclass(frozen=True)

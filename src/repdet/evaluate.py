@@ -160,27 +160,19 @@ def average_precision_50(flags, total_truths: int, scores=None) -> float:
     result independent of tie ordering."""
     if total_truths < 1:
         raise ValidationError("average precision needs at least one ground truth")
-    if not flags:
-        return 0.0
     if scores is None:
-        groups = [(1, 1 if f else 0) for f in flags]
-    else:
-        groups = []
-        for f, s in zip(flags, scores):
-            if groups and s == groups[-1][2]:
-                n, tp, _ = groups[-1]
-                groups[-1] = (n + 1, tp + (1 if f else 0), s)
-            else:
-                groups.append((1, 1 if f else 0, s))
-        groups = [(n, tp) for n, tp, _ in groups]
-
+        scores = range(len(flags))  # every detection is its own group
     tp = fp = 0
-    recalls, precisions = [], []
-    for n, g_tp in groups:
-        tp += g_tp
-        fp += n - g_tp
+    recalls, precisions, prev = [], [], None
+    for f, s in zip(flags, scores):
+        hit = 1 if f else 0
+        tp, fp = tp + hit, fp + 1 - hit
+        if s == prev:  # a tie joins the point of the detections before it
+            recalls.pop()
+            precisions.pop()
         recalls.append(tp / total_truths)
         precisions.append(tp / (tp + fp))
+        prev = s
     mrec = np.concatenate(([0.0], np.asarray(recalls, dtype=np.float64)))
     mpre = np.concatenate(([0.0], np.asarray(precisions, dtype=np.float64)))
     mpre = np.maximum.accumulate(mpre[::-1])[::-1]  # running max from the right

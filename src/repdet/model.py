@@ -5,12 +5,13 @@ A graph is an ordered tuple of nodes; every edge references an earlier node or
 the reserved input "image". Parameter-bearing blocks are registered once in the
 graph's param table under a canonical name, so weights shared by several nodes
 (the lightweight head's RepConv stack and its box/cls convs) are stored and
-counted exactly once.
+counted exactly once. One dispatch, `_walk`, runs every node; the per-node
+shapes of the profile come from that walk over an empty batch, so no shape
+is stated beside the kernels.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -68,25 +69,16 @@ class ModelGraph:
         return {n.name: n for n in self.nodes}
 
 
-class GlueOp(NamedTuple):
-    """A blockless node kind: its forward over the input tensors, and its
-    output shape from the input shapes."""
-
-    forward: Callable
-    out_shape: Callable
-
-
-# kinds of nodes that carry a block; the block's forward and out_shape run them
+# kinds of nodes that carry a block; the block's forward runs them
 BLOCK_KINDS = ("conv", "c2f", "c2f_ms", "sppf", "msca", "avgpool_bn", "scale")
 
-# the lambdas look each kernel up when called, so a test can swap in another
+# blockless kinds: each forward takes the list of input tensors. The lambdas
+# look each kernel up when called, so a test can swap in another
 GLUE = {
-    "add": GlueOp(lambda t: add_n(t), lambda s: s[0]),
-    "silu": GlueOp(lambda t: silu(t[0]), lambda s: s[0]),
-    "upsample": GlueOp(lambda t: upsample_nearest2x(t[0]),
-                       lambda s: (*s[0][:2], 2 * s[0][2], 2 * s[0][3])),
-    "concat": GlueOp(lambda t: concat_channels(t),
-                     lambda s: (s[0][0], sum(x[1] for x in s), *s[0][2:])),
+    "add": lambda t: add_n(t),
+    "silu": lambda t: silu(t[0]),
+    "upsample": lambda t: upsample_nearest2x(t[0]),
+    "concat": lambda t: concat_channels(t),
 }
 
 
@@ -234,21 +226,16 @@ def build_model(variant: str, nc: int = 3, fused: bool = False) -> ModelGraph:
     return ModelGraph(variant, nc, tuple(b.nodes), tuple(b.params), tuple(outputs), cfg)
 
 
-def _walk(g: ModelGraph, x, shapes: bool, keep=None) -> dict:
+def _walk(g: ModelGraph, x: np.ndarray, keep=None) -> dict:
     """The one node dispatch, behind run_graph, forward and profile_graph.
-    Returns name -> output tensor; with `shapes`, `x` is the input shape and
-    each value is the node's output shape. With `keep`, an output is dropped
-    once its last consumer has run, unless `keep` names it."""
+    Returns name -> output tensor. With `keep`, an output is dropped once its
+    last consumer has run, unless `keep` names it."""
     vals = {INPUT: x}
     last = {} if keep is None else {
         ref: step for step, node in enumerate(g.nodes) for ref in node.inputs if ref not in keep}
     for step, node in enumerate(g.nodes):
         ins = [vals[ref] for ref in node.inputs]
-        if node.block is not None:
-            op, arg = node.block, ins[0]
-        else:
-            op, arg = GLUE[node.kind], ins
-        vals[node.name] = op.out_shape(arg) if shapes else op.forward(arg)
+        vals[node.name] = GLUE[node.kind](ins) if node.block is None else node.block.forward(ins[0])
         for ref in node.inputs:
             if last.get(ref) == step:
                 vals.pop(ref, None)
@@ -257,13 +244,13 @@ def _walk(g: ModelGraph, x, shapes: bool, keep=None) -> dict:
 
 def run_graph(g: ModelGraph, x: np.ndarray) -> dict:
     """Evaluate every node on input `x`; returns the full name -> tensor map."""
-    return _walk(g, np.asarray(x, dtype=DTYPE), shapes=False)
+    return _walk(g, np.asarray(x, dtype=DTYPE))
 
 
 def forward(g: ModelGraph, x: np.ndarray):
     """Run the graph and return the three head maps (P3, P4, P5). Each other
     node's output is freed once the last node that reads it has run."""
-    vals = _walk(g, np.asarray(x, dtype=DTYPE), shapes=False, keep=set(g.outputs))
+    vals = _walk(g, np.asarray(x, dtype=DTYPE), keep=set(g.outputs))
     return tuple(vals[name] for name in g.outputs)
 
 
@@ -290,15 +277,18 @@ def _block_macs(block, out_shape) -> int:
 
 
 def profile_graph(g: ModelGraph, size: int = 640):
-    """Shape propagation plus per-node parameter and MAC accounting at the given
-    square input size. A block's parameters count at the first node holding it;
-    its MACs count at every node that runs it.
+    """Per-node output shape, parameter and MAC accounting at the given square
+    input size and batch 1. The shapes come from a forward over a batch of no
+    images, which does no arithmetic, so each is the shape the kernels give.
+    A size the forward rejects raises the forward's ShapeError, whose message
+    then shows batch 0, as in `(0, 128, 3, 3)`. A block's parameters count at
+    the first node holding it; its MACs count at every node that runs it.
     Returns (rows, total_params, total_macs)."""
-    shapes = _walk(g, (1, 3, size, size), shapes=True)
+    vals = run_graph(g, np.empty((0, 3, size, size), DTYPE))
     seen = set()
     rows = []
     for node in g.nodes:
-        out = shapes[node.name]
+        out = (1, *vals[node.name].shape[1:])
         params = macs = 0
         if node.block is not None:
             macs = _block_macs(node.block, out)
@@ -319,7 +309,8 @@ def flop_count(g: ModelGraph, size: int = 640) -> int:
 
 
 def output_shapes(g: ModelGraph, size: int = 640):
-    shapes = _walk(g, (1, 3, size, size), shapes=True)
+    """The three head-map shapes at batch 1, as `profile_graph` gives them."""
+    shapes = {r.name: r.out_shape for r in profile_graph(g, size)[0]}
     return tuple(shapes[o] for o in g.outputs)
 
 

@@ -1,4 +1,5 @@
 """End-to-end command tests: outputs, determinism, exit codes, atomicity."""
+import hashlib
 import json
 import os
 import struct
@@ -135,6 +136,38 @@ class TestSummarize:
         for level in ("p4", "p5"):
             for branch in ("k3", "k1", "avg"):
                 assert params[f"head.{level}.rep1.{branch}"] == 0
+
+
+class TestByteContract:
+    """The sha256 of each report at nc 3: one changed character in a row, a
+    column width or a total fails here."""
+
+    SUMMARIZE = {
+        "baseline": ("b853de12d0767cf1828b6e614cc5618e61aa49eac0256d6fe483a4f44caca530",
+                     "d4cc0c34531213fde2e22632e17cf75ff7bc71cca4f1c0c65d438676fa8433fe"),
+        "improved": ("3b604af50ca83e571d4d28cebaf88e202420e4369c58faa3eb36e8b6fdf9f68d",
+                     "2add4b09aa10f8ac54d2b5fc9687ccca2b673dc2f09835e3a6c3754132708c7a"),
+    }
+    COMPARE = "eae0176bf71a564fafce0d46b3abb46a813df0afbe5fa7c4f894f948197234e6"
+
+    @staticmethod
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("variant", ["baseline", "improved"])
+    def test_summarize_table_and_csv(self, capsys, tmp_path, variant):
+        csv_path = tmp_path / "layers.csv"
+        code, out, _ = run_cli(capsys, "summarize", "--model", variant, "--nc", "3",
+                               "--csv", os.fspath(csv_path))
+        assert code == 0
+        table, csv = self.SUMMARIZE[variant]
+        assert self.sha(out.encode("utf-8")) == table
+        assert self.sha(csv_path.read_bytes()) == csv
+
+    def test_compare_table(self, capsys):
+        code, out, _ = run_cli(capsys, "compare", "--nc", "3")
+        assert code == 0
+        assert self.sha(out.encode("utf-8")) == self.COMPARE
 
 
 class TestFuse:

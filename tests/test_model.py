@@ -10,7 +10,7 @@ import pytest
 
 import repdet.model as M
 from repdet.blocks import ConvBlock
-from repdet.errors import FormatError, SpecError, ValidationError
+from repdet.errors import FormatError, ShapeError, SpecError, ValidationError
 from repdet.fusion import fuse_model_graph
 from repdet.weights import WeightStore
 
@@ -244,6 +244,36 @@ class TestAccounting:
         rows, total_params, _ = M.profile_graph(g)
         assert total_params == M.param_count(g)
         assert sum(r.params for r in rows) == total_params
+
+
+class TestProfileShapes:
+    """profile_graph and output_shapes take every shape from a forward over an
+    empty batch, so they agree with the forward and fail where it fails."""
+
+    @pytest.mark.parametrize("variant", ["baseline", "improved"])
+    @pytest.mark.parametrize("fused", [False, True], ids=["train", "fused"])
+    def test_rows_equal_run_graph_shapes(self, variant, fused):
+        g = M.build_model(variant, 3)
+        M.init_weights(g, 0)
+        if fused:
+            g = fuse_model_graph(g)
+        x = np.random.default_rng(6).uniform(0, 1, (1, 3, 64, 64)).astype(np.float32)
+        vals = M.run_graph(g, x)
+        rows = M.profile_graph(g, 64)[0]
+        assert [(r.name, r.out_shape) for r in rows] == [(n.name, vals[n.name].shape)
+                                                         for n in g.nodes]
+        assert M.output_shapes(g, 64) == tuple(vals[o].shape for o in g.outputs)
+
+    @pytest.mark.parametrize("size", [33, 48])
+    def test_size_the_forward_rejects_raises(self, size):
+        # P5 upsampled to 4x4 meets P4 at 3x3 in neck.cat11; the message
+        # shows the empty batch the profile ran, e.g. (0, 128, 3, 3)
+        g = M.build_model("improved", 3)
+        with pytest.raises(ShapeError, match=r"\(1, 128, 3, 3\)"):
+            M.forward(g, np.zeros((1, 3, size, size), np.float32))
+        for profile in (M.profile_graph, M.output_shapes):
+            with pytest.raises(ShapeError, match=r"\(0, 128, 3, 3\)"):
+                profile(g, size)
 
 
 class TestInit:

@@ -348,10 +348,9 @@ def collect_weights(g: ModelGraph) -> WeightStore:
 
 
 def load_weights(g: ModelGraph, store: WeightStore) -> None:
-    """Copy a store into the graph's blocks, validating names and shapes."""
-    expected = set()
+    """Copy a store into the graph's blocks after all checks, so a failing store changes nothing."""
+    pairs = []
     for name, arr in _tensors(g):
-        expected.add(name)
         if name not in store:
             raise ValidationError(f"store is missing tensor {name!r}")
         if store[name].shape != arr.shape:
@@ -359,11 +358,13 @@ def load_weights(g: ModelGraph, store: WeightStore) -> None:
                                   f"!= graph shape {arr.shape}")
         if name.endswith("bn.var") and np.any(store[name] < 0):
             raise ValidationError(f"tensor {name!r} holds a negative running variance")
-    extra = [n for n in store.names() if n not in expected]
-    if extra:
+        pairs.append((arr, store[name]))
+    if len(pairs) != len(store):
+        expected = {name for name, _ in _tensors(g)}
+        extra = [n for n in store.names() if n not in expected]
         raise ValidationError(f"store has {len(extra)} tensors unknown to the graph: {extra[:5]}")
-    for name, arr in _tensors(g):
-        arr[...] = store[name]
+    for arr, src in pairs:
+        arr[...] = src
 
 
 def structurally_equal(g1: ModelGraph, g2: ModelGraph) -> bool:

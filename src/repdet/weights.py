@@ -6,7 +6,10 @@ as row-major float32 with the last dimension fastest.
 """
 from __future__ import annotations
 
+import io
 import math
+import os
+import stat
 import struct
 
 import numpy as np
@@ -64,19 +67,32 @@ class WeightStore:
 
     @classmethod
     def load(cls, path: str) -> "WeightStore":
+        """Parse a `.rwt` file, reading each payload straight into its array."""
         with open(path, "rb") as f:
-            data = f.read()
-        if data[:4] != MAGIC:
-            raise FormatError(f"bad magic {data[:4]!r} at offset 0, expected {MAGIC!r}")
+            info = os.fstat(f.fileno())
+            if stat.S_ISREG(info.st_mode):
+                return cls._parse(f, info.st_size)
+            data = f.read()  # a pipe or other non-regular file is read whole
+        return cls._parse(io.BytesIO(data), len(data))
+
+    @classmethod
+    def _parse(cls, f, size: int) -> "WeightStore":
+        head = f.read(4)
+        if head != MAGIC:
+            raise FormatError(f"bad magic {head!r} at offset 0, expected {MAGIC!r}")
         off = 4
 
-        def take(n: int, what: str) -> bytes:
+        def take(n: int, what: str, dims=None):
+            """The next `n` bytes, or with `dims` a new float32 array filled from them."""
             nonlocal off
-            if off + n > len(data):
+            if off + n > size:
                 raise FormatError(f"truncated file: needed {n} bytes for {what} at offset {off}")
-            chunk = data[off:off + n]
+            out = f.read(n) if dims is None else np.empty(dims, dtype="<f4")
+            got = len(out) if dims is None else f.readinto(out.reshape(-1).view(np.uint8))
+            if got != n:
+                raise FormatError(f"short read: got {got} of {n} bytes for {what} at offset {off}")
             off += n
-            return chunk
+            return out
 
         (count,) = struct.unpack("<I", take(4, "tensor count"))
         store = cls()
@@ -91,13 +107,11 @@ class WeightStore:
                 ) from None
             (rank,) = struct.unpack("<B", take(1, f"rank of {name}"))
             dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name}"))
-            size = math.prod(dims)  # exact, so huge dims fail the truncation check
-            payload = take(4 * size, f"data of {name}")
-            try:
-                arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            try:  # the exact size, so huge dims fail the truncation check before allocating
+                arr = take(4 * math.prod(dims), f"data of {name}", dims)
             except ValueError:  # an empty tensor whose other dims numpy cannot index
                 raise FormatError(f"dims {dims} of {name} exceed numpy's array size") from None
             store.put(name, arr)
-        if off != len(data):
-            raise FormatError(f"{len(data) - off} trailing bytes at offset {off}")
+        if off != size:
+            raise FormatError(f"{size - off} trailing bytes at offset {off}")
         return store

@@ -16,18 +16,25 @@ Python versions of the image path and AP that the array code in
 them exactly, not within a tolerance. `ref_decode_detections` shares the
 `sigmoid` and `dfl_expectation` kernels with the engine, run over whole head
 maps, and checks the cell gather, anchors, un-mapping and order around them.
+
+`ref_load_rwt` is the whole-file `.rwt` parser that the streaming
+`WeightStore.load` replaced: it reads the file into one `bytes` and slices
+each field from it. The streaming parser must give a bit-equal store, or raise
+the same exception with the same message.
 """
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
 from repdet.blocks import HeadConfig
-from repdet.errors import ShapeError, SpecError, ValidationError
+from repdet.errors import FormatError, ShapeError, SpecError, ValidationError
 from repdet.evaluate import iou
 from repdet.pipeline import PAD_VALUE, Detection, LetterboxMeta, _nearest_indices, dfl_expectation
 from repdet.tensor_ops import DTYPE, _pair, _window_view, check_nchw, sigmoid
+from repdet.weights import MAGIC, WeightStore
 
 
 def ref_conv2d(x, w, b=None, stride=(1, 1), padding=(0, 0), dilation=(1, 1), groups=1):
@@ -472,3 +479,43 @@ def ref_average_precision_50(flags, total_truths: int, scores=None) -> float:
     for i in range(len(mpre) - 2, -1, -1):
         mpre[i] = max(mpre[i], mpre[i + 1])
     return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
+
+
+def ref_load_rwt(path: str) -> WeightStore:
+    with open(path, "rb") as f:
+        data = f.read()
+    if data[:4] != MAGIC:
+        raise FormatError(f"bad magic {data[:4]!r} at offset 0, expected {MAGIC!r}")
+    off = 4
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal off
+        if off + n > len(data):
+            raise FormatError(f"truncated file: needed {n} bytes for {what} at offset {off}")
+        chunk = data[off:off + n]
+        off += n
+        return chunk
+
+    (count,) = struct.unpack("<I", take(4, "tensor count"))
+    store = WeightStore()
+    for i in range(count):
+        (nlen,) = struct.unpack("<H", take(2, f"name length of tensor {i}"))
+        raw = take(nlen, f"name of tensor {i}")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(
+                f"name of tensor {i} at offset {off - nlen} is not UTF-8: {raw!r}"
+            ) from None
+        (rank,) = struct.unpack("<B", take(1, f"rank of {name}"))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name}"))
+        size = math.prod(dims)  # exact, so huge dims fail the truncation check
+        payload = take(4 * size, f"data of {name}")
+        try:
+            arr = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        except ValueError:  # an empty tensor whose other dims numpy cannot index
+            raise FormatError(f"dims {dims} of {name} exceed numpy's array size") from None
+        store.put(name, arr)
+    if off != len(data):
+        raise FormatError(f"{len(data) - off} trailing bytes at offset {off}")
+    return store

@@ -139,8 +139,8 @@ class TestSummarize:
 
 
 class TestByteContract:
-    """The sha256 of each report at nc 3: one changed character in a row, a
-    column width or a total fails here."""
+    """The sha256 of each report and of two weight files at nc 3: one changed
+    character in a row, a column width or a total, or one changed byte, fails here."""
 
     SUMMARIZE = {
         "baseline": ("b853de12d0767cf1828b6e614cc5618e61aa49eac0256d6fe483a4f44caca530",
@@ -149,6 +149,9 @@ class TestByteContract:
                      "2add4b09aa10f8ac54d2b5fc9687ccca2b673dc2f09835e3a6c3754132708c7a"),
     }
     COMPARE = "eae0176bf71a564fafce0d46b3abb46a813df0afbe5fa7c4f894f948197234e6"
+    # init_weights(baseline, nc 3, seed 0).save, and `fuse --out` of the improved seed-0 store
+    TRAIN_STORE = "ddb77edc16d06b380a043f23f2e61c9a4b16beb77e803708436aa970bcbb5e52"
+    FUSED_STORE = "05783ffc685fd6796ff95826aff7b25f676672ba045cfedcbcee0c57434fbed5"
 
     @staticmethod
     def sha(data: bytes) -> str:
@@ -168,6 +171,15 @@ class TestByteContract:
         code, out, _ = run_cli(capsys, "compare", "--nc", "3")
         assert code == 0
         assert self.sha(out.encode("utf-8")) == self.COMPARE
+
+    def test_saved_and_fused_store_bytes(self, capsys, tmp_path):
+        train = tmp_path / "baseline.rwt"
+        M.init_weights(M.build_model("baseline", 3), 0).save(os.fspath(train))
+        assert self.sha(train.read_bytes()) == self.TRAIN_STORE
+        improved = os.fspath(tmp_path / "improved.rwt")
+        M.init_weights(M.build_model("improved", 3), 0).save(improved)
+        with open(fused_store(capsys, tmp_path, "improved", improved), "rb") as f:
+            assert self.sha(f.read()) == self.FUSED_STORE
 
 
 class TestFuse:

@@ -2,6 +2,7 @@
 tests."""
 import os
 import struct
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -388,6 +389,28 @@ class TestWeightsIO:
         with pytest.raises(ValidationError, match="backbone.conv0.w"):
             M.load_weights(g, bad)
 
+    @pytest.mark.parametrize("fault", ["missing", "unknown", "shape", "negvar"])
+    def test_failed_load_leaves_graph_unchanged(self, fault):
+        g = M.build_model("baseline", 3)
+        before = M.init_weights(g, 0)
+        store = M.init_weights(M.build_model("baseline", 3), 1)
+        # break the last tensor of the walk, so that a load which copied as
+        # it checked would already have written every other one
+        last = store.names()[-1]
+        if fault == "missing":
+            store = WeightStore((n, store[n]) for n in store.names() if n != last)
+        elif fault == "unknown":
+            store.put("mystery.w", np.zeros(1, dtype=np.float32))
+        elif fault == "shape":
+            store = WeightStore((n, np.zeros((2, 2), dtype=np.float32) if n == last else store[n])
+                                for n in store.names())
+        else:
+            store[[n for n in store.names() if n.endswith("bn.var")][-1]][-1] = -1.0
+        with pytest.raises(ValidationError):
+            M.load_weights(g, store)
+        after = M.collect_weights(g)
+        assert all(after[n].tobytes() == before[n].tobytes() for n in before.names())
+
     def test_load_restores_forward(self, tmp_path):
         g = M.build_model("improved", 3)
         store = M.init_weights(g, 9)
@@ -426,6 +449,40 @@ class TestWeightsIO:
         assert [store[n].shape for n in store.names()] == [(), (1,), (1, 2)]
         store.save(os.fspath(out))
         assert out.read_bytes() == blob
+
+    def test_pipe_loads_the_same_store_as_the_file(self, tmp_path):
+        store = M.init_weights(M.build_model("improved", 3), 4)
+        path, fifo = os.fspath(tmp_path / "w.rwt"), os.fspath(tmp_path / "w.fifo")
+        store.save(path)
+        with open(path, "rb") as f:
+            blob = f.read()
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as f:
+                f.write(blob)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        piped = WeightStore.load(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        loaded = WeightStore.load(path)
+        assert piped.names() == loaded.names() == store.names()
+        assert all(piped[n].tobytes() == loaded[n].tobytes() == store[n].tobytes()
+                   and piped[n].shape == store[n].shape for n in store.names())
+
+    def test_short_payload_read_is_format_error(self, tmp_path, monkeypatch):
+        # the file loses its last 8 bytes after fstat has sized it
+        path = os.fspath(tmp_path / "w.rwt")
+        WeightStore([("a", np.ones((2, 3), dtype=np.float32)),
+                     ("b", np.arange(4, dtype=np.float32))]).save(path)
+        full = os.stat(path)
+        os.truncate(path, full.st_size - 8)
+        with monkeypatch.context() as m, \
+                pytest.raises(FormatError, match=r"short read: got 8 of 16 bytes for data of b"):
+            m.setattr(os, "fstat", lambda fd: full)
+            WeightStore.load(path)
 
     def test_duplicate_name_rejected(self):
         store = WeightStore()

@@ -21,6 +21,8 @@ from repdet.evaluate import load_dataset
 from repdet.ppm import read_ppm
 from repdet.weights import MAGIC, WeightStore
 
+from oracles import ref_load_rwt
+
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
@@ -76,6 +78,30 @@ def test_rwt_gives_a_store_or_engine_error(scratch, blob):
     store = parse_bytes(WeightStore.load, os.path.join(scratch, "w.rwt"), blob)
     if store is not None:
         assert all(store[n].dtype == np.float32 for n in store.names())
+
+
+def load_outcome(load, path):
+    """(store, None) from `load(path)`, or (None, (exception type, message))."""
+    try:
+        return load(path), None
+    except Exception as e:  # compared, not swallowed: both sides must agree
+        return None, (type(e), str(e))
+
+
+@FUZZ
+@given(blob=rwt_files())
+def test_rwt_load_matches_whole_file_reference(scratch, blob):
+    path = os.path.join(scratch, "w.rwt")
+    with open(path, "wb") as f:
+        f.write(blob)
+    got, got_error = load_outcome(WeightStore.load, path)
+    want, want_error = load_outcome(ref_load_rwt, path)
+    assert got_error == want_error
+    if want is not None:
+        assert got.names() == want.names()
+        for n in want.names():
+            a, b = got[n], want[n]
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # --- PPM ------------------------------------------------------------------

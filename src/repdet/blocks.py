@@ -1,8 +1,9 @@
 """Forward blocks: conv units, CSP stages, strip-conv attention, the RepConv
 stack and the head geometry, which `model.build_model` wires into graphs.
 
-Blocks own their parameter arrays (created zero-filled, batch norms at identity)
-and forwards are pure. Every conv block takes a `bn` flag: with `bn=False` it is
+Blocks are built with zero-filled parameter arrays (batch norms at identity);
+a graph loaded by `model.load_weights` holds the store's arrays instead.
+Forwards are pure. Every conv block takes a `bn` flag: with `bn=False` it is
 built in deploy form, BN-free with a bias, which `fusion` fills with folded
 arrays.
 """
@@ -47,7 +48,21 @@ def _concat_buffer(x: np.ndarray, channels: int) -> np.ndarray:
     return np.empty((x.shape[0], channels, *x.shape[2:]), DTYPE)
 
 
-class Composite:
+class Block:
+    """`param_slots()` yields (suffix, owner, attr) per parameter array in
+    weight-name order; the array is `getattr(owner, attr)`, so a load rebinds it."""
+
+    def named_arrays(self):
+        for suffix, owner, attr in self.param_slots():
+            yield suffix, getattr(owner, attr)
+
+
+def _bn_slots(bn: BatchNormParams):
+    for attr in ("gamma", "beta", "mean", "var"):
+        yield f"bn.{attr}", bn, attr
+
+
+class Composite(Block):
     """A block built from child blocks. `children()` lists (prefix, block) pairs
     in weight-name order, the same for the train and the deploy form.
 
@@ -58,13 +73,13 @@ class Composite:
     states its output shape only through `forward`: the profile reads it off
     a forward over an empty batch."""
 
-    def named_arrays(self):
+    def param_slots(self):
         for prefix, child in self.children():
-            for k, v in child.named_arrays():
-                yield f"{prefix}.{k}", v
+            for suffix, owner, attr in child.param_slots():
+                yield f"{prefix}.{suffix}", owner, attr
 
 
-class ConvBlock:
+class ConvBlock(Block):
     """Conv2d + optional BatchNorm + optional SiLU. Bias only when norm-free."""
 
     def __init__(self, in_ch, out_ch, kernel=1, stride=1, padding=None, dilation=1,
@@ -85,18 +100,15 @@ class ConvBlock:
     def forward(self, x: np.ndarray) -> np.ndarray:
         return conv_epilogue(conv2d(x, self.spec, self.w, self.b), self.bn, self.act)
 
-    def named_arrays(self):
-        yield "w", self.w
+    def param_slots(self):
+        yield "w", self, "w"
         if self.b is not None:
-            yield "b", self.b
+            yield "b", self, "b"
         if self.bn is not None:
-            yield "bn.gamma", self.bn.gamma
-            yield "bn.beta", self.bn.beta
-            yield "bn.mean", self.bn.mean
-            yield "bn.var", self.bn.var
+            yield from _bn_slots(self.bn)
 
 
-class AvgPoolBranch:
+class AvgPoolBranch(Block):
     """3x3 stride-1 average pool (padding counted in the mean) followed by BN."""
 
     def __init__(self, channels: int):
@@ -106,11 +118,8 @@ class AvgPoolBranch:
     def forward(self, x: np.ndarray) -> np.ndarray:
         return batch_norm_inference(pool2d(x, "avg", 3, 1, 1), self.bn)
 
-    def named_arrays(self):
-        yield "bn.gamma", self.bn.gamma
-        yield "bn.beta", self.bn.beta
-        yield "bn.mean", self.bn.mean
-        yield "bn.var", self.bn.var
+    def param_slots(self):
+        return _bn_slots(self.bn)
 
 
 class RepConvBlock(Composite):
@@ -262,7 +271,7 @@ class MSCABlock(Composite):
         return kids + [("mix", self.mix)]
 
 
-class ScaleParam:
+class ScaleParam(Block):
     """Single learnable scalar multiplier."""
 
     def __init__(self, value=1.0):
@@ -271,8 +280,8 @@ class ScaleParam:
     def forward(self, x: np.ndarray) -> np.ndarray:
         return np.multiply(x, self.s[0], dtype=DTYPE)
 
-    def named_arrays(self):
-        yield "s", self.s
+    def param_slots(self):
+        yield "s", self, "s"
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,7 @@ def cmd_fuse(args) -> int:
     print(f"nodes: {len(g.nodes)} -> {len(fused.nodes)}")
     print(f"params: {M.param_count(g)} -> {M.param_count(fused)}")
     if args.out:
-        M.collect_weights(fused).save(args.out)
+        WeightStore(M.named_tensors(fused)).save(args.out)
         print(f"wrote {args.out}")
     if args.verify:
         rng = np.random.default_rng(args.seed)

@@ -12,6 +12,7 @@ is stated beside the kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -314,12 +315,17 @@ def output_shapes(g: ModelGraph, size: int = 640):
     return tuple(shapes[o] for o in g.outputs)
 
 
-def _tensors(g: ModelGraph):
-    """(name, array) of every parameter tensor of `g` in canonical order: the
-    graph's own arrays, under their weight names."""
+def _slots(g: ModelGraph):
+    """(name, owner, attr) of every parameter tensor of `g` in canonical order,
+    the array being `getattr(owner, attr)`: the one walk over the weights."""
     for entry in g.params:
-        for suffix, arr in entry.block.named_arrays():
-            yield f"{entry.name}.{suffix}", arr
+        for suffix, owner, attr in entry.block.param_slots():
+            yield f"{entry.name}.{suffix}", owner, attr
+
+
+def named_tensors(g: ModelGraph):
+    """(name, array) of every parameter tensor of `g`: the graph's own arrays, not copies."""
+    return ((name, getattr(owner, attr)) for name, owner, attr in _slots(g))
 
 
 def init_weights(g: ModelGraph, seed: int = 0) -> WeightStore:
@@ -327,7 +333,7 @@ def init_weights(g: ModelGraph, seed: int = 0) -> WeightStore:
     snapshot store. Conv weights are uniform within +/- sqrt(1/fan_in) from a
     PCG64 stream; norms start at identity, biases at zero, scales at one."""
     rng = np.random.default_rng(seed)
-    for name, arr in _tensors(g):
+    for name, arr in named_tensors(g):
         leaf = name.rsplit(".", 1)[-1]
         if leaf == "w":
             fan_in = int(np.prod(arr.shape[1:]))
@@ -341,30 +347,29 @@ def init_weights(g: ModelGraph, seed: int = 0) -> WeightStore:
 
 
 def collect_weights(g: ModelGraph) -> WeightStore:
-    store = WeightStore()
-    for name, arr in _tensors(g):
-        store.put(name, arr.copy())
-    return store
+    """A store holding a copy of every parameter tensor of `g`."""
+    return WeightStore((name, arr.copy()) for name, arr in named_tensors(g))
 
 
 def load_weights(g: ModelGraph, store: WeightStore) -> None:
-    """Copy a store into the graph's blocks after all checks, so a failing store changes nothing."""
-    pairs = []
-    for name, arr in _tensors(g):
+    """Bind the store's arrays into the graph's blocks once every tensor has
+    passed its checks, so a failing store leaves the graph untouched. The graph
+    and the store then share arrays: writing to one writes to the other."""
+    binds = {}
+    for name, owner, attr in _slots(g):
         if name not in store:
             raise ValidationError(f"store is missing tensor {name!r}")
-        if store[name].shape != arr.shape:
-            raise ValidationError(f"tensor {name!r}: store shape {store[name].shape} "
-                                  f"!= graph shape {arr.shape}")
-        if name.endswith("bn.var") and np.any(store[name] < 0):
+        arr, shape = store[name], getattr(owner, attr).shape
+        if arr.shape != shape:
+            raise ValidationError(f"tensor {name!r}: store shape {arr.shape} != graph shape {shape}")
+        if name.endswith("bn.var") and np.any(arr < 0):
             raise ValidationError(f"tensor {name!r} holds a negative running variance")
-        pairs.append((arr, store[name]))
-    if len(pairs) != len(store):
-        expected = {name for name, _ in _tensors(g)}
-        extra = [n for n in store.names() if n not in expected]
+        binds[name] = owner, attr, arr
+    if len(binds) != len(store):
+        extra = [n for n in store.names() if n not in binds]
         raise ValidationError(f"store has {len(extra)} tensors unknown to the graph: {extra[:5]}")
-    for arr, src in pairs:
-        arr[...] = src
+    for owner, attr, arr in binds.values():
+        setattr(owner, attr, arr)
 
 
 def structurally_equal(g1: ModelGraph, g2: ModelGraph) -> bool:
@@ -373,7 +378,6 @@ def structurally_equal(g1: ModelGraph, g2: ModelGraph) -> bool:
     def layout(g):
         return g.variant, g.nc, g.outputs, [(n.name, n.kind, n.inputs, n.group) for n in g.nodes]
 
-    if layout(g1) != layout(g2):
-        return False
-    w1, w2 = collect_weights(g1), collect_weights(g2)
-    return w1.names() == w2.names() and all(np.array_equal(w1[n], w2[n]) for n in w1.names())
+    pairs = zip_longest(named_tensors(g1), named_tensors(g2), fillvalue=(None, None))
+    return layout(g1) == layout(g2) and all(
+        n1 == n2 and np.array_equal(a1, a2) for (n1, a1), (n2, a2) in pairs)

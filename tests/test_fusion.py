@@ -2,7 +2,7 @@
 lowering, and the whole-graph fusion pass."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repdet.model as M
@@ -10,6 +10,7 @@ from repdet.blocks import ConvBlock, RepConvBlock
 from repdet.errors import NumericError
 from repdet.fusion import deploy_repconv, fold_conv_block, fold_into, fuse_model_graph
 from repdet.tensor_ops import BatchNormParams, batch_norm_inference, conv2d, pool2d, silu
+from repdet.weights import WeightStore
 
 from oracles import ref_deploy_repconv, ref_fold_conv
 from test_blocks import COMPOSITES, randomize
@@ -355,3 +356,63 @@ class TestFuseModelGraph:
         for stack in ("rep1", "rep2"):
             blocks = {id(by_name[f"head.{lvl}.{stack}"].block) for lvl in ("p3", "p4", "p5")}
             assert len(blocks) == 1
+
+
+def extreme_statistics(g, rng, tiny_share, mean_size):
+    """Give every batch norm of `g` a `tiny_share` of running variances in
+    [0, 2**-20] and means up to +-`mean_size`, with gamma and beta set so
+    that each norm is still x * scale + shift with scale in [0.3, 1.7] and
+    shift in [-0.5, 0.5]: extreme stored values, unit-size activations. Every
+    norm here has eps 1e-3 (`BatchNormParams.identity`). Returns the names of
+    the gamma tensors."""
+    arrays = dict(M.named_tensors(g))
+    gammas = [n for n in arrays if n.endswith(".bn.gamma")]
+    for name in gammas:
+        gamma, beta, mean, var = (arrays[name.removesuffix("gamma") + k]
+                                  for k in ("gamma", "beta", "mean", "var"))
+        c = gamma.shape[0]
+        var[...] = np.where(rng.random(c) < tiny_share,
+                            rng.choice([0.0, 1e-30, 2.0 ** -20], c), rng.uniform(0.05, 3.0, c))
+        mean[...] = rng.uniform(-mean_size, mean_size, c)
+        scale = rng.uniform(0.3, 1.7, c)
+        gamma[...] = scale * np.sqrt(var.astype(np.float64) + 1e-3)
+        beta[...] = scale * mean.astype(np.float64) + rng.uniform(-0.5, 0.5, c)
+    return gammas
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(variant=st.sampled_from(["baseline", "improved"]), nc=st.integers(1, 80),
+       seed=st.integers(0, 2 ** 16), tiny_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       mean_size=st.sampled_from([0.5, 1e2, 1e4]),
+       blowup=st.one_of(st.none(), st.integers(0, 2 ** 16)))
+@example(variant="improved", nc=3, seed=0, tiny_share=0.5, mean_size=1e4, blowup=None)
+@example(variant="improved", nc=3, seed=0, tiny_share=0.0, mean_size=0.5, blowup=-6)
+def test_fusion_properties_under_drawn_statistics(tmp_path_factory, variant, nc, seed,
+                                                  tiny_share, mean_size, blowup):
+    # with `blowup`, the norm it indexes gets gamma 3e38 over a zero variance
+    # and a mean of 1e4, whose float32 fold cannot be finite: fuse must name
+    # the block (-6 is head.rep1's average-pool branch, named as its RepConv)
+    g = M.build_model(variant, nc)
+    M.init_weights(g, seed)
+    gammas = extreme_statistics(g, np.random.default_rng(seed), tiny_share, mean_size)
+    if blowup is not None:
+        name = gammas[blowup % len(gammas)]
+        arrays = dict(M.named_tensors(g))
+        for key, value in (("gamma", 3e38), ("var", 0.0), ("mean", 1e4)):
+            arrays[name.removesuffix("gamma") + key][0] = value
+        with pytest.raises(NumericError) as err, np.errstate(over="ignore"):
+            fuse_model_graph(g)
+        named = str(err.value).removeprefix("the fold of ").split(" has non-finite")[0]
+        assert name.startswith(f"{named}.")
+        return
+    once = fuse_model_graph(g)
+    x = np.random.default_rng(seed).uniform(0, 1, (1, 3, 64, 64)).astype(np.float32)
+    want = M.forward(once, x)
+    for a, b in zip(M.forward(g, x), want):
+        assert np.abs(a - b).max() < 1e-3
+    assert M.structurally_equal(once, fuse_model_graph(once))
+    path = str(tmp_path_factory.mktemp("fused") / "fused.rwt")
+    WeightStore(M.named_tensors(once)).save(path)
+    loaded = M.build_model(variant, nc, fused=True)
+    M.load_weights(loaded, WeightStore.load(path))
+    assert all(np.array_equal(a, b) for a, b in zip(M.forward(loaded, x), want))

@@ -436,6 +436,41 @@ class TestWeightsIO:
         b = M.forward(target, x)
         assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
+    @staticmethod
+    def loaded(variant, fused, seed):
+        """A fresh graph of the given form and the store loaded into it."""
+        g = M.build_model(variant, 3)
+        store = M.init_weights(g, seed)
+        if fused:
+            store = M.collect_weights(fuse_model_graph(g))
+        target = M.build_model(variant, 3, fused=fused)
+        M.load_weights(target, store)
+        return target, store
+
+    @pytest.mark.parametrize("variant", ["baseline", "improved"])
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_load_binds_the_store_arrays(self, variant, fused):
+        # one copy of the weights: the graph holds the store's arrays themselves
+        g, store = self.loaded(variant, fused, 6)
+        assert [n for n, _ in M.named_tensors(g)] == store.names()
+        assert all(arr is store[n] for n, arr in M.named_tensors(g))
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_shared_head_blocks_hold_the_store_arrays(self, fused):
+        g, store = self.loaded("improved", fused, 7)
+        nodes = g.node_map()
+        # each shared block under head.p3: the RepConv stacks (or, in train
+        # form, their branches) and the box and cls convs
+        heads = tuple(f"head.p3.{s}" for s in ("rep1", "rep2", "box", "cls"))
+        shared = [n.name.removeprefix("head.p3.") for n in g.nodes
+                  if n.block is not None and n.name.startswith(heads)]
+        assert len(shared) == (4 if fused else 8)
+        for rest in shared:
+            blocks = {id(nodes[f"head.{lvl}.{rest}"].block) for lvl in ("p3", "p4", "p5")}
+            assert len(blocks) == 1
+            arrays = list(nodes[f"head.p3.{rest}"].block.named_arrays())
+            assert arrays and all(a is store[f"head.{rest}.{k}"] for k, a in arrays)
+
     def test_rank0_tensor_round_trips_bytes(self, tmp_path):
         # a scalar (rank 0), a rank-1 and a rank-2 tensor, written by hand
         blob = (b"RWT1" + struct.pack("<I", 3)

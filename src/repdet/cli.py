@@ -63,7 +63,7 @@ def _prepare_graph(variant, nc, weights_path, seed):
     any other a fused one."""
     if weights_path is None:
         g = M.build_model(variant, nc)
-        M.init_weights(g, seed)
+        M.seed_weights(g, seed)
         return g
     store = WeightStore.load(weights_path)
     g = M.build_model(variant, nc, fused=not any(".bn." in n for n in store.names()))

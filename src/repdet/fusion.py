@@ -4,34 +4,70 @@ biased 3x3 convolutions and fold every conv+BN pair graph-wide.
 The deploy form is built by `model.build_model(..., fused=True)`; this module only
 writes folded arrays into it. Inputs are never mutated, so a fused graph can be
 compared side by side with its source.
+
+One pass walks every train leaf (a conv, a RepConv, a scale) with its deploy
+twin. Every batch norm's float64 affine comes from one `bn_scale_shift` over
+the concatenated statistics of all the norms folded; a conv's fold is one
+float64 multiply rounded into its twin. Errors name the first failing leaf in
+walk order.
 """
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from .blocks import Composite, ConvBlock, RepConvBlock
 from .errors import NumericError
 from .model import ModelGraph, build_model
-from .tensor_ops import DTYPE, BatchNormParams, bn_scale_shift
+from .tensor_ops import DTYPE, bn_scale_shift
 
 
-def _fold64(w, bn: BatchNormParams):
-    """Float64 weights and bias of a bias-free conv `w` followed by `bn`:
-    w * scale and the shift of `bn_scale_shift`."""
-    if np.any(bn.var.astype(np.float64) + bn.eps <= 0):
-        raise NumericError("variance + eps must be positive to fold a batch norm")
-    scale, shift = bn_scale_shift(bn)
-    w64 = w.astype(np.float64)
-    w64 *= scale[:, None, None, None]  # in place: the fill's peak memory holds one copy
-    return w64, shift
+def _leaves(src, dst, name: str):
+    """(name, train leaf, deploy twin) under a block pair, in weight-name
+    order. A RepConv is one leaf: its twin is one conv."""
+    if isinstance(src, Composite) and not isinstance(src, RepConvBlock):
+        for (prefix, s), (_, d) in zip(src.children(), dst.children()):
+            yield from _leaves(s, d, f"{name}.{prefix}")
+    else:
+        yield name, src, dst
 
 
-def _conv64(cb: ConvBlock):
-    """Weights and bias of a conv block with its BN folded in, if it has one."""
-    return (cb.w, cb.b) if cb.bn is None else _fold64(cb.w, cb.bn)
+def _norms(leaf) -> list:
+    """The batch norms folded into a leaf's twin, in fold order."""
+    if isinstance(leaf, RepConvBlock):
+        return [branch.bn for _, branch in leaf.children()]
+    return [leaf.bn] if isinstance(leaf, ConvBlock) and leaf.bn is not None else []
 
 
-def _repconv64(blk: RepConvBlock):
+def _affines(norms: list):
+    """Float64 (scale, shift) of each norm in turn, all from one
+    `bn_scale_shift` over the concatenated statistics. A norm with
+    var + eps <= 0 raises when its turn comes; no norm after it is computed."""
+    if not norms:
+        return
+    sizes = [bn.channels for bn in norms]
+    stats = {k: np.concatenate([getattr(bn, k) for bn in norms])
+             for k in ("gamma", "beta", "mean", "var")}
+    stats["eps"] = np.repeat(np.array([bn.eps for bn in norms], np.float64), sizes)
+    bad = stats["var"].astype(np.float64) + stats["eps"] <= 0
+    starts = np.cumsum([0] + sizes)
+    failing = int(np.searchsorted(starts, bad.argmax(), "right")) - 1 if bad.any() else len(norms)
+    scale, shift = bn_scale_shift(SimpleNamespace(**{k: v[:starts[failing]]
+                                                     for k, v in stats.items()}))
+    for i, (a, b) in enumerate(zip(starts, starts[1:])):
+        if i == failing:
+            raise NumericError("variance + eps must be positive to fold a batch norm")
+        yield scale[a:b], shift[a:b]
+
+
+def _fold64(w, affine):
+    """Float64 weights and bias of a bias-free conv `w` under a norm's affine."""
+    scale, shift = affine
+    return np.multiply(w, scale[:, None, None, None], dtype=np.float64), shift
+
+
+def _repconv64(blk: RepConvBlock, affines):
     """Float64 weights and bias of a RepConv's deploy conv. Each branch becomes
     a 3x3 kernel (the 1x1 at the centre, the average pool as 1/9 on the
     channel diagonal), has its BN folded, and the branches are summed, 3x3
@@ -41,23 +77,46 @@ def _repconv64(blk: RepConvBlock):
     centre[:, :, 1, 1] = k1.w[:, :, 0, 0]
     ninths = np.zeros(k3.w.shape, dtype=DTYPE)
     ninths[np.arange(blk.out_ch), np.arange(blk.out_ch)] = 1.0 / 9.0
-    (w3, b3), (w1, b1), (wa, ba) = (_fold64(k3.w, k3.bn), _fold64(centre, k1.bn),
-                                    _fold64(ninths, blk.branch_avg.bn))
+    (w3, b3), (w1, b1), (wa, ba) = (_fold64(k3.w, next(affines)), _fold64(centre, next(affines)),
+                                    _fold64(ninths, next(affines)))
     return w3 + w1 + wa, b3 + b1 + ba
 
 
-def _write(dst: ConvBlock, w, b, name: str) -> ConvBlock:
-    """Store `w` and `b` in the BN-free conv `dst` as float32."""
-    dst.w[...], dst.b[...] = w, b
-    if not (np.isfinite(dst.w).all() and np.isfinite(dst.b).all()):
-        raise NumericError(f"the fold of {name} has non-finite weights or bias; "
-                           f"check the weights")
-    return dst
+def _fold(leaves) -> None:
+    """Write the float32 fold of every (name, train leaf, twin) into the twin:
+    a RepConv gets its branch sum, a conv its BN fold (or a copy), any other
+    leaf a copy. A non-finite fold raises NumericError naming the leaf."""
+    leaves = list(leaves)
+    affines = _affines([bn for _, src, _ in leaves for bn in _norms(src)])
+    for name, src, dst in leaves:
+        if isinstance(src, RepConvBlock):
+            dst.w[...], dst.b[...] = _repconv64(src, affines)
+        elif isinstance(src, ConvBlock) and src.bn is not None:
+            scale, shift = next(affines)
+            np.multiply(src.w, scale[:, None, None, None], out=dst.w, dtype=np.float64)
+            dst.b[...] = shift
+        elif isinstance(src, ConvBlock):
+            dst.w[...], dst.b[...] = src.w, src.b
+        else:
+            for (_, a), (_, b) in zip(src.named_arrays(), dst.named_arrays()):
+                b[...] = a
+            continue
+        if not (np.isfinite(dst.w).all() and np.isfinite(dst.b).all()):
+            raise NumericError(f"the fold of {name} has non-finite weights or bias; "
+                               f"check the weights")
+
+
+def fold_into(src, dst, name: str) -> None:
+    """Write the float32 fold of block `src` into `dst`, its twin in a fused
+    build; a non-finite fold raises NumericError naming `name` or its child."""
+    _fold(_leaves(src, dst, name))
 
 
 def deploy_repconv(blk: RepConvBlock) -> ConvBlock:
     """Deploy form of a RepConv: one biased 3x3 conv followed by its SiLU."""
-    return _write(ConvBlock(blk.out_ch, blk.out_ch, 3, bn=False), *_repconv64(blk), "a RepConv")
+    twin = ConvBlock(blk.out_ch, blk.out_ch, 3, bn=False)
+    fold_into(blk, twin, "a RepConv")
+    return twin
 
 
 def fold_conv_block(cb: ConvBlock) -> ConvBlock:
@@ -65,30 +124,14 @@ def fold_conv_block(cb: ConvBlock) -> ConvBlock:
     s = cb.spec
     twin = ConvBlock(s.in_ch, s.out_ch, s.kernel, s.stride, s.padding, s.dilation, s.groups,
                      bn=False, act=cb.act)
-    return _write(twin, *_conv64(cb), "a conv")
-
-
-def fold_into(src, dst, name: str) -> None:
-    """Write the float32 fold of block `src` into `dst`, its twin in a fused
-    build: a RepConv gets its branch sum, a conv its BN fold (or a copy), a
-    composite recurses over its children, and any other leaf is copied.
-    A non-finite fold raises NumericError naming `name` or its child."""
-    if isinstance(src, RepConvBlock):
-        _write(dst, *_repconv64(src), name)
-    elif isinstance(src, ConvBlock):
-        _write(dst, *_conv64(src), name)
-    elif isinstance(src, Composite):
-        for (prefix, s), (_, d) in zip(src.children(), dst.children()):
-            fold_into(s, d, f"{name}.{prefix}")
-    else:
-        for (_, a), (_, b) in zip(src.named_arrays(), dst.named_arrays()):
-            b[...] = a
+    fold_into(cb, twin, "a conv")
+    return twin
 
 
 def fuse_model_graph(g: ModelGraph) -> ModelGraph:
     """The deploy form of `g`: a fused build filled with the folds of its
-    blocks. Idempotent: on a fused graph every fold is a copy."""
+    blocks in one pass. Idempotent: on a fused graph every fold is a copy."""
     fused = build_model(g.variant, g.nc, fused=True)
-    for src, dst in zip(g.params, fused.params):
-        fold_into(src.block, dst.block, src.name)
+    _fold(leaf for src, dst in zip(g.params, fused.params)
+          for leaf in _leaves(src.block, dst.block, src.name))
     return fused

@@ -328,10 +328,10 @@ def named_tensors(g: ModelGraph):
     return ((name, getattr(owner, attr)) for name, owner, attr in _slots(g))
 
 
-def init_weights(g: ModelGraph, seed: int = 0) -> WeightStore:
-    """Deterministically initialize every parameter in place and return a
-    snapshot store. Conv weights are uniform within +/- sqrt(1/fan_in) from a
-    PCG64 stream; norms start at identity, biases at zero, scales at one."""
+def seed_weights(g: ModelGraph, seed: int = 0) -> None:
+    """Deterministically initialize every parameter in place. Conv weights are
+    uniform within +/- sqrt(1/fan_in) from a PCG64 stream; norms start at
+    identity, biases at zero, scales at one."""
     rng = np.random.default_rng(seed)
     for name, arr in named_tensors(g):
         leaf = name.rsplit(".", 1)[-1]
@@ -343,6 +343,11 @@ def init_weights(g: ModelGraph, seed: int = 0) -> WeightStore:
             arr[...] = 1.0
         else:  # b, beta, mean
             arr[...] = 0.0
+
+
+def init_weights(g: ModelGraph, seed: int = 0) -> WeightStore:
+    """`seed_weights`, then a snapshot store: a copy of the seeded weights."""
+    seed_weights(g, seed)
     return collect_weights(g)
 
 
@@ -355,16 +360,24 @@ def load_weights(g: ModelGraph, store: WeightStore) -> None:
     """Bind the store's arrays into the graph's blocks once every tensor has
     passed its checks, so a failing store leaves the graph untouched. The graph
     and the store then share arrays: writing to one writes to the other."""
-    binds = {}
+    binds, variances, fault = {}, [], None
     for name, owner, attr in _slots(g):
         if name not in store:
-            raise ValidationError(f"store is missing tensor {name!r}")
+            fault = f"store is missing tensor {name!r}"
+            break
         arr, shape = store[name], getattr(owner, attr).shape
         if arr.shape != shape:
-            raise ValidationError(f"tensor {name!r}: store shape {arr.shape} != graph shape {shape}")
-        if name.endswith("bn.var") and np.any(arr < 0):
-            raise ValidationError(f"tensor {name!r} holds a negative running variance")
+            fault = f"tensor {name!r}: store shape {arr.shape} != graph shape {shape}"
+            break
+        if attr == "var":
+            variances.append((name, arr))
         binds[name] = owner, attr, arr
+    # the running variances walked before any other fault, checked in one pass
+    if variances and (np.concatenate([arr for _, arr in variances]) < 0).any():
+        name = next(name for name, arr in variances if (arr < 0).any())
+        raise ValidationError(f"tensor {name!r} holds a negative running variance")
+    if fault:
+        raise ValidationError(fault)
     if len(binds) != len(store):
         extra = [n for n in store.names() if n not in binds]
         raise ValidationError(f"store has {len(extra)} tensors unknown to the graph: {extra[:5]}")

@@ -73,10 +73,10 @@ class Conv2dSpec:
     has_bias: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "kernel", _pair(self.kernel))
-        object.__setattr__(self, "stride", _pair(self.stride))
-        object.__setattr__(self, "padding", _pair(self.padding))
-        object.__setattr__(self, "dilation", _pair(self.dilation))
+        for field in ("kernel", "stride", "padding", "dilation"):
+            v = getattr(self, field)
+            if not (type(v) is tuple and len(v) == 2 and type(v[0]) is type(v[1]) is int):
+                object.__setattr__(self, field, _pair(v))
         for field in ("in_ch", "out_ch", "groups"):
             if getattr(self, field) < 1:
                 raise SpecError(f"{field} must be positive, got {getattr(self, field)}")
@@ -137,7 +137,14 @@ class BatchNormParams:
 
     @classmethod
     def identity(cls, channels: int, eps: float = 1e-3) -> "BatchNormParams":
-        return cls(np.ones(channels), np.zeros(channels), np.zeros(channels), np.ones(channels), eps)
+        """gamma 1, beta 0, mean 0, var 1: four new float32 arrays, built
+        without the conversions and checks of `__init__`, which they pass."""
+        if eps <= 0:
+            raise NumericError(f"eps must be positive, got {eps}")
+        p = cls.__new__(cls)
+        p.gamma, p.beta = np.ones(channels, DTYPE), np.zeros(channels, DTYPE)
+        p.mean, p.var, p.eps = np.zeros(channels, DTYPE), np.ones(channels, DTYPE), eps
+        return p
 
 
 def _window_view(xp: np.ndarray, kernel, stride, dilation, out_hw):
@@ -347,7 +354,8 @@ def conv2d(x: np.ndarray, spec: Conv2dSpec, weights: np.ndarray, bias: np.ndarra
 
 def bn_scale_shift(p: BatchNormParams):
     """Batch norm as a float64 per-channel affine: scale = gamma / sqrt(var + eps),
-    shift = beta - mean * scale."""
+    shift = beta - mean * scale. `p` may be anything with those five fields;
+    `fusion` passes the concatenated statistics of many norms, eps per channel."""
     scale = p.gamma.astype(np.float64) / np.sqrt(p.var.astype(np.float64) + p.eps)
     return scale, p.beta.astype(np.float64) - p.mean.astype(np.float64) * scale
 

@@ -18,6 +18,7 @@ from .errors import FormatError, ValidationError
 from .fileio import write_atomic
 
 MAGIC = b"RWT1"
+_F32 = np.dtype("<f4")
 
 
 class WeightStore:
@@ -82,33 +83,42 @@ class WeightStore:
             raise FormatError(f"bad magic {head!r} at offset 0, expected {MAGIC!r}")
         off = 4
 
-        def take(n: int, what: str, dims=None):
-            """The next `n` bytes, or with `dims` a new float32 array filled from them."""
+        def take(n: int, what: str, *args, dims=None):
+            """The next `n` bytes, or with `dims` a new float32 array filled from
+            them. `what.format(*args)` names the field in an error."""
             nonlocal off
             if off + n > size:
-                raise FormatError(f"truncated file: needed {n} bytes for {what} at offset {off}")
-            out = f.read(n) if dims is None else np.empty(dims, dtype="<f4")
-            got = len(out) if dims is None else f.readinto(out.reshape(-1).view(np.uint8))
+                raise FormatError(f"truncated file: needed {n} bytes for "
+                                  f"{what.format(*args)} at offset {off}")
+            out = f.read(n) if dims is None else np.empty(dims, _F32)
+            got = len(out) if dims is None else f.readinto(out)
             if got != n:
-                raise FormatError(f"short read: got {got} of {n} bytes for {what} at offset {off}")
+                raise FormatError(f"short read: got {got} of {n} bytes for "
+                                  f"{what.format(*args)} at offset {off}")
             off += n
             return out
 
         (count,) = struct.unpack("<I", take(4, "tensor count"))
         store = cls()
         for i in range(count):
-            (nlen,) = struct.unpack("<H", take(2, f"name length of tensor {i}"))
-            raw = take(nlen, f"name of tensor {i}")
+            (nlen,) = struct.unpack("<H", take(2, "name length of tensor {}", i))
+            start = off
+            raw = f.read(nlen + 1) if off + nlen < size else b""  # the name and its rank byte
+            if len(raw) == nlen + 1:
+                off += nlen + 1
+            else:  # truncated or short: read the two apart, which raises the error
+                f.seek(start)
+                raw = take(nlen, "name of tensor {}", i)
             try:
-                name = raw.decode("utf-8")
+                name = raw[:nlen].decode("utf-8")
             except UnicodeDecodeError:
                 raise FormatError(
-                    f"name of tensor {i} at offset {off - nlen} is not UTF-8: {raw!r}"
+                    f"name of tensor {i} at offset {start} is not UTF-8: {raw[:nlen]!r}"
                 ) from None
-            (rank,) = struct.unpack("<B", take(1, f"rank of {name}"))
-            dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name}"))
+            rank = raw[nlen] if len(raw) > nlen else take(1, "rank of {}", name)[0]
+            dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims of {}", name))
             try:  # the exact size, so huge dims fail the truncation check before allocating
-                arr = take(4 * math.prod(dims), f"data of {name}", dims)
+                arr = take(4 * math.prod(dims), "data of {}", name, dims=dims)
             except ValueError:  # an empty tensor whose other dims numpy cannot index
                 raise FormatError(f"dims {dims} of {name} exceed numpy's array size") from None
             store.put(name, arr)

@@ -17,6 +17,11 @@ them exactly, not within a tolerance. `ref_decode_detections` shares the
 `sigmoid` and `dfl_expectation` kernels with the engine, run over whole head
 maps, and checks the cell gather, anchors, un-mapping and order around them.
 
+`ref_fold_into` is the per-block fold that the graph-wide pass in
+`repdet.fusion` replaced: it recurses through `children()` and takes one
+`bn_scale_shift` and one float64 fold per batch norm. The graph-wide pass
+must write bit-equal arrays, or raise the same error.
+
 `ref_load_rwt` is the whole-file `.rwt` parser that the streaming
 `WeightStore.load` replaced: it reads the file into one `bytes` and slices
 each field from it. The streaming parser must give a bit-equal store, or raise
@@ -29,11 +34,11 @@ import struct
 
 import numpy as np
 
-from repdet.blocks import HeadConfig
-from repdet.errors import FormatError, ShapeError, SpecError, ValidationError
+from repdet.blocks import Composite, ConvBlock, HeadConfig, RepConvBlock
+from repdet.errors import FormatError, NumericError, ShapeError, SpecError, ValidationError
 from repdet.evaluate import iou
 from repdet.pipeline import PAD_VALUE, Detection, LetterboxMeta, _nearest_indices, dfl_expectation
-from repdet.tensor_ops import DTYPE, _pair, _window_view, check_nchw, sigmoid
+from repdet.tensor_ops import DTYPE, _pair, _window_view, bn_scale_shift, check_nchw, sigmoid
 from repdet.weights import MAGIC, WeightStore
 
 
@@ -240,6 +245,51 @@ def ref_deploy_repconv(blk):
     (w3, b3), (w1, b1), (wa, ba) = (ref_fold(k3.w, k3.bn), ref_fold(centre, k1.bn),
                                     ref_fold(ninths, blk.branch_avg.bn))
     return ((w3 + w1) + wa).astype(DTYPE), ((b3 + b1) + ba).astype(DTYPE)
+
+
+def _block_fold64(w, bn):
+    if np.any(bn.var.astype(np.float64) + bn.eps <= 0):
+        raise NumericError("variance + eps must be positive to fold a batch norm")
+    scale, shift = bn_scale_shift(bn)
+    w64 = w.astype(np.float64)
+    w64 *= scale[:, None, None, None]
+    return w64, shift
+
+
+def _block_repconv64(blk):
+    k3, k1 = blk.branch_3x3, blk.branch_1x1
+    centre = np.zeros(k3.w.shape, dtype=DTYPE)
+    centre[:, :, 1, 1] = k1.w[:, :, 0, 0]
+    ninths = np.zeros(k3.w.shape, dtype=DTYPE)
+    ninths[np.arange(blk.out_ch), np.arange(blk.out_ch)] = 1.0 / 9.0
+    (w3, b3), (w1, b1), (wa, ba) = (_block_fold64(k3.w, k3.bn), _block_fold64(centre, k1.bn),
+                                    _block_fold64(ninths, blk.branch_avg.bn))
+    return w3 + w1 + wa, b3 + b1 + ba
+
+
+def _block_write(dst, w, b, name):
+    dst.w[...], dst.b[...] = w, b
+    if not (np.isfinite(dst.w).all() and np.isfinite(dst.b).all()):
+        raise NumericError(f"the fold of {name} has non-finite weights or bias; "
+                           f"check the weights")
+
+
+def ref_fold_into(src, dst, name):
+    """Write the float32 fold of block `src` into its deploy twin `dst`, one
+    block at a time: a RepConv gets its branch sum, a conv its BN fold (or a
+    copy), a composite recurses over its children, any other leaf is copied.
+    A norm with var + eps <= 0, or a non-finite fold, raises NumericError."""
+    if isinstance(src, RepConvBlock):
+        _block_write(dst, *_block_repconv64(src), name)
+    elif isinstance(src, ConvBlock):
+        _block_write(dst, *((src.w, src.b) if src.bn is None else _block_fold64(src.w, src.bn)),
+                     name)
+    elif isinstance(src, Composite):
+        for (prefix, s), (_, d) in zip(src.children(), dst.children()):
+            ref_fold_into(s, d, f"{name}.{prefix}")
+    else:
+        for (_, a), (_, b) in zip(src.named_arrays(), dst.named_arrays()):
+            b[...] = a
 
 
 def conv2d_f64(x, spec, weights, bias=None):

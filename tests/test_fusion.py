@@ -1,5 +1,7 @@
 """Reparameterization tests: BN folding, RepConv collapse with its branch
 lowering, and the whole-graph fusion pass."""
+from itertools import zip_longest
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,7 @@ from repdet.fusion import deploy_repconv, fold_conv_block, fold_into, fuse_model
 from repdet.tensor_ops import BatchNormParams, batch_norm_inference, conv2d, pool2d, silu
 from repdet.weights import WeightStore
 
-from oracles import ref_deploy_repconv, ref_fold_conv
+from oracles import ref_deploy_repconv, ref_fold_conv, ref_fold_into
 from test_blocks import COMPOSITES, randomize
 
 
@@ -416,3 +418,86 @@ def test_fusion_properties_under_drawn_statistics(tmp_path_factory, variant, nc,
     loaded = M.build_model(variant, nc, fused=True)
     M.load_weights(loaded, WeightStore.load(path))
     assert all(np.array_equal(a, b) for a, b in zip(M.forward(loaded, x), want))
+
+
+def ref_fuse(g):
+    """The deploy form of `g` filled block by block by the reference fold."""
+    ref = M.build_model(g.variant, g.nc, fused=True)
+    for src, dst in zip(g.params, ref.params):
+        ref_fold_into(src.block, dst.block, src.name)
+    return ref
+
+
+def norms(g):
+    """(weight-name prefix, BatchNormParams) of every batch norm of `g`, in walk order."""
+    return [(f"{e.name}.{suffix.removesuffix('.gamma')}", owner) for e in g.params
+            for suffix, owner, attr in e.block.param_slots() if attr == "gamma"]
+
+
+def assert_graph_bits(got, want):
+    for (name, a), (ref_name, b) in zip_longest(M.named_tensors(got), M.named_tensors(want),
+                                                fillvalue=(None, None)):
+        assert name == ref_name
+        assert_bits(a, b)
+
+
+DRAWN = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+
+
+@DRAWN
+@given(variant=st.sampled_from(["baseline", "improved"]), nc=st.integers(1, 80),
+       seed=st.integers(0, 2 ** 16), tiny_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       mean_size=st.sampled_from([0.5, 1e2, 1e4]), pick=st.integers(0, 2 ** 16),
+       eps=st.sampled_from([1e-5, 1e-2, 0.5]))
+@example(variant="improved", nc=3, seed=0, tiny_share=0.5, mean_size=1e4, pick=-6, eps=1e-5)
+def test_graph_fold_matches_block_folds(variant, nc, seed, tiny_share, mean_size, pick, eps):
+    # one graph-wide affine with eps per channel: the norm `pick` indexes has
+    # its own eps (-6 is head.rep1's average-pool branch), and every fused
+    # array, and every copy of a fused graph, equals the per-block reference
+    g = M.build_model(variant, nc)
+    M.init_weights(g, seed)
+    extreme_statistics(g, np.random.default_rng(seed), tiny_share, mean_size)
+    bns = norms(g)
+    bns[pick % len(bns)][1].eps = eps
+    fused = fuse_model_graph(g)
+    assert_graph_bits(fused, ref_fuse(g))
+    assert_graph_bits(fuse_model_graph(fused), ref_fuse(fused))
+
+
+VAR_EPS = "variance + eps must be positive to fold a batch norm"
+
+
+@DRAWN
+@given(variant=st.sampled_from(["baseline", "improved"]), seed=st.integers(0, 2 ** 16),
+       first=st.integers(0, 2 ** 16), gap=st.integers(0, 2 ** 16), var_first=st.booleans())
+@example(variant="improved", seed=0, first=-7, gap=0, var_first=False)  # rep1: k1 blows, avg fails
+@example(variant="improved", seed=0, first=-9, gap=0, var_first=False)  # p3 stem blows, rep1 fails
+@example(variant="baseline", seed=0, first=0, gap=0, var_first=True)
+def test_first_failing_norm_names_the_error(variant, seed, first, gap, var_first):
+    # two norms fail: one with var + eps <= 0, the other with a fold that
+    # cannot be finite in float32. The earlier one in walk order gives the
+    # error, with the reference's message; two norms of one RepConv fail as
+    # one leaf, whose variance checks come before its branch sum
+    g = M.build_model(variant, 3)
+    M.init_weights(g, seed)
+    bns = norms(g)
+    i = first % len(bns)
+    j = (i + 1 + gap % (len(bns) - 1)) % len(bns)
+    early, late = min(i, j), max(i, j)
+    bad, blow = (early, late) if var_first else (late, early)
+    bns[bad][1].var[0] = -1.0
+    for key, value in (("gamma", 3e38), ("var", 0.0), ("mean", 1e4)):
+        getattr(bns[blow][1], key)[0] = value
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError) as want:
+            ref_fuse(g)
+        with pytest.raises(NumericError) as got:
+            fuse_model_graph(g)
+    msg = str(got.value)
+    assert msg == str(want.value)
+    if msg != VAR_EPS:
+        named = msg.removeprefix("the fold of ").split(" has non-finite")[0]
+        assert blow < bad and bns[blow][0].startswith(f"{named}.")
+    elif blow < bad:  # both norms are branches of one RepConv
+        stacks = {bns[k][0].rsplit(".", 2)[0] for k in (blow, bad)}
+        assert len(stacks) == 1 and stacks.pop().startswith("head.rep")

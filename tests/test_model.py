@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repdet.model as M
 from repdet.blocks import ConvBlock
@@ -411,6 +413,41 @@ class TestWeightsIO:
         after = M.collect_weights(g)
         assert all(after[n].tobytes() == before[n].tobytes() for n in before.names())
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(faults=st.lists(st.tuples(st.integers(0, 2 ** 16),
+                                     st.sampled_from(["missing", "shape", "negvar"])),
+                           min_size=1, max_size=3))
+    @example(faults=[(-1, "missing"), (0, "negvar")])
+    @example(faults=[(-1, "shape"), (1, "negvar"), (0, "negvar")])
+    @example(faults=[(0, "missing"), (-1, "negvar")])
+    def test_load_error_names_the_first_failing_tensor(self, faults):
+        # the running variances are checked in one pass, yet of several
+        # faults the first in walk order gives the error, with its own text
+        g = M.build_model("improved", 3)
+        store = M.init_weights(g, 0)
+        names = store.names()
+        variances = [n for n in names if n.endswith(".bn.var")]
+        broken = {}
+        for k, kind in faults:
+            pool = variances if kind == "negvar" else names
+            broken.setdefault(pool[k % len(pool)], kind)
+        tensors = []
+        for n in names:
+            kind = broken.get(n)
+            if kind == "shape":
+                tensors.append((n, np.zeros((2, 2), dtype=np.float32)))
+            elif kind == "negvar":
+                tensors.append((n, np.concatenate([store[n][:-1], [-1.0]])))
+            elif kind is None:
+                tensors.append((n, store[n]))
+        first = min(broken, key=names.index)
+        want = {"missing": f"store is missing tensor {first!r}",
+                "shape": f"tensor {first!r}: store shape (2, 2) != graph shape {store[first].shape}",
+                "negvar": f"tensor {first!r} holds a negative running variance"}[broken[first]]
+        with pytest.raises(ValidationError) as err:
+            M.load_weights(M.build_model("improved", 3), WeightStore(tensors))
+        assert str(err.value) == want
+
     def test_load_restores_forward(self, tmp_path):
         g = M.build_model("improved", 3)
         store = M.init_weights(g, 9)
@@ -516,6 +553,22 @@ class TestWeightsIO:
         os.truncate(path, full.st_size - 8)
         with monkeypatch.context() as m, \
                 pytest.raises(FormatError, match=r"short read: got 8 of 16 bytes for data of b"):
+            m.setattr(os, "fstat", lambda fd: full)
+            WeightStore.load(path)
+
+    @pytest.mark.parametrize("size, message", [
+        (47, "short read: got 1 of 2 bytes for name of tensor 1 at offset 46"),
+        (48, "short read: got 0 of 1 bytes for rank of bb at offset 48"),
+    ])
+    def test_short_name_or_rank_read_is_format_error(self, tmp_path, monkeypatch, size, message):
+        # a name and its rank byte are read together; a file that shrinks
+        # under that read still names the field it cut, as a read of each would
+        path = os.fspath(tmp_path / "w.rwt")
+        WeightStore([("a", np.ones((2, 3), dtype=np.float32)),
+                     ("bb", np.arange(4, dtype=np.float32))]).save(path)
+        full = os.stat(path)
+        os.truncate(path, size)
+        with monkeypatch.context() as m, pytest.raises(FormatError, match=f"^{message}$"):
             m.setattr(os, "fstat", lambda fd: full)
             WeightStore.load(path)
 

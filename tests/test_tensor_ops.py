@@ -199,6 +199,57 @@ class TestBatchNorm:
             BatchNormParams([1.0], [0.0], [0.0], [1.0], eps=0.0)
 
 
+class TestLeanConstruction:
+    """`BatchNormParams.identity` and `Conv2dSpec` skip the conversions and
+    checks that their arguments do not need, with the same results."""
+
+    def test_identity_builds_fresh_arrays(self):
+        calls = [BatchNormParams.identity(5), BatchNormParams.identity(5, eps=1e-5)]
+        arrays = [getattr(p, k) for p in calls for k in ("gamma", "beta", "mean", "var")]
+        for arr, value in zip(arrays, [1, 0, 0, 1] * 2):
+            assert arr.dtype == np.float32 and arr.shape == (5,) and arr.flags.writeable
+            assert np.array_equal(arr, np.full(5, value, np.float32))
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+        assert [p.eps for p in calls] == [1e-3, 1e-5]
+        checked = BatchNormParams(np.ones(5), np.zeros(5), np.zeros(5), np.ones(5))
+        assert calls[0].channels == checked.channels == 5
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3])
+    def test_identity_rejects_eps(self, eps):
+        with pytest.raises(NumericError, match=f"eps must be positive, got {eps}"):
+            BatchNormParams.identity(3, eps=eps)
+
+    CANONICAL = Conv2dSpec(4, 8, (3, 3), (1, 1), (1, 1), (1, 1), 2)
+
+    @pytest.mark.parametrize("pairs", [
+        (3, 1, 1, 1),
+        ([3, 3], [1, 1], [1, 1], [1, 1]),
+        ((3, 3), (1, 1), (1, 1), (1, 1)),
+        (np.int64(3), np.int64(1), (np.int64(1), np.int64(1)), [np.int64(1)] * 2),
+        ((3, 3), True, True, (True, True)),
+    ], ids=["ints", "lists", "tuples", "int64", "bool"])
+    def test_spec_forms_equal_the_canonical_one(self, pairs):
+        spec = Conv2dSpec(4, 8, *pairs, groups=2)
+        assert spec == self.CANONICAL and hash(spec) == hash(self.CANONICAL)
+        for v in (spec.kernel, spec.stride, spec.padding, spec.dilation):
+            assert type(v) is tuple and [type(x) for x in v] == [int, int]
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"kernel": 0}, "kernel, stride and dilation entries must be >= 1"),
+        ({"kernel": [3, 0]}, "kernel, stride and dilation entries must be >= 1"),
+        ({"stride": np.int64(0)}, "kernel, stride and dilation entries must be >= 1"),
+        ({"dilation": False}, "kernel, stride and dilation entries must be >= 1"),
+        ({"padding": -1}, "padding must be non-negative"),
+        ({"padding": (0, -1)}, "padding must be non-negative"),
+        ({"in_ch": 0}, "in_ch must be positive, got 0"),
+        ({"groups": 3}, r"channels \(4 in, 8 out\) not divisible by groups=3"),
+    ])
+    def test_spec_rejects_invalid_values(self, kwargs, message):
+        args = {"in_ch": 4, "out_ch": 8, "kernel": 3, **kwargs}
+        with pytest.raises(SpecError, match=f"^{message}$"):
+            Conv2dSpec(**args)
+
+
 class TestActivations:
     def test_silu_zero(self):
         assert silu(tensor([[[[0.0]]]]))[0, 0, 0, 0] == 0.0

@@ -1,8 +1,11 @@
 """Forward blocks: conv units, CSP stages, strip-conv attention, the RepConv
 stack and the head geometry, which `model.build_model` wires into graphs.
 
-Blocks are built with zero-filled parameter arrays (batch norms at identity);
-a graph loaded by `model.load_weights` holds the store's arrays instead.
+A fresh block costs only its structure. A conv weight is zero-filled on its
+first read; a load, a seed or a fold binds its own array instead, so a graph
+loaded by `model.load_weights` holds the store's arrays and zero-fills none.
+Biases and batch norms (at identity) are small and built at once. Each conv
+block's frozen `Conv2dSpec` comes from a cache keyed by its arguments.
 Forwards are pure. Every conv block takes a `bn` flag: with `bn=False` it is
 built in deploy form, BN-free with a bias, which `fusion` fills with folded
 arrays.
@@ -49,17 +52,25 @@ def _concat_buffer(x: np.ndarray, channels: int) -> np.ndarray:
 
 
 class Block:
-    """`param_slots()` yields (suffix, owner, attr) per parameter array in
-    weight-name order; the array is `getattr(owner, attr)`, so a load rebinds it."""
+    """`shaped_slots()` yields (suffix, owner, attr, shape) per parameter array
+    in weight-name order; the array is `getattr(owner, attr)`, so a load
+    rebinds it, and `shape` is the shape the block states for it, known
+    without reading the array (a conv weight's comes from its spec).
+    `param_slots()` yields the same without the shape."""
+
+    def param_slots(self):
+        for suffix, owner, attr, _ in self.shaped_slots():
+            yield suffix, owner, attr
 
     def named_arrays(self):
-        for suffix, owner, attr in self.param_slots():
+        for suffix, owner, attr, _ in self.shaped_slots():
             yield suffix, getattr(owner, attr)
 
 
 def _bn_slots(bn: BatchNormParams):
+    shape = bn.gamma.shape
     for attr in ("gamma", "beta", "mean", "var"):
-        yield f"bn.{attr}", bn, attr
+        yield f"bn.{attr}", bn, attr, shape
 
 
 class Composite(Block):
@@ -73,37 +84,69 @@ class Composite(Block):
     states its output shape only through `forward`: the profile reads it off
     a forward over an empty batch."""
 
-    def param_slots(self):
+    def shaped_slots(self):
         for prefix, child in self.children():
-            for suffix, owner, attr in child.param_slots():
-                yield f"{prefix}.{suffix}", owner, attr
+            for suffix, owner, attr, shape in child.shaped_slots():
+                yield f"{prefix}.{suffix}", owner, attr, shape
+
+
+# ConvBlock arguments -> their frozen Conv2dSpec. It grows by one entry per
+# distinct conv shape (class counts are bounded by HeadConfig.max_nc)
+_SPECS: dict = {}
+
+
+def _conv_spec(in_ch, out_ch, kernel, stride, padding, dilation, groups, bn) -> Conv2dSpec:
+    """The spec of a ConvBlock, built once per distinct argument tuple. A
+    spec is stored only when its channel counts and groups are plain ints, so
+    arguments equal to them (an `np.int64`, a float) never plant their type
+    in later blocks' specs. Unhashable arguments, such as a list, and invalid
+    ones, which raise on every call, are never stored."""
+    key = (in_ch, out_ch, kernel, stride, padding, dilation, groups, bn)
+    try:
+        return _SPECS[key]
+    except KeyError:
+        keep = type(in_ch) is type(out_ch) is type(groups) is int
+    except TypeError:
+        keep = False
+    kernel = kernel if isinstance(kernel, tuple) else (kernel, kernel)
+    dil = dilation if isinstance(dilation, tuple) else (dilation, dilation)
+    if padding is None:
+        padding = _autopad(kernel, dil)
+    spec = Conv2dSpec(in_ch, out_ch, kernel, stride, padding, dil, groups, has_bias=not bn)
+    if keep:
+        _SPECS[key] = spec
+    return spec
 
 
 class ConvBlock(Block):
-    """Conv2d + optional BatchNorm + optional SiLU. Bias only when norm-free."""
+    """Conv2d + optional BatchNorm + optional SiLU. Bias only when norm-free.
+    The weight `w` is bound by assignment; until then, reading it binds a new
+    zero-filled array of `spec.weight_shape`, so a block that is loaded,
+    seeded or folded into never allocates zeros that it would drop."""
 
     def __init__(self, in_ch, out_ch, kernel=1, stride=1, padding=None, dilation=1,
                  groups=1, bn=True, act="silu"):
-        kernel = kernel if isinstance(kernel, tuple) else (kernel, kernel)
-        dil = dilation if isinstance(dilation, tuple) else (dilation, dilation)
-        if padding is None:
-            padding = _autopad(kernel, dil)
-        self.spec = Conv2dSpec(in_ch, out_ch, kernel, stride, padding, dil, groups,
-                               has_bias=not bn)
+        self.spec = _conv_spec(in_ch, out_ch, kernel, stride, padding, dilation, groups, bn)
         if act not in ("silu", "none"):
             raise SpecError(f"unknown activation {act!r}")
         self.act = act
-        self.w = np.zeros(self.spec.weight_shape, dtype=DTYPE)
         self.b = np.zeros(out_ch, dtype=DTYPE) if not bn else None
         self.bn = BatchNormParams.identity(out_ch) if bn else None
+
+    def __getattr__(self, name):
+        # called only for an attribute the instance does not hold
+        if name != "w":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        w = self.w = np.zeros(self.spec.weight_shape, dtype=DTYPE)
+        return w
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return conv_epilogue(conv2d(x, self.spec, self.w, self.b), self.bn, self.act)
 
-    def param_slots(self):
-        yield "w", self, "w"
+    def shaped_slots(self):
+        yield "w", self, "w", self.spec.weight_shape
         if self.b is not None:
-            yield "b", self, "b"
+            yield "b", self, "b", self.b.shape
         if self.bn is not None:
             yield from _bn_slots(self.bn)
 
@@ -118,7 +161,7 @@ class AvgPoolBranch(Block):
     def forward(self, x: np.ndarray) -> np.ndarray:
         return batch_norm_inference(pool2d(x, "avg", 3, 1, 1), self.bn)
 
-    def param_slots(self):
+    def shaped_slots(self):
         return _bn_slots(self.bn)
 
 
@@ -280,8 +323,8 @@ class ScaleParam(Block):
     def forward(self, x: np.ndarray) -> np.ndarray:
         return np.multiply(x, self.s[0], dtype=DTYPE)
 
-    def param_slots(self):
-        yield "s", self, "s"
+    def shaped_slots(self):
+        yield "s", self, "s", self.s.shape
 
 
 @dataclass(frozen=True)

@@ -85,10 +85,14 @@ def _repconv64(blk: RepConvBlock, affines):
 def _fold(leaves) -> None:
     """Write the float32 fold of every (name, train leaf, twin) into the twin:
     a RepConv gets its branch sum, a conv its BN fold (or a copy), any other
-    leaf a copy. A non-finite fold raises NumericError naming the leaf."""
+    leaf a copy. A conv twin's weight is a new array, bound before the fold is
+    written, so the twin's zero-filled weight is never made. A non-finite fold
+    raises NumericError naming the leaf."""
     leaves = list(leaves)
     affines = _affines([bn for _, src, _ in leaves for bn in _norms(src)])
     for name, src, dst in leaves:
+        if isinstance(dst, ConvBlock):
+            dst.w = np.empty(dst.spec.weight_shape, DTYPE)
         if isinstance(src, RepConvBlock):
             dst.w[...], dst.b[...] = _repconv64(src, affines)
         elif isinstance(src, ConvBlock) and src.bn is not None:

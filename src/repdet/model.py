@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
+from math import prod
 
 import numpy as np
 
@@ -265,7 +266,7 @@ class NodeProfile:
 
 
 def _param_count(block) -> int:
-    return sum(arr.size for suffix, arr in block.named_arrays()
+    return sum(prod(shape) for suffix, _, _, shape in block.shaped_slots()
                if not suffix.endswith(_STAT_SUFFIXES))
 
 
@@ -273,7 +274,7 @@ def _block_macs(block, out_shape) -> int:
     """Every conv weight (leaf name "w", as in init_weights) of a block is
     applied once at each output pixel (see `blocks.Composite`)."""
     n, _, h, w = out_shape
-    return n * h * w * sum(arr.size for suffix, arr in block.named_arrays()
+    return n * h * w * sum(prod(shape) for suffix, _, _, shape in block.shaped_slots()
                            if suffix.rsplit(".", 1)[-1] == "w")
 
 
@@ -316,33 +317,34 @@ def output_shapes(g: ModelGraph, size: int = 640):
 
 
 def _slots(g: ModelGraph):
-    """(name, owner, attr) of every parameter tensor of `g` in canonical order,
-    the array being `getattr(owner, attr)`: the one walk over the weights."""
+    """(name, owner, attr, shape) of every parameter tensor of `g` in canonical
+    order, the array being `getattr(owner, attr)` and `shape` the one its
+    block states: the one walk over the weights."""
     for entry in g.params:
-        for suffix, owner, attr in entry.block.param_slots():
-            yield f"{entry.name}.{suffix}", owner, attr
+        for suffix, owner, attr, shape in entry.block.shaped_slots():
+            yield f"{entry.name}.{suffix}", owner, attr, shape
 
 
 def named_tensors(g: ModelGraph):
     """(name, array) of every parameter tensor of `g`: the graph's own arrays, not copies."""
-    return ((name, getattr(owner, attr)) for name, owner, attr in _slots(g))
+    return ((name, getattr(owner, attr)) for name, owner, attr, _ in _slots(g))
 
 
 def seed_weights(g: ModelGraph, seed: int = 0) -> None:
-    """Deterministically initialize every parameter in place. Conv weights are
-    uniform within +/- sqrt(1/fan_in) from a PCG64 stream; norms start at
-    identity, biases at zero, scales at one."""
+    """Deterministically initialize every parameter. Conv weights are uniform
+    within +/- sqrt(1/fan_in) from a PCG64 stream, each draw bound into its
+    block; norms start at identity, biases at zero, scales at one, written in
+    place."""
     rng = np.random.default_rng(seed)
-    for name, arr in named_tensors(g):
+    for name, owner, attr, shape in _slots(g):
         leaf = name.rsplit(".", 1)[-1]
         if leaf == "w":
-            fan_in = int(np.prod(arr.shape[1:]))
-            bound = float(np.sqrt(1.0 / fan_in))
-            arr[...] = rng.uniform(-bound, bound, arr.shape).astype(DTYPE)
+            bound = float(np.sqrt(1.0 / prod(shape[1:])))
+            setattr(owner, attr, rng.uniform(-bound, bound, shape).astype(DTYPE))
         elif leaf in ("gamma", "var", "s"):
-            arr[...] = 1.0
+            getattr(owner, attr)[...] = 1.0
         else:  # b, beta, mean
-            arr[...] = 0.0
+            getattr(owner, attr)[...] = 0.0
 
 
 def init_weights(g: ModelGraph, seed: int = 0) -> WeightStore:
@@ -358,14 +360,16 @@ def collect_weights(g: ModelGraph) -> WeightStore:
 
 def load_weights(g: ModelGraph, store: WeightStore) -> None:
     """Bind the store's arrays into the graph's blocks once every tensor has
-    passed its checks, so a failing store leaves the graph untouched. The graph
-    and the store then share arrays: writing to one writes to the other."""
+    passed its checks, so a failing store leaves the graph untouched. Shapes
+    are checked against the shapes the blocks state, so the graph's own
+    arrays are never read. The graph and the store then share arrays: writing
+    to one writes to the other."""
     binds, variances, fault = {}, [], None
-    for name, owner, attr in _slots(g):
+    for name, owner, attr, shape in _slots(g):
         if name not in store:
             fault = f"store is missing tensor {name!r}"
             break
-        arr, shape = store[name], getattr(owner, attr).shape
+        arr = store[name]
         if arr.shape != shape:
             fault = f"tensor {name!r}: store shape {arr.shape} != graph shape {shape}"
             break

@@ -16,6 +16,7 @@ from repdet.blocks import (
 )
 from repdet.errors import SpecError
 from repdet.tensor_ops import (
+    Conv2dSpec,
     batch_norm_inference,
     concat_channels,
     conv2d,
@@ -65,6 +66,55 @@ class TestConvBlock:
         x = rng.uniform(-1, 1, (1, 4, 9, 9)).astype(np.float32)
         want = silu(batch_norm_inference(conv2d(x, blk.spec, blk.w), blk.bn))
         assert np.array_equal(blk.forward(x), want)
+
+    def test_fresh_weight_reads_as_its_own_writable_zeros(self):
+        blk, other = ConvBlock(4, 8, 3, groups=2), ConvBlock(4, 8, 3, groups=2)
+        w = blk.w
+        assert w.dtype == np.float32 and w.shape == blk.spec.weight_shape == (8, 2, 3, 3)
+        assert w.flags.writeable and not w.any()
+        assert blk.w is w and not np.shares_memory(w, other.w)
+        w[0, 0, 0, 0] = 2.0
+        blk.w[1] = 3.0
+        assert blk.w[0, 0, 0, 0] == 2.0 and (blk.w[1] == 3.0).all() and not other.w.any()
+        assert not hasattr(blk, "weights")
+
+
+class TestConvSpecs:
+    """Each ConvBlock takes its frozen Conv2dSpec from a cache keyed by its
+    arguments, with the spec that building it directly gives."""
+
+    def test_equal_arguments_share_one_spec(self):
+        specs = [owner.spec for variant in ("baseline", "improved") for fused in (False, True)
+                 for _ in range(2) for e in M.build_model(variant, 3, fused).params
+                 for _, owner, attr, _ in e.block.shaped_slots() if attr == "w"]
+        ids = {}
+        for spec in specs:
+            ids.setdefault(spec, set()).add(id(spec))
+        assert len(ids) < len(specs) and all(len(one) == 1 for one in ids.values())
+
+    @pytest.mark.parametrize("args, message", [
+        ((4, 8, 3, 1, None, 1, 3), r"channels \(4 in, 8 out\) not divisible by groups=3"),
+        ((0, 8, 1), "in_ch must be positive, got 0"),
+        ((4, 8, 3, 0), "kernel, stride and dilation entries must be >= 1"),
+        ((4, 8, 3, 1, -1), "padding must be non-negative"),
+    ])
+    def test_invalid_spec_raises_on_every_call(self, args, message):
+        for _ in range(3):
+            with pytest.raises(SpecError, match=f"^{message}$"):
+                ConvBlock(*args)
+
+    @pytest.mark.parametrize("args", [
+        (np.int64(4), np.int64(8), np.int64(3), np.int64(1), None, np.int64(1), np.int64(2)),
+        (4, 8, 3, [1, 1], [1, 1], 1, 2),
+        (4, 8, 3, True, True, True, 2),
+    ], ids=["int64", "list", "bool"])
+    def test_argument_forms_give_the_direct_spec(self, args, monkeypatch):
+        monkeypatch.setattr(blocks, "_SPECS", {})
+        want = Conv2dSpec(4, 8, (3, 3), (1, 1), (1, 1), (1, 1), 2)
+        specs = [ConvBlock(*args).spec, ConvBlock(4, 8, 3, groups=2).spec, ConvBlock(*args).spec]
+        assert all(spec == want for spec in specs)
+        plain = specs[1]
+        assert [type(v) for v in (plain.in_ch, plain.out_ch, plain.groups)] == [int, int, int]
 
 
 class TestC2f:

@@ -9,6 +9,13 @@ block's frozen `Conv2dSpec` comes from a cache keyed by its arguments.
 Forwards are pure. Every conv block takes a `bn` flag: with `bn=False` it is
 built in deploy form, BN-free with a bias, which `fusion` fills with folded
 arrays.
+
+A block holding parameters has one walk over them: `shaped_slots()` yields
+(suffix, owner, attr, shape) per parameter array in weight-name order. The
+array is `getattr(owner, attr)`, so a load, a seed or a fold rebinds it, and
+`shape` is the shape the block states for it, known without reading the array
+(a conv weight's comes from its spec). `model` loads, seeds, saves and counts
+through it, and `fusion` copies leaves through it.
 """
 from __future__ import annotations
 
@@ -26,6 +33,7 @@ from .tensor_ops import (
     DTYPE,
     BatchNormParams,
     Conv2dSpec,
+    _pair,
     add_n,
     batch_norm_inference,
     concat_channels,
@@ -51,29 +59,13 @@ def _concat_buffer(x: np.ndarray, channels: int) -> np.ndarray:
     return np.empty((x.shape[0], channels, *x.shape[2:]), DTYPE)
 
 
-class Block:
-    """`shaped_slots()` yields (suffix, owner, attr, shape) per parameter array
-    in weight-name order; the array is `getattr(owner, attr)`, so a load
-    rebinds it, and `shape` is the shape the block states for it, known
-    without reading the array (a conv weight's comes from its spec).
-    `param_slots()` yields the same without the shape."""
-
-    def param_slots(self):
-        for suffix, owner, attr, _ in self.shaped_slots():
-            yield suffix, owner, attr
-
-    def named_arrays(self):
-        for suffix, owner, attr, _ in self.shaped_slots():
-            yield suffix, getattr(owner, attr)
-
-
 def _bn_slots(bn: BatchNormParams):
     shape = bn.gamma.shape
     for attr in ("gamma", "beta", "mean", "var"):
         yield f"bn.{attr}", bn, attr, shape
 
 
-class Composite(Block):
+class Composite:
     """A block built from child blocks. `children()` lists (prefix, block) pairs
     in weight-name order, the same for the train and the deploy form.
 
@@ -108,17 +100,16 @@ def _conv_spec(in_ch, out_ch, kernel, stride, padding, dilation, groups, bn) -> 
         keep = type(in_ch) is type(out_ch) is type(groups) is int
     except TypeError:
         keep = False
-    kernel = kernel if isinstance(kernel, tuple) else (kernel, kernel)
-    dil = dilation if isinstance(dilation, tuple) else (dilation, dilation)
+    kernel, dilation = _pair(kernel), _pair(dilation)
     if padding is None:
-        padding = _autopad(kernel, dil)
-    spec = Conv2dSpec(in_ch, out_ch, kernel, stride, padding, dil, groups, has_bias=not bn)
+        padding = _autopad(kernel, dilation)
+    spec = Conv2dSpec(in_ch, out_ch, kernel, stride, padding, dilation, groups, has_bias=not bn)
     if keep:
         _SPECS[key] = spec
     return spec
 
 
-class ConvBlock(Block):
+class ConvBlock:
     """Conv2d + optional BatchNorm + optional SiLU. Bias only when norm-free.
     The weight `w` is bound by assignment; until then, reading it binds a new
     zero-filled array of `spec.weight_shape`, so a block that is loaded,
@@ -151,11 +142,10 @@ class ConvBlock(Block):
             yield from _bn_slots(self.bn)
 
 
-class AvgPoolBranch(Block):
+class AvgPoolBranch:
     """3x3 stride-1 average pool (padding counted in the mean) followed by BN."""
 
     def __init__(self, channels: int):
-        self.channels = channels
         self.bn = BatchNormParams.identity(channels)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -223,7 +213,6 @@ class Bottleneck(Composite):
             self.cv2 = MultiScaleSplitConv(ch, ch, bn)
         else:
             raise SpecError(f"unknown bottleneck variant {variant!r}")
-        self.variant = variant
         self.shortcut = shortcut
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -245,7 +234,6 @@ class C2f(Composite):
         if variant == "multiscale" and h % 4:
             raise SpecError(f"hidden width {h} not divisible by 4 for the multiscale variant")
         self.n, self.hidden = n, h
-        self.variant = variant
         self.cv1 = ConvBlock(in_ch, 2 * h, 1, bn=bn)
         self.bottlenecks = [Bottleneck(h, variant, shortcut, bn) for _ in range(n)]
         self.cv2 = ConvBlock((2 + n) * h, out_ch, 1, bn=bn)
@@ -314,7 +302,7 @@ class MSCABlock(Composite):
         return kids + [("mix", self.mix)]
 
 
-class ScaleParam(Block):
+class ScaleParam:
     """Single learnable scalar multiplier."""
 
     def __init__(self, value=1.0):
@@ -336,6 +324,7 @@ class HeadConfig:
     absurd count into a SpecError before any array is allocated."""
 
     nc: int
+    input_size: ClassVar[int] = 640  # the square network input: letterbox canvas, profile default
     max_nc: ClassVar[int] = 1000
     reg_max: ClassVar[int] = 16
     strides: ClassVar[tuple] = (8, 16, 32)

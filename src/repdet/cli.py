@@ -115,9 +115,9 @@ def cmd_fuse(args) -> int:
         print(f"wrote {args.out}")
     if args.verify:
         rng = np.random.default_rng(args.seed)
-        worst = 0.0
+        size, worst = g.cfg.input_size, 0.0
         for _ in range(5):
-            x = rng.uniform(0.0, 1.0, (1, 3, 640, 640)).astype(np.float32)
+            x = rng.uniform(0.0, 1.0, (1, 3, size, size)).astype(np.float32)
             for a, b in zip(M.forward(g, x), M.forward(fused, x)):
                 worst = float(np.maximum(worst, np.abs(a - b).max()))  # NaN sticks
         print(f"max head-output deviation: {worst:.3e}")

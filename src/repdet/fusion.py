@@ -6,10 +6,10 @@ writes folded arrays into it. Inputs are never mutated, so a fused graph can be
 compared side by side with its source.
 
 One pass walks every train leaf (a conv, a RepConv, a scale) with its deploy
-twin. Every batch norm's float64 affine comes from one `bn_scale_shift` over
-the concatenated statistics of all the norms folded; a conv's fold is one
-float64 multiply rounded into its twin. Errors name the first failing leaf in
-walk order.
+twin, recursing wherever the twin is a composite. Every batch norm's float64
+affine comes from one `bn_scale_shift` over the concatenated statistics of all
+the norms folded; a conv's fold is one float64 multiply rounded into its twin.
+Errors name the first failing leaf in walk order.
 """
 from __future__ import annotations
 
@@ -25,8 +25,9 @@ from .tensor_ops import DTYPE, bn_scale_shift
 
 def _leaves(src, dst, name: str):
     """(name, train leaf, deploy twin) under a block pair, in weight-name
-    order. A RepConv is one leaf: its twin is one conv."""
-    if isinstance(src, Composite) and not isinstance(src, RepConvBlock):
+    order. The walk follows the twin, so a RepConv is one leaf: its twin is
+    one conv."""
+    if isinstance(dst, Composite):
         for (prefix, s), (_, d) in zip(src.children(), dst.children()):
             yield from _leaves(s, d, f"{name}.{prefix}")
     else:
@@ -84,28 +85,26 @@ def _repconv64(blk: RepConvBlock, affines):
 
 def _fold(leaves) -> None:
     """Write the float32 fold of every (name, train leaf, twin) into the twin:
-    a RepConv gets its branch sum, a conv its BN fold (or a copy), any other
-    leaf a copy. A conv twin's weight is a new array, bound before the fold is
-    written, so the twin's zero-filled weight is never made. A non-finite fold
-    raises NumericError naming the leaf."""
+    a RepConv gets its branch sum, a conv its BN fold, any other leaf (a
+    BN-free conv, a scale) a copy of each array. A fold arm binds a new twin
+    weight, so no zero-filled weight is made; the copy arm binds copies, so
+    the twin shares no array with its source. A non-finite conv twin raises
+    NumericError naming the leaf."""
     leaves = list(leaves)
     affines = _affines([bn for _, src, _ in leaves for bn in _norms(src)])
     for name, src, dst in leaves:
-        if isinstance(dst, ConvBlock):
-            dst.w = np.empty(dst.spec.weight_shape, DTYPE)
         if isinstance(src, RepConvBlock):
+            dst.w = np.empty(dst.spec.weight_shape, DTYPE)
             dst.w[...], dst.b[...] = _repconv64(src, affines)
         elif isinstance(src, ConvBlock) and src.bn is not None:
             scale, shift = next(affines)
-            np.multiply(src.w, scale[:, None, None, None], out=dst.w, dtype=np.float64)
+            dst.w = np.multiply(src.w, scale[:, None, None, None], dtype=np.float64,
+                                out=np.empty(dst.spec.weight_shape, DTYPE))
             dst.b[...] = shift
-        elif isinstance(src, ConvBlock):
-            dst.w[...], dst.b[...] = src.w, src.b
         else:
-            for (_, a), (_, b) in zip(src.named_arrays(), dst.named_arrays()):
-                b[...] = a
-            continue
-        if not (np.isfinite(dst.w).all() and np.isfinite(dst.b).all()):
+            for (_, owner, attr, _), (_, *source, _) in zip(dst.shaped_slots(), src.shaped_slots()):
+                setattr(owner, attr, np.array(getattr(*source), DTYPE))
+        if isinstance(dst, ConvBlock) and not (np.isfinite(dst.w).all() and np.isfinite(dst.b).all()):
             raise NumericError(f"the fold of {name} has non-finite weights or bias; "
                                f"check the weights")
 

@@ -278,7 +278,7 @@ def _block_macs(block, out_shape) -> int:
                            if suffix.rsplit(".", 1)[-1] == "w")
 
 
-def profile_graph(g: ModelGraph, size: int = 640):
+def profile_graph(g: ModelGraph, size: int = HeadConfig.input_size):
     """Per-node output shape, parameter and MAC accounting at the given square
     input size and batch 1. The shapes come from a forward over a batch of no
     images, which does no arithmetic, so each is the shape the kernels give.
@@ -305,12 +305,12 @@ def param_count(g: ModelGraph) -> int:
     return sum(_param_count(e.block) for e in g.params)
 
 
-def flop_count(g: ModelGraph, size: int = 640) -> int:
+def flop_count(g: ModelGraph, size: int = HeadConfig.input_size) -> int:
     """Total MACs at the given square input size."""
     return profile_graph(g, size)[2]
 
 
-def output_shapes(g: ModelGraph, size: int = 640):
+def output_shapes(g: ModelGraph, size: int = HeadConfig.input_size):
     """The three head-map shapes at batch 1, as `profile_graph` gives them."""
     shapes = {r.name: r.out_shape for r in profile_graph(g, size)[0]}
     return tuple(shapes[o] for o in g.outputs)

@@ -53,8 +53,9 @@ def _nearest_indices(dst: int, src: int) -> np.ndarray:
     return np.clip(idx, 0, src - 1)
 
 
-def letterbox(image: np.ndarray, size: int = 640):
-    """Aspect-preserving nearest resize onto a grey square canvas.
+def letterbox(image: np.ndarray):
+    """Aspect-preserving nearest resize onto a grey square canvas of side
+    `HeadConfig.input_size`.
 
     Returns the C-contiguous (1, 3, size, size) float32 network tensor (RGB,
     1/255 scaled) and the coordinate-mapping metadata."""
@@ -62,6 +63,7 @@ def letterbox(image: np.ndarray, size: int = 640):
     if img.ndim != 3 or img.shape[2] != 3 or img.shape[0] < 1 or img.shape[1] < 1:
         raise ValidationError(f"expected a non-empty (h, w, 3) image, got {img.shape}")
     h, w = img.shape[:2]
+    size = HeadConfig.input_size
     scale = min(size / w, size / h)
     new_w, new_h = max(1, round(w * scale)), max(1, round(h * scale))
     pad_left, pad_top = (size - new_w) // 2, (size - new_h) // 2

@@ -22,6 +22,9 @@ maps, and checks the cell gather, anchors, un-mapping and order around them.
 `bn_scale_shift` and one float64 fold per batch norm. The graph-wide pass
 must write bit-equal arrays, or raise the same error.
 
+`named_arrays(block)` is how the tests read a block's arrays: (suffix,
+array) pairs from the block's one parameter walk, `shaped_slots`.
+
 `ref_load_rwt` is the whole-file `.rwt` parser that the streaming
 `WeightStore.load` replaced: it reads the file into one `bytes` and slices
 each field from it. The streaming parser must give a bit-equal store, or raise
@@ -191,6 +194,11 @@ def ref_eval_exhaustive(dets_per_image, truths_per_image, nc, iou_thresh=0.5):
     return per_class, map50
 
 
+def named_arrays(block):
+    """(suffix, array) of every parameter array of `block`, in weight-name order."""
+    return ((suffix, getattr(owner, attr)) for suffix, owner, attr, _ in block.shaped_slots())
+
+
 def conv_block_params(cin, cout, k, bn=True):
     """Closed-form learnable count of one conv unit (weights + bias or gamma/beta)."""
     kh, kw = (k, k) if isinstance(k, int) else k
@@ -288,7 +296,7 @@ def ref_fold_into(src, dst, name):
         for (prefix, s), (_, d) in zip(src.children(), dst.children()):
             ref_fold_into(s, d, f"{name}.{prefix}")
     else:
-        for (_, a), (_, b) in zip(src.named_arrays(), dst.named_arrays()):
+        for (_, a), (_, b) in zip(named_arrays(src), named_arrays(dst)):
             b[...] = a
 
 

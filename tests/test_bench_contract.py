@@ -1,15 +1,19 @@
-"""What the benchmark (its traced run in perfbench/spans.py, its staged path
-and its golden maker) needs from the engine. The tier-1 suite does not
-collect perfbench/tests, so an engine change that breaks the benchmark shows
-up here instead of at benchmark time."""
+"""What the benchmark (its traced run in perfbench/spans.py, its staged path,
+its golden maker and every engine name it reads) needs from the engine. The
+tier-1 suite does not collect perfbench/tests, so an engine change that
+breaks the benchmark shows up here instead of at benchmark time."""
+import ast
+import glob
 import importlib
 import importlib.util
 import os
+import pkgutil
 import sys
 
 import numpy as np
 import pytest
 
+import repdet
 import repdet.blocks
 import repdet.model as M
 from repdet.blocks import HeadConfig
@@ -29,6 +33,59 @@ def load_spans(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, spans)
     spec.loader.exec_module(spans)
     return spans
+
+
+REPDET_MODULES = {"repdet"} | {f"repdet.{m.name}" for m in pkgutil.iter_modules(repdet.__path__)}
+
+
+def _dotted(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def bench_reads() -> set:
+    """(module, name) of every repdet name that perfbench/*.py and
+    perfbench/tests/*.py read statically: each `from repdet... import` name,
+    and each attribute read on a name bound to a repdet module."""
+    reads = set()
+    for path in glob.glob(os.path.join(BENCH, "*.py")) + glob.glob(os.path.join(BENCH, "tests", "*.py")):
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        bound = {}  # local name -> the repdet module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "repdet":
+                        bound[alias.asname or "repdet"] = alias.name if alias.asname else "repdet"
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repdet":
+                for alias in node.names:
+                    reads.add((node.module, alias.name))
+                    if f"{node.module}.{alias.name}" in REPDET_MODULES:
+                        bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                root, _, rest = (_dotted(node.value) or "").partition(".")
+                module = ".".join(filter(None, (bound.get(root), rest)))
+                if root in bound and module in REPDET_MODULES:
+                    reads.add((module, node.attr))
+    return reads
+
+
+def test_bench_reads_only_engine_names():
+    # the tier-1 suite does not collect perfbench/tests and perfbench changes
+    # only with the benchmark, so a name deleted from the engine that the
+    # benchmark reads would otherwise fail only when the benchmark runs
+    reads = bench_reads()
+    assert {("repdet.model", "build_model"), ("repdet.pipeline", "letterbox"),
+            ("repdet.weights", "WeightStore")} <= reads
+    missing = sorted(f"{module}.{name}" for module, name in reads
+                     if f"{module}.{name}" not in REPDET_MODULES
+                     and not hasattr(importlib.import_module(module), name))
+    assert missing == []
 
 
 def test_kernel_timer_names_are_block_imports(monkeypatch):

@@ -25,12 +25,12 @@ from repdet.tensor_ops import (
     split_channels,
 )
 
-from oracles import c2f_params, conv_block_params
+from oracles import c2f_params, conv_block_params, named_arrays
 
 
 def randomize(block, rng, scale=1.0):
     """Fill every array of a block with unit-scale noise; BN stats stay sane."""
-    for suffix, arr in block.named_arrays():
+    for suffix, arr in named_arrays(block):
         leaf = suffix.rsplit(".", 1)[-1]
         if leaf == "var":
             arr[...] = rng.uniform(0.25, 2.0, arr.shape)
@@ -107,7 +107,9 @@ class TestConvSpecs:
         (np.int64(4), np.int64(8), np.int64(3), np.int64(1), None, np.int64(1), np.int64(2)),
         (4, 8, 3, [1, 1], [1, 1], 1, 2),
         (4, 8, 3, True, True, True, 2),
-    ], ids=["int64", "list", "bool"])
+        (4, 8, [3, 3], 1, None, 1, 2),
+        (4, 8, 3, 1, None, [1, 1], 2),
+    ], ids=["int64", "list", "bool", "list-kernel", "list-dilation"])
     def test_argument_forms_give_the_direct_spec(self, args, monkeypatch):
         monkeypatch.setattr(blocks, "_SPECS", {})
         want = Conv2dSpec(4, 8, (3, 3), (1, 1), (1, 1), (1, 1), 2)
@@ -131,9 +133,9 @@ class TestC2f:
         assert blk.forward(np.zeros((1, 64, 80, 80), np.float32)).shape == (1, 64, 80, 80)
 
     def test_multiscale_variant_has_fewer_params(self):
-        std = sum(a.size for s, a in C2f(128, 128, 2).named_arrays()
+        std = sum(a.size for s, a in named_arrays(C2f(128, 128, 2))
                   if not s.endswith(("bn.mean", "bn.var")))
-        ms = sum(a.size for s, a in C2f(128, 128, 2, variant="multiscale").named_arrays()
+        ms = sum(a.size for s, a in named_arrays(C2f(128, 128, 2, variant="multiscale"))
                    if not s.endswith(("bn.mean", "bn.var")))
         assert std == c2f_params(128, 128, 2)
         assert ms == c2f_params(128, 128, 2, multiscale=True)
@@ -293,8 +295,8 @@ class TestChildProtocol:
     def test_children_partition_named_arrays(self, kind):
         blk, _ = COMPOSITES[kind]()
         own = [(f"{p}.{k}", id(a)) for p, child in blk.children()
-               for k, a in child.named_arrays()]
-        assert own == [(k, id(a)) for k, a in blk.named_arrays()]
+               for k, a in named_arrays(child)]
+        assert own == [(k, id(a)) for k, a in named_arrays(blk)]
 
     def test_out_shape_and_macs_match_forward(self, kind, monkeypatch):
         blk, shape = COMPOSITES[kind]()

@@ -14,7 +14,7 @@ from repdet.fusion import deploy_repconv, fold_conv_block, fold_into, fuse_model
 from repdet.tensor_ops import BatchNormParams, batch_norm_inference, conv2d, pool2d, silu
 from repdet.weights import WeightStore
 
-from oracles import ref_deploy_repconv, ref_fold_conv, ref_fold_into
+from oracles import named_arrays, ref_deploy_repconv, ref_fold_conv, ref_fold_into
 from test_blocks import COMPOSITES, randomize
 
 
@@ -230,15 +230,15 @@ def folded(kind, rng):
     deploy-form twin filled by `fold_into`."""
     blk, shape = COMPOSITES[kind]()
     randomize(blk, rng, scale=0.5)
-    source = [(k, a.copy()) for k, a in blk.named_arrays()]
+    source = [(k, a.copy()) for k, a in named_arrays(blk)]
     twin, _ = COMPOSITES[kind](bn=False)
     fold_into(blk, twin, kind)
     return blk, source, twin, shape
 
 
 def shares_no_memory(a, b):
-    return not any(np.shares_memory(u, v) for _, u in a.named_arrays()
-                   for _, v in b.named_arrays())
+    return not any(np.shares_memory(u, v) for _, u in named_arrays(a)
+                   for _, v in named_arrays(b))
 
 
 @pytest.mark.parametrize("kind", COMPOSITES)
@@ -246,11 +246,11 @@ def test_fold_into_preserves_forward(kind):
     rng = np.random.default_rng(9)
     blk, source, twin, shape = folded(kind, rng)
     # every conv lost its BN; a RepConv's average-pool branch folds into its conv
-    assert not any(".bn." in f".{k}" for k, _ in twin.named_arrays())
+    assert not any(".bn." in f".{k}" for k, _ in named_arrays(twin))
     x = rng.uniform(-1, 1, shape).astype(np.float32)
     assert np.abs(blk.forward(x) - twin.forward(x)).max() < 1e-5
     # the source is untouched and shares no array with its twin
-    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(source, blk.named_arrays()))
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(source, named_arrays(blk)))
     assert shares_no_memory(blk, twin)
 
 
@@ -261,7 +261,7 @@ def test_fold_into_twin_copies_bits(kind):
     _, _, twin, shape = folded(kind, rng)
     again, _ = COMPOSITES[kind](bn=False)
     fold_into(twin, again, kind)
-    for (_, a), (_, b) in zip(twin.named_arrays(), again.named_arrays()):
+    for (_, a), (_, b) in zip(named_arrays(twin), named_arrays(again)):
         assert_bits(b, a)
     assert shares_no_memory(twin, again)
     x = rng.uniform(-1, 1, shape).astype(np.float32)
@@ -273,8 +273,8 @@ def test_fold_into_names_the_child(kind):
     # a NaN in the first conv weight is reported at that child; a RepConv
     # collapses into one conv, so it is reported as a whole
     blk, _ = COMPOSITES[kind]()
-    first = next(k for k, _ in blk.named_arrays() if k.endswith("w"))
-    dict(blk.named_arrays())[first][...] = np.nan
+    first = next(k for k, _ in named_arrays(blk) if k.endswith("w"))
+    dict(named_arrays(blk))[first][...] = np.nan
     want = kind if isinstance(blk, RepConvBlock) else f"{kind}.{first[:-2]}"
     twin, _ = COMPOSITES[kind](bn=False)
     with pytest.raises(NumericError, match=f"the fold of {want} has non-finite"):
@@ -291,7 +291,7 @@ class TestFuseModelGraph:
         # only BN folds applied: no learnable BN entries remain
         names = []
         for e in fused.params:
-            names.extend(f"{e.name}.{s}" for s, _ in e.block.named_arrays())
+            names.extend(f"{e.name}.{s}" for s, _ in named_arrays(e.block))
         assert not any(n.endswith((".bn.gamma", ".bn.beta")) for n in names)
 
     def test_improved_branch_nodes_removed(self):
@@ -310,6 +310,26 @@ class TestFuseModelGraph:
         assert store.names() == after.names()
         assert all(np.array_equal(store[n], after[n]) for n in store.names())
 
+    @pytest.mark.parametrize("variant", ["baseline", "improved"])
+    @pytest.mark.parametrize("fused", [False, True], ids=["train", "fused"])
+    def test_fused_graph_owns_its_arrays(self, variant, fused):
+        # every array of the result, the per-level scales included, is its
+        # own: none shares memory with the source graph or the store loaded
+        # into it, and writing into the result leaves the store unchanged
+        g = M.build_model(variant, 3)
+        store = M.init_weights(g, 0)
+        if fused:
+            store = M.collect_weights(fuse_model_graph(g))
+        source = M.build_model(variant, 3, fused)
+        M.load_weights(source, store)
+        before = M.collect_weights(source)
+        result = fuse_model_graph(source)
+        held = [a for _, a in M.named_tensors(source)] + [store[n] for n in store.names()]
+        for _, arr in M.named_tensors(result):
+            assert not any(np.shares_memory(arr, a) for a in held)
+            arr[...] = -1.0
+        assert all(np.array_equal(store[n], before[n]) for n in store.names())
+
     def test_end_to_end_equivalence(self):
         g = M.build_model("improved", 3)
         M.init_weights(g, 0)
@@ -326,7 +346,7 @@ class TestFuseModelGraph:
         M.init_weights(g, 0)
         rng = np.random.default_rng(12)
         for entry in g.params:
-            for suffix, arr in entry.block.named_arrays():
+            for suffix, arr in named_arrays(entry.block):
                 leaf = suffix.rsplit(".", 1)[-1]
                 if leaf == "var":
                     arr[...] = rng.uniform(0.05, 3.0, arr.shape)
@@ -431,7 +451,7 @@ def ref_fuse(g):
 def norms(g):
     """(weight-name prefix, BatchNormParams) of every batch norm of `g`, in walk order."""
     return [(f"{e.name}.{suffix.removesuffix('.gamma')}", owner) for e in g.params
-            for suffix, owner, attr in e.block.param_slots() if attr == "gamma"]
+            for suffix, owner, attr, _ in e.block.shaped_slots() if attr == "gamma"]
 
 
 def assert_graph_bits(got, want):

@@ -17,7 +17,7 @@ from repdet.errors import FormatError, ShapeError, SpecError, ValidationError
 from repdet.fusion import fuse_model_graph
 from repdet.weights import WeightStore
 
-from oracles import c2f_params, conv_block_params
+from oracles import c2f_params, conv_block_params, named_arrays
 
 # closed-form totals, re-derived here layer by layer as an independent check
 BASELINE_BODY = (
@@ -216,7 +216,7 @@ class TestForward:
 class TestAccounting:
     def test_conv_block_closed_form(self):
         blk = ConvBlock(3, 16, 3)
-        count = sum(a.size for s, a in blk.named_arrays() if not s.endswith(("bn.mean", "bn.var")))
+        count = sum(a.size for s, a in named_arrays(blk) if not s.endswith(("bn.mean", "bn.var")))
         assert count == 464  # 3*16*9 + 16 + 16
 
     def test_baseline_total(self):
@@ -540,7 +540,7 @@ class TestWeightsIO:
         for rest in shared:
             blocks = {id(nodes[f"head.{lvl}.{rest}"].block) for lvl in ("p3", "p4", "p5")}
             assert len(blocks) == 1
-            arrays = list(nodes[f"head.p3.{rest}"].block.named_arrays())
+            arrays = list(named_arrays(nodes[f"head.p3.{rest}"].block))
             assert arrays and all(a is store[f"head.{rest}.{k}"] for k, a in arrays)
 
     def test_rank0_tensor_round_trips_bytes(self, tmp_path):

@@ -28,6 +28,7 @@ from oracles import (
     conv2d_f64,
     conv_epilogue_f64,
     elementwise_f64,
+    named_arrays,
     pool2d_f64,
     scale_forward_f64,
     silu_f64,
@@ -76,7 +77,7 @@ def seeded_graph(variant, seed):
     M.init_weights(g, seed)
     rng = np.random.default_rng(seed + 100)
     for entry in g.params:
-        for suffix, arr in entry.block.named_arrays():
+        for suffix, arr in named_arrays(entry.block):
             leaf = suffix.rsplit(".", 1)[-1]
             if leaf in ("gamma", "s"):
                 arr[...] = rng.uniform(0.5, 1.5, arr.shape)

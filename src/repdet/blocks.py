@@ -5,10 +5,10 @@ A fresh block costs only its structure. A conv weight is zero-filled on its
 first read; a load, a seed or a fold binds its own array instead, so a graph
 loaded by `model.load_weights` holds the store's arrays and zero-fills none.
 Biases and batch norms (at identity) are small and built at once. Each conv
-block's frozen `Conv2dSpec` comes from a cache keyed by its arguments.
-Forwards are pure. Every conv block takes a `bn` flag: with `bn=False` it is
-built in deploy form, BN-free with a bias, which `fusion` fills with folded
-arrays.
+block's frozen `Conv2dSpec` comes from a cache keyed by its shape arguments,
+so a train conv and its deploy twin share one spec. Forwards are pure. Every
+conv block takes a `bn` flag: with `bn=False` it is built in deploy form,
+BN-free with a bias, which `fusion` fills with folded arrays.
 
 A block holding parameters has one walk over them: `shaped_slots()` yields
 (suffix, owner, attr, shape) per parameter array in weight-name order. The
@@ -87,13 +87,13 @@ class Composite:
 _SPECS: dict = {}
 
 
-def _conv_spec(in_ch, out_ch, kernel, stride, padding, dilation, groups, bn) -> Conv2dSpec:
+def _conv_spec(in_ch, out_ch, kernel, stride, padding, dilation, groups) -> Conv2dSpec:
     """The spec of a ConvBlock, built once per distinct argument tuple. A
     spec is stored only when its channel counts and groups are plain ints, so
     arguments equal to them (an `np.int64`, a float) never plant their type
     in later blocks' specs. Unhashable arguments, such as a list, and invalid
     ones, which raise on every call, are never stored."""
-    key = (in_ch, out_ch, kernel, stride, padding, dilation, groups, bn)
+    key = (in_ch, out_ch, kernel, stride, padding, dilation, groups)
     try:
         return _SPECS[key]
     except KeyError:
@@ -103,21 +103,23 @@ def _conv_spec(in_ch, out_ch, kernel, stride, padding, dilation, groups, bn) -> 
     kernel, dilation = _pair(kernel), _pair(dilation)
     if padding is None:
         padding = _autopad(kernel, dilation)
-    spec = Conv2dSpec(in_ch, out_ch, kernel, stride, padding, dilation, groups, has_bias=not bn)
+    spec = Conv2dSpec(in_ch, out_ch, kernel, stride, padding, dilation, groups)
     if keep:
         _SPECS[key] = spec
     return spec
 
 
 class ConvBlock:
-    """Conv2d + optional BatchNorm + optional SiLU. Bias only when norm-free.
-    The weight `w` is bound by assignment; until then, reading it binds a new
-    zero-filled array of `spec.weight_shape`, so a block that is loaded,
+    """Conv2d, then a per-channel affine, then an optional SiLU. The affine is
+    the BatchNorm's, or with `bn=False` the bias `b`: `conv2d` gets no bias,
+    and `conv_epilogue` applies the norm or the bias in the same pass as the
+    SiLU. The weight `w` is bound by assignment; until then, reading it binds
+    a new zero-filled array of `spec.weight_shape`, so a block that is loaded,
     seeded or folded into never allocates zeros that it would drop."""
 
     def __init__(self, in_ch, out_ch, kernel=1, stride=1, padding=None, dilation=1,
                  groups=1, bn=True, act="silu"):
-        self.spec = _conv_spec(in_ch, out_ch, kernel, stride, padding, dilation, groups, bn)
+        self.spec = _conv_spec(in_ch, out_ch, kernel, stride, padding, dilation, groups)
         if act not in ("silu", "none"):
             raise SpecError(f"unknown activation {act!r}")
         self.act = act
@@ -132,7 +134,7 @@ class ConvBlock:
         return w
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return conv_epilogue(conv2d(x, self.spec, self.w, self.b), self.bn, self.act)
+        return conv_epilogue(conv2d(x, self.spec, self.w), self.bn, self.act, self.b)
 
     def shaped_slots(self):
         yield "w", self, "w", self.spec.weight_shape

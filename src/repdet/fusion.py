@@ -122,15 +122,6 @@ def deploy_repconv(blk: RepConvBlock) -> ConvBlock:
     return twin
 
 
-def fold_conv_block(cb: ConvBlock) -> ConvBlock:
-    """BN folded into the conv; BN-free blocks are copied unchanged."""
-    s = cb.spec
-    twin = ConvBlock(s.in_ch, s.out_ch, s.kernel, s.stride, s.padding, s.dilation, s.groups,
-                     bn=False, act=cb.act)
-    fold_into(cb, twin, "a conv")
-    return twin
-
-
 def fuse_model_graph(g: ModelGraph) -> ModelGraph:
     """The deploy form of `g`: a fused build filled with the folds of its
     blocks in one pass. Idempotent: on a fused graph every fold is a copy."""

@@ -123,11 +123,10 @@ class _Builder:
         gid = f"head.{stack}@{level}"
         if first:
             self.params.append(ParamEntry(f"head.{stack}", rep))
-        k3 = self.add(f"{base}.k3", "conv", [x], rep.branch_3x3, group=gid, register=False)
-        k1 = self.add(f"{base}.k1", "conv", [x], rep.branch_1x1, group=gid, register=False)
-        av = self.add(f"{base}.avg", "avgpool_bn", [x], rep.branch_avg, group=gid,
-                      register=False)
-        s = self.add(f"{base}.sum", "add", [k3, k1, av], group=gid)
+        branches = [self.add(f"{base}.{prefix}", "conv" if isinstance(child, ConvBlock)
+                             else "avgpool_bn", [x], child, group=gid, register=False)
+                    for prefix, child in rep.children()]
+        s = self.add(f"{base}.sum", "add", branches, group=gid)
         return self.add(f"{base}.act", "silu", [s], group=gid)
 
 

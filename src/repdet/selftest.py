@@ -53,7 +53,7 @@ def check_conv_kernels(trials: int = 20, seed: int = 0):
         x = rng.uniform(-1, 1, (1, c, h, w)).astype(np.float32)
         wt = rng.uniform(-1, 1, (o, c, k, k)).astype(np.float32)
         b = rng.uniform(-1, 1, o).astype(np.float32)
-        spec = Conv2dSpec(c, o, k, st, pd, has_bias=True)
+        spec = Conv2dSpec(c, o, k, st, pd)
         got = conv2d(x, spec, wt, b)
         ref = _loop_conv(x, wt, b, (st, st), (pd, pd))
         worst = max(worst, float(np.abs(got - ref).max()))

@@ -21,10 +21,12 @@ in tests/oracles.py. Max pooling, elementwise add and mul are bit-identical
 to those references; add_n, the sum of any number of tensors, accumulates in
 float64 and rounds once. The decode kernels (sigmoid, grouped softmax) still
 accumulate in float64. No kernel mutates its inputs except conv_epilogue,
-which runs batch norm and SiLU in place on the new array conv2d returns, one
-slab of whole channels at a time through one reused tanh buffer, so it
-allocates nothing the size of its input; it is the one batch norm and SiLU
-body, which batch_norm_inference and silu run on a copy.
+which applies a batch norm's affine or a conv's bias, then SiLU, in place on
+the new array conv2d returns, one slab of whole channels at a time through one
+reused tanh buffer, so it allocates nothing the size of its input; it is the
+one batch norm and SiLU body, which batch_norm_inference and silu run on a
+copy. conv2d adds a bias its caller hands it once over its output; a
+ConvBlock hands its bias to conv_epilogue instead.
 """
 from __future__ import annotations
 
@@ -70,7 +72,6 @@ class Conv2dSpec:
     padding: tuple[int, int] = (0, 0)
     dilation: tuple[int, int] = (1, 1)
     groups: int = 1
-    has_bias: bool = False
 
     def __post_init__(self):
         for field in ("kernel", "stride", "padding", "dilation"):
@@ -263,8 +264,7 @@ def _bands(blocks, rows_read, row_bytes: int) -> list[list[tuple[int, int]]]:
     return bands
 
 
-def _dense(x: np.ndarray, spec: Conv2dSpec, wf: np.ndarray, ho: int, wo: int,
-           bias: np.ndarray | None) -> np.ndarray:
+def _dense(x: np.ndarray, spec: Conv2dSpec, wf: np.ndarray, ho: int, wo: int) -> np.ndarray:
     """Dense conv as im2col + GEMM by blocks of output rows. Each band of
     blocks copies the input rows it reads into one reused zero-bordered
     buffer, so no padded copy of the whole input exists. A block's column
@@ -301,34 +301,25 @@ def _dense(x: np.ndarray, spec: Conv2dSpec, wf: np.ndarray, ho: int, wo: int,
             for r0, r1 in band:
                 cols = buf[:k * (r1 - r0) * wo]
                 cols.reshape(c, kh, kw, r1 - r0, wo)[...] = pat[0, :, :, :, r0 - first:r1 - first]
-                block = out[b, :, r0:r1].reshape(spec.out_ch, -1)
-                np.matmul(wm, cols.reshape(k, -1), out=block)
-                if bias is not None:
-                    block += bias[:, None]
+                np.matmul(wm, cols.reshape(k, -1), out=out[b, :, r0:r1].reshape(spec.out_ch, -1))
     return out
 
 
 def conv2d(x: np.ndarray, spec: Conv2dSpec, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     """Direct 2-D convolution (cross-correlation): float32 im2col + GEMM, or
-    per-tap multiply-adds when depthwise (groups == in_ch == out_ch). The
-    result is always a new array that no other array views."""
+    per-tap multiply-adds when depthwise (groups == in_ch == out_ch), plus
+    `bias`, when given, in one pass over the output. The result is always a
+    new array that no other array views."""
     check_nchw(x)
     n, c, h, w = x.shape
     if c != spec.in_ch:
         raise ShapeError(f"channel axis: input has {c} channels, spec expects {spec.in_ch}")
     if tuple(weights.shape) != spec.weight_shape:
         raise ShapeError(f"weight axis: got {tuple(weights.shape)}, spec expects {spec.weight_shape}")
-    if spec.has_bias:
-        if bias is None:
-            raise ShapeError("spec declares a bias but none was supplied")
-        if bias.shape != (spec.out_ch,):
-            raise ShapeError(f"bias axis: length {bias.shape} != out_ch {spec.out_ch}")
-    elif bias is not None:
-        raise ShapeError("bias supplied to a bias-free conv spec")
+    bias = _checked_bias(bias, spec.out_ch)
 
     ho, wo = spec.out_hw(h, w)
     wf = np.asarray(weights, dtype=DTYPE)
-    bf = None if bias is None else np.asarray(bias, dtype=DTYPE)
     g = spec.groups
     if g == c and spec.out_ch == c:
         out = _depthwise(x, spec, wf, ho, wo)
@@ -337,19 +328,25 @@ def conv2d(x: np.ndarray, spec: Conv2dSpec, weights: np.ndarray, bias: np.ndarra
         out = (wf.reshape(spec.out_ch, c) @ np.asarray(x, DTYPE).reshape(n, c, h * w))
         out = out.reshape(n, spec.out_ch, ho, wo)
     elif g == 1:
-        return _dense(x, spec, wf, ho, wo, bf)
+        out = _dense(x, spec, wf, ho, wo)
     else:
-        # one dense conv per group, each with its slice of input, weights and bias
+        # one dense conv per group, each with its slice of input and weights
         cg, og = c // g, spec.out_ch // g
         one = replace(spec, in_ch=cg, out_ch=og, groups=1)
-        return np.concatenate([
-            conv2d(x[:, i * cg:(i + 1) * cg], one, wf[i * og:(i + 1) * og],
-                   None if bf is None else bf[i * og:(i + 1) * og])
-            for i in range(g)], axis=1)
-
-    if bf is not None:
-        out += bf[None, :, None, None]
+        out = np.concatenate([conv2d(x[:, i * cg:(i + 1) * cg], one, wf[i * og:(i + 1) * og])
+                              for i in range(g)], axis=1)
+    if bias is not None:
+        out += bias[:, None, None]
     return out
+
+
+def _checked_bias(bias, channels: int) -> np.ndarray | None:
+    """`bias` as float32, checked to hold one value per channel; None stays None."""
+    if bias is not None:
+        bias = np.asarray(bias, dtype=DTYPE)
+        if bias.shape != (channels,):
+            raise ShapeError(f"bias axis: length {bias.shape} != out_ch {channels}")
+    return bias
 
 
 def bn_scale_shift(p: BatchNormParams):
@@ -369,32 +366,41 @@ def silu(x: np.ndarray) -> np.ndarray:
     return conv_epilogue(np.array(x, dtype=DTYPE), None, "silu")
 
 
-def conv_epilogue(y: np.ndarray, bn: BatchNormParams | None, act: str) -> np.ndarray:
-    """Batch norm (when `bn` is given), then SiLU when `act` is "silu", over a
-    conv output `y` that nothing else references: `y` is overwritten and may
-    be the result. With SiLU the affine is pre-scaled by 0.5, cast to float32
-    once, so y holds h = x / 2, and the tail writes SiLU(x) = h * (1 + tanh(h))
-    over it; halving commutes with float32 rounding, and the tanh form of
-    sigmoid is stable for any magnitude. The work runs over slabs of whole
-    channels of about SLAB_BUDGET bytes, through one reused tanh buffer."""
+def conv_epilogue(y: np.ndarray, bn: BatchNormParams | None, act: str,
+                  bias: np.ndarray | None = None) -> np.ndarray:
+    """A per-channel affine, then SiLU when `act` is "silu", in place over a
+    conv output `y` that nothing else references; `y` may be the result. The
+    affine is the batch norm's, or a shift by `bias`, or none; a norm and a
+    bias together raise. With SiLU the affine is pre-scaled by 0.5, cast to
+    float32 once, so y holds h = x / 2, and the tail writes
+    SiLU(x) = h * (1 + tanh(h)) over it. Halving commutes with float32
+    rounding outside the subnormal range, so y/2 + bias/2 rounds as
+    (y + bias)/2, and the tanh form of sigmoid is stable for any magnitude.
+    The work runs over slabs of whole channels of about SLAB_BUDGET bytes,
+    through one reused tanh buffer."""
     check_nchw(y)
     n, c, h, w = y.shape
     silu_tail = act == "silu"
+    half = 0.5 if silu_tail else 1.0
     if bn is not None:
+        if bias is not None:
+            raise SpecError("a conv epilogue takes a batch norm or a bias, not both")
         if c != bn.channels:
             raise ShapeError(f"channel axis: input has {c} channels, batch norm has {bn.channels}")
-        half = 0.5 if silu_tail else 1.0
         scale, shift = ((half * v).astype(DTYPE)[:, None, None] for v in bn_scale_shift(bn))
-    elif silu_tail:
-        scale, shift = np.full((c, 1, 1), 0.5, DTYPE), None
     else:
-        return y
+        bias = _checked_bias(bias, c)
+        scale = np.full((c, 1, 1), half, DTYPE) if silu_tail else None
+        shift = None if bias is None else (half * bias)[:, None, None]
+        if scale is None and shift is None:
+            return y
     step = max(1, SLAB_BUDGET // max(4 * h * w, 1))  # channels per slab
     t = np.empty(min(c, step) * h * w, DTYPE) if silu_tail else None
     for b in range(n):
         for c0 in range(0, c, step):
             s = y[b, c0:c0 + step]
-            s *= scale[c0:c0 + step]
+            if scale is not None:
+                s *= scale[c0:c0 + step]
             if shift is not None:
                 s += shift[c0:c0 + step]
             if silu_tail:

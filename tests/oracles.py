@@ -20,7 +20,9 @@ maps, and checks the cell gather, anchors, un-mapping and order around them.
 `ref_fold_into` is the per-block fold that the graph-wide pass in
 `repdet.fusion` replaced: it recurses through `children()` and takes one
 `bn_scale_shift` and one float64 fold per batch norm. The graph-wide pass
-must write bit-equal arrays, or raise the same error.
+must write bit-equal arrays, or raise the same error. `fold_conv_block` is
+not a reference but a test helper: a conv's deploy twin, filled by
+`repdet.fusion.fold_into`.
 
 `named_arrays(block)` is how the tests read a block's arrays: (suffix,
 array) pairs from the block's one parameter walk, `shaped_slots`.
@@ -40,6 +42,7 @@ import numpy as np
 from repdet.blocks import Composite, ConvBlock, HeadConfig, RepConvBlock
 from repdet.errors import FormatError, NumericError, ShapeError, SpecError, ValidationError
 from repdet.evaluate import iou
+from repdet.fusion import fold_into
 from repdet.pipeline import PAD_VALUE, Detection, LetterboxMeta, _nearest_indices, dfl_expectation
 from repdet.tensor_ops import DTYPE, _pair, _window_view, bn_scale_shift, check_nchw, sigmoid
 from repdet.weights import MAGIC, WeightStore
@@ -300,6 +303,16 @@ def ref_fold_into(src, dst, name):
             b[...] = a
 
 
+def fold_conv_block(cb):
+    """A conv block's deploy twin with its BN folded in by `fold_into`; a
+    BN-free block's twin holds copies of its arrays."""
+    s = cb.spec
+    twin = ConvBlock(s.in_ch, s.out_ch, s.kernel, s.stride, s.padding, s.dilation, s.groups,
+                     bn=False, act=cb.act)
+    fold_into(cb, twin, "a conv")
+    return twin
+
+
 def conv2d_f64(x, spec, weights, bias=None):
     """Direct 2-D convolution (cross-correlation), float64 accumulation."""
     check_nchw(x)
@@ -308,13 +321,8 @@ def conv2d_f64(x, spec, weights, bias=None):
         raise ShapeError(f"channel axis: input has {c} channels, spec expects {spec.in_ch}")
     if tuple(weights.shape) != spec.weight_shape:
         raise ShapeError(f"weight axis: got {tuple(weights.shape)}, spec expects {spec.weight_shape}")
-    if spec.has_bias:
-        if bias is None:
-            raise ShapeError("spec declares a bias but none was supplied")
-        if bias.shape != (spec.out_ch,):
-            raise ShapeError(f"bias axis: length {bias.shape} != out_ch {spec.out_ch}")
-    elif bias is not None:
-        raise ShapeError("bias supplied to a bias-free conv spec")
+    if bias is not None and bias.shape != (spec.out_ch,):
+        raise ShapeError(f"bias axis: length {bias.shape} != out_ch {spec.out_ch}")
 
     ho, wo = spec.out_hw(h, w)
     ph, pw = spec.padding
@@ -360,10 +368,13 @@ def silu_f64(x):
     return (xd * 0.5 * (1.0 + np.tanh(0.5 * xd))).astype(DTYPE)
 
 
-def conv_epilogue_f64(y, bn, act):
-    """`conv_epilogue` as float64 batch norm, then float64 SiLU."""
+def conv_epilogue_f64(y, bn, act, bias=None):
+    """`conv_epilogue` as float64 batch norm, or a bias added in float64 and
+    rounded to float32 once, then float64 SiLU."""
     if bn is not None:
         y = batch_norm_inference_f64(y, bn)
+    elif bias is not None:
+        y = (y.astype(np.float64) + bias.astype(np.float64)[:, None, None]).astype(DTYPE)
     return silu_f64(y) if act == "silu" else y
 
 

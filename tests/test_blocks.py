@@ -14,7 +14,7 @@ from repdet.blocks import (
     RepConvBlock,
     SPPF,
 )
-from repdet.errors import SpecError
+from repdet.errors import ShapeError, SpecError
 from repdet.tensor_ops import (
     Conv2dSpec,
     batch_norm_inference,
@@ -66,6 +66,30 @@ class TestConvBlock:
         x = rng.uniform(-1, 1, (1, 4, 9, 9)).astype(np.float32)
         want = silu(batch_norm_inference(conv2d(x, blk.spec, blk.w), blk.bn))
         assert np.array_equal(blk.forward(x), want)
+
+    @pytest.mark.parametrize("kernel, groups, out_ch", [(1, 1, 6), (3, 1, 6), (3, 2, 6),
+                                                        (3, 4, 4)])
+    @pytest.mark.parametrize("act", ["silu", "none"])
+    def test_deploy_form_matches_a_conv_adding_its_bias(self, kernel, groups, out_ch, act):
+        # the epilogue's bias shift gives the bits of a conv2d that adds the
+        # bias itself, on the 1x1, dense, grouped and depthwise paths
+        rng = np.random.default_rng(3)
+        blk = randomize(ConvBlock(4, out_ch, kernel, groups=groups, bn=False, act=act), rng)
+        x = rng.uniform(-1, 1, (2, 4, 7, 5)).astype(np.float32)
+        y = conv2d(x, blk.spec, blk.w, blk.b)
+        assert np.array_equal(blk.forward(x), silu(y) if act == "silu" else y)
+
+    def test_wrong_length_bias_names_axis(self):
+        blk = ConvBlock(4, 8, 1, bn=False)
+        blk.b = np.ones(1, np.float32)
+        with pytest.raises(ShapeError, match=r"^bias axis: length \(1,\) != out_ch 8$"):
+            blk.forward(np.zeros((1, 4, 3, 3), np.float32))
+
+    def test_bias_beside_a_norm_raises(self):
+        blk = ConvBlock(4, 8, 1)
+        blk.b = np.ones(8, np.float32)
+        with pytest.raises(SpecError, match="a batch norm or a bias, not both"):
+            blk.forward(np.zeros((1, 4, 3, 3), np.float32))
 
     def test_fresh_weight_reads_as_its_own_writable_zeros(self):
         blk, other = ConvBlock(4, 8, 3, groups=2), ConvBlock(4, 8, 3, groups=2)

@@ -10,11 +10,17 @@ from hypothesis import strategies as st
 import repdet.model as M
 from repdet.blocks import ConvBlock, RepConvBlock
 from repdet.errors import NumericError
-from repdet.fusion import deploy_repconv, fold_conv_block, fold_into, fuse_model_graph
+from repdet.fusion import deploy_repconv, fold_into, fuse_model_graph
 from repdet.tensor_ops import BatchNormParams, batch_norm_inference, conv2d, pool2d, silu
 from repdet.weights import WeightStore
 
-from oracles import named_arrays, ref_deploy_repconv, ref_fold_conv, ref_fold_into
+from oracles import (
+    fold_conv_block,
+    named_arrays,
+    ref_deploy_repconv,
+    ref_fold_conv,
+    ref_fold_into,
+)
 from test_blocks import COMPOSITES, randomize
 
 
@@ -131,7 +137,7 @@ class TestFuseRepConv:
     def test_deploy_form_has_single_conv(self):
         blk = deploy_repconv(random_repconv(np.random.default_rng(5), 4))
         assert isinstance(blk, ConvBlock)
-        assert blk.spec.kernel == (3, 3) and blk.spec.has_bias
+        assert blk.spec.kernel == (3, 3) and blk.b is not None
         assert blk.bn is None and blk.act == "silu"
 
     def test_fused_conv_rejects_nonfinite(self):
@@ -196,7 +202,7 @@ class TestExactFold:
         want_w, want_b = ref_fold_conv(blk)
         assert_bits(folded.w, want_w)
         assert_bits(folded.b, want_b)
-        assert folded.bn is None and folded.spec.has_bias and folded.act == blk.act
+        assert folded.bn is None and folded.b is not None and folded.act == blk.act
 
     @FOLD
     @given(data=st.data(), ch=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
@@ -209,7 +215,7 @@ class TestExactFold:
         want_w, want_b = ref_deploy_repconv(blk)
         assert_bits(dep.w, want_w)
         assert_bits(dep.b, want_b)
-        assert dep.bn is None and dep.spec.has_bias and dep.act == "silu"
+        assert dep.bn is None and dep.b is not None and dep.act == "silu"
 
     @FOLD
     @given(cin=st.integers(1, 8), cout=st.integers(1, 8), k=st.sampled_from([1, 3]),

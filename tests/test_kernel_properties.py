@@ -58,8 +58,7 @@ def test_conv2d_depthwise_and_grouped_match_float64(geom, depthwise, groups, cg,
     kernel, stride, padding, dilation, (h, w) = geom
     if depthwise:
         groups, cg, og = groups + 4, 1, 1
-    spec = Conv2dSpec(groups * cg, groups * og, kernel, stride, padding, dilation,
-                      groups=groups, has_bias=bias)
+    spec = Conv2dSpec(groups * cg, groups * og, kernel, stride, padding, dilation, groups=groups)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, (1, spec.in_ch, h, w)).astype(np.float32)
     wt = rng.uniform(-1, 1, spec.weight_shape).astype(np.float32)
@@ -106,7 +105,7 @@ def _blas_rounds_blocks_alike() -> bool:
 
 @st.composite
 def dense_convs(draw):
-    """(spec, batch, (h, w), im2col budget) for a dense conv that gathers
+    """(spec, bias, batch, (h, w), im2col budget) for a dense conv that gathers
     im2col (not a 1x1 stride-1 unpadded one). Output widths sit near the one that makes a
     row's GEMM, or a pair or triple of rows', just exceed SMALL_GEMM_MACS."""
     k = draw(st.sampled_from([1, 3, 5]))
@@ -120,23 +119,23 @@ def dense_convs(draw):
     p = k // 2
     size = ((ho - 1) * stride + k - 2 * p, (wo - 1) * stride + k - 2 * p)
     budget = draw(st.integers(1, 4 * kk * ho * wo))
-    spec = Conv2dSpec(c, out_ch, k, stride, p, has_bias=draw(st.booleans()))
-    return spec, draw(st.integers(1, 2)), size, budget
+    spec = Conv2dSpec(c, out_ch, k, stride, p)
+    return spec, draw(st.booleans()), draw(st.integers(1, 2)), size, budget
 
 
 # one row per block, blocks of 2 and 3 rows, batch 2 with stride 2 and 5x5;
 # bit for bit wherever the BLAS rounds a block as it rounds the whole GEMM
 @PROPERTY
 @given(conv=dense_convs(), seed=seeds)
-@example(conv=(Conv2dSpec(16, 64, 3, 1, 1), 1, (5, 109), 1), seed=0)
-@example(conv=(Conv2dSpec(16, 64, 3, 1, 1), 1, (5, 109), 4 * 144 * 109 * 3), seed=1)
-@example(conv=(Conv2dSpec(16, 64, 5, 2, 2, has_bias=True), 2, (9, 79), 1), seed=2)
+@example(conv=(Conv2dSpec(16, 64, 3, 1, 1), False, 1, (5, 109), 1), seed=0)
+@example(conv=(Conv2dSpec(16, 64, 3, 1, 1), False, 1, (5, 109), 4 * 144 * 109 * 3), seed=1)
+@example(conv=(Conv2dSpec(16, 64, 5, 2, 2), True, 2, (9, 79), 1), seed=2)
 def test_dense_conv_row_blocks_bit_identical_to_one_block(conv, seed):
-    spec, batch, (h, w), budget = conv
+    spec, bias, batch, (h, w), budget = conv
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, (batch, spec.in_ch, h, w)).astype(np.float32)
     wt = rng.uniform(-1, 1, spec.weight_shape).astype(np.float32)
-    b = rng.uniform(-1, 1, spec.out_ch).astype(np.float32) if spec.has_bias else None
+    b = rng.uniform(-1, 1, spec.out_ch).astype(np.float32) if bias else None
     ho, wo = spec.out_hw(h, w)
     kk = spec.in_ch * spec.kernel[0] * spec.kernel[1]
     row_macs = spec.out_ch * kk * wo
@@ -156,4 +155,4 @@ def test_dense_conv_row_blocks_bit_identical_to_one_block(conv, seed):
     if _blas_rounds_blocks_alike():
         assert np.array_equal(got, whole)
     else:
-        assert np.abs(got - whole).max() <= 2 * float32_accumulation_bound(kk + spec.has_bias)
+        assert np.abs(got - whole).max() <= 2 * float32_accumulation_bound(kk + bias)

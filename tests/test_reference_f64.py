@@ -157,13 +157,28 @@ def test_conv_epilogue_bit_identical():
     y = wide_floats(rng, (2, 6, 9, 7))
     bn = BatchNormParams(rng.uniform(0.5, 1.5, 6), rng.uniform(-0.2, 0.2, 6),
                          rng.uniform(-0.2, 0.2, 6), rng.uniform(0.25, 2.0, 6))
-    # with a bias and no norm, conv2d has already added the bias to y
-    b = wide_floats(rng, (6,))[None, :, None, None]
-    biased = np.add(y, b, dtype=np.float32)
-    cases = [(y, bn, "silu", silu(batch_norm_inference(y, bn))),
-             (y, bn, "none", batch_norm_inference(y, bn)),
-             (biased, None, "silu", silu(biased)),
-             (y, None, "none", y)]
-    for x, norm, act, want in cases:
-        got = conv_epilogue(x.copy(), norm, act)
+    # a bias is shifted in by the epilogue, with the bits of adding it first
+    b = wide_floats(rng, (6,))
+    biased = np.add(y, b[:, None, None], dtype=np.float32)
+    cases = [(bn, None, "silu", silu(batch_norm_inference(y, bn))),
+             (bn, None, "none", batch_norm_inference(y, bn)),
+             (None, b, "silu", silu(biased)),
+             (None, b, "none", biased),
+             (None, None, "none", y)]
+    for norm, bias, act, want in cases:
+        got = conv_epilogue(y.copy(), norm, act, bias)
         assert got.dtype == np.float32 and np.array_equal(got, want)
+
+
+def test_conv_epilogue_bias_in_the_subnormal_range():
+    # halving rounds a subnormal, so y/2 + b/2 may land one step from
+    # (y + b)/2 before the SiLU tail; with no SiLU nothing is halved
+    rng = np.random.default_rng(10)
+    step = np.float32(2.0 ** -149)
+    y = rng.integers(-2 ** 23, 2 ** 23, (2, 8, 8, 16)).astype(np.float32) * step
+    b = rng.integers(-2 ** 23, 2 ** 23, 8).astype(np.float32) * step
+    assert np.all(np.abs(y) < np.finfo(np.float32).smallest_normal)
+    biased = np.add(y, b[:, None, None], dtype=np.float32)
+    assert np.array_equal(conv_epilogue(y.copy(), None, "none", b), biased)
+    got = conv_epilogue(y.copy(), None, "silu", b)
+    assert np.abs(got - silu(biased)).max() <= step

@@ -78,7 +78,7 @@ class TestConv2d:
             x = rng.uniform(-1, 1, (1, cin, h, w)).astype(np.float32)
             wt = rng.uniform(-1, 1, (cout, cin // g, k, k)).astype(np.float32)
             b = rng.uniform(-1, 1, cout).astype(np.float32)
-            spec = Conv2dSpec(cin, cout, k, st, pd, groups=g, has_bias=True)
+            spec = Conv2dSpec(cin, cout, k, st, pd, groups=g)
             got = conv2d(x, spec, wt, b)
             want = ref_conv2d(x, wt, b, (st, st), (pd, pd), (1, 1), g)
             assert np.abs(got - want).max() < 1e-6
@@ -103,6 +103,14 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="weight"):
             conv2d(np.zeros((1, 2, 4, 4), dtype=np.float32), spec,
                    np.zeros((2, 2, 1, 1), dtype=np.float32))
+
+    # the 1x1, dense, grouped and depthwise paths
+    @pytest.mark.parametrize("k, groups, out_ch", [(1, 1, 8), (3, 1, 8), (3, 2, 8), (3, 4, 4)])
+    def test_wrong_length_bias_names_axis(self, k, groups, out_ch):
+        spec = Conv2dSpec(4, out_ch, k, padding=k // 2, groups=groups)
+        with pytest.raises(ShapeError, match=rf"^bias axis: length \(1,\) != out_ch {out_ch}$"):
+            conv2d(np.zeros((1, 4, 3, 3), np.float32), spec,
+                   np.zeros(spec.weight_shape, np.float32), np.ones(1, np.float32))
 
     def test_bad_groups_is_spec_error(self):
         with pytest.raises(SpecError, match="groups"):
@@ -145,7 +153,7 @@ class TestSlabsAndBands:
         rng = np.random.default_rng(11)
         c, h, w = 3, 11, 8
         x = rng.uniform(-1, 1, (2, c, h, w)).astype(np.float32)
-        spec = Conv2dSpec(c, 4, k, s, p, d, has_bias=True)
+        spec = Conv2dSpec(c, 4, k, s, p, d)
         wt = rng.uniform(-1, 1, spec.weight_shape).astype(np.float32)
         b = rng.uniform(-1, 1, 4).astype(np.float32)
         ho = spec.out_hw(h, w)[0]

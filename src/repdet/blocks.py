@@ -46,12 +46,6 @@ from .tensor_ops import (
 )
 
 
-def _autopad(kernel, dilation) -> tuple[int, int]:
-    (kh, kw) = kernel
-    (dh, dw) = dilation
-    return (dh * (kh - 1)) // 2, (dw * (kw - 1)) // 2
-
-
 def _concat_buffer(x: np.ndarray, channels: int) -> np.ndarray:
     """An empty NCHW buffer with `x`'s batch, height and width. A block that
     concatenates copies each part into its channel slice as soon as the part
@@ -87,23 +81,25 @@ class Composite:
 _SPECS: dict = {}
 
 
-def _conv_spec(in_ch, out_ch, kernel, stride, padding, dilation, groups) -> Conv2dSpec:
+def _conv_spec(in_ch, out_ch, kernel, stride, padding, groups) -> Conv2dSpec:
     """The spec of a ConvBlock, built once per distinct argument tuple. A
-    spec is stored only when its channel counts and groups are plain ints, so
-    arguments equal to them (an `np.int64`, a float) never plant their type
-    in later blocks' specs. Unhashable arguments, such as a list, and invalid
-    ones, which raise on every call, are never stored."""
-    key = (in_ch, out_ch, kernel, stride, padding, dilation, groups)
+    `padding` of None pads (k - 1) // 2 on each axis of a k-wide kernel,
+    which keeps an odd kernel's output size at stride 1. A spec is stored
+    only when its channel counts and groups are plain ints, so arguments
+    equal to them (an `np.int64`, a float) never plant their type in later
+    blocks' specs. Unhashable arguments, such as a list, and invalid ones,
+    which raise on every call, are never stored."""
+    key = (in_ch, out_ch, kernel, stride, padding, groups)
     try:
         return _SPECS[key]
     except KeyError:
         keep = type(in_ch) is type(out_ch) is type(groups) is int
     except TypeError:
         keep = False
-    kernel, dilation = _pair(kernel), _pair(dilation)
+    kernel = _pair(kernel)
     if padding is None:
-        padding = _autopad(kernel, dilation)
-    spec = Conv2dSpec(in_ch, out_ch, kernel, stride, padding, dilation, groups)
+        padding = (kernel[0] - 1) // 2, (kernel[1] - 1) // 2
+    spec = Conv2dSpec(in_ch, out_ch, kernel, stride, padding, groups)
     if keep:
         _SPECS[key] = spec
     return spec
@@ -117,9 +113,9 @@ class ConvBlock:
     a new zero-filled array of `spec.weight_shape`, so a block that is loaded,
     seeded or folded into never allocates zeros that it would drop."""
 
-    def __init__(self, in_ch, out_ch, kernel=1, stride=1, padding=None, dilation=1,
-                 groups=1, bn=True, act="silu"):
-        self.spec = _conv_spec(in_ch, out_ch, kernel, stride, padding, dilation, groups)
+    def __init__(self, in_ch, out_ch, kernel=1, stride=1, padding=None, groups=1, bn=True,
+                 act="silu"):
+        self.spec = _conv_spec(in_ch, out_ch, kernel, stride, padding, groups)
         if act not in ("silu", "none"):
             raise SpecError(f"unknown activation {act!r}")
         self.act = act
@@ -305,10 +301,11 @@ class MSCABlock(Composite):
 
 
 class ScaleParam:
-    """Single learnable scalar multiplier."""
+    """Single learnable scalar multiplier, 1 until a load, a seed or a fold
+    binds another."""
 
-    def __init__(self, value=1.0):
-        self.s = np.full(1, value, dtype=DTYPE)
+    def __init__(self):
+        self.s = np.ones(1, dtype=DTYPE)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return np.multiply(x, self.s[0], dtype=DTYPE)

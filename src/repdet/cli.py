@@ -46,13 +46,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _forward_finite(g, tensor):
-    """Head maps of `g` on `tensor`. When one holds NaN or inf, runs the graph
-    again to name the first node whose output is not finite."""
+    """Head maps of `g` on `tensor`. When one holds NaN or inf, drops them and
+    walks the graph again, holding no more than a forward does, up to the
+    first node whose output is not finite, which the error names."""
     maps = M.forward(g, tensor)
     if all(np.isfinite(m).all() for m in maps):
         return maps
-    vals = M.run_graph(g, tensor)
-    bad = next(n for n in g.nodes if not np.isfinite(vals[n.name]).all())
+    del maps
+    bad = next(node for node, out in M.walk(g, tensor) if not np.isfinite(out).all())
     raise NumericError(f"non-finite values first appear at node {bad.name} ({bad.kind}); "
                        f"check the weights")
 

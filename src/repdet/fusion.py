@@ -20,7 +20,7 @@ import numpy as np
 from .blocks import Composite, ConvBlock, RepConvBlock
 from .errors import NumericError
 from .model import ModelGraph, build_model
-from .tensor_ops import DTYPE, bn_scale_shift
+from .tensor_ops import BN_EPS, DTYPE, bn_scale_shift
 
 
 def _leaves(src, dst, name: str):
@@ -44,15 +44,13 @@ def _norms(leaf) -> list:
 def _affines(norms: list):
     """Float64 (scale, shift) of each norm in turn, all from one
     `bn_scale_shift` over the concatenated statistics. A norm with
-    var + eps <= 0 raises when its turn comes; no norm after it is computed."""
+    var + BN_EPS <= 0 raises when its turn comes; no norm after it is computed."""
     if not norms:
         return
-    sizes = [bn.channels for bn in norms]
     stats = {k: np.concatenate([getattr(bn, k) for bn in norms])
              for k in ("gamma", "beta", "mean", "var")}
-    stats["eps"] = np.repeat(np.array([bn.eps for bn in norms], np.float64), sizes)
-    bad = stats["var"].astype(np.float64) + stats["eps"] <= 0
-    starts = np.cumsum([0] + sizes)
+    bad = stats["var"].astype(np.float64) + BN_EPS <= 0
+    starts = np.cumsum([0] + [bn.channels for bn in norms])
     failing = int(np.searchsorted(starts, bad.argmax(), "right")) - 1 if bad.any() else len(norms)
     scale, shift = bn_scale_shift(SimpleNamespace(**{k: v[:starts[failing]]
                                                      for k, v in stats.items()}))

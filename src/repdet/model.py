@@ -5,9 +5,9 @@ A graph is an ordered tuple of nodes; every edge references an earlier node or
 the reserved input "image". Parameter-bearing blocks are registered once in the
 graph's param table under a canonical name, so weights shared by several nodes
 (the lightweight head's RepConv stack and its box/cls convs) are stored and
-counted exactly once. One dispatch, `_walk`, runs every node; the per-node
-shapes of the profile come from that walk over an empty batch, so no shape
-is stated beside the kernels.
+counted exactly once. One dispatch, `walk`, runs every node and yields each
+output; the per-node shapes of the profile come from that walk over an empty
+batch, so no shape is stated beside the kernels.
 """
 from __future__ import annotations
 
@@ -227,32 +227,35 @@ def build_model(variant: str, nc: int = 3, fused: bool = False) -> ModelGraph:
     return ModelGraph(variant, nc, tuple(b.nodes), tuple(b.params), tuple(outputs), cfg)
 
 
-def _walk(g: ModelGraph, x: np.ndarray, keep=None) -> dict:
-    """The one node dispatch, behind run_graph, forward and profile_graph.
-    Returns name -> output tensor. With `keep`, an output is dropped once its
-    last consumer has run, unless `keep` names it."""
-    vals = {INPUT: x}
-    last = {} if keep is None else {
-        ref: step for step, node in enumerate(g.nodes) for ref in node.inputs if ref not in keep}
+def walk(g: ModelGraph, x: np.ndarray):
+    """The one node dispatch, behind run_graph, forward, profile_graph and
+    the CLI's non-finite diagnosis: yields (node, output) for every node of
+    `g` in order, on input `x` as float32. The walk drops its own reference
+    to an output once the last node that reads it has run, so what stays in
+    memory is what the caller keeps."""
+    vals = {INPUT: np.asarray(x, dtype=DTYPE)}
+    last = {ref: step for step, node in enumerate(g.nodes) for ref in node.inputs}
     for step, node in enumerate(g.nodes):
         ins = [vals[ref] for ref in node.inputs]
-        vals[node.name] = GLUE[node.kind](ins) if node.block is None else node.block.forward(ins[0])
+        out = vals[node.name] = (GLUE[node.kind](ins) if node.block is None
+                                 else node.block.forward(ins[0]))
         for ref in node.inputs:
-            if last.get(ref) == step:
+            if last[ref] == step:
                 vals.pop(ref, None)
-    return vals
+        yield node, out
 
 
 def run_graph(g: ModelGraph, x: np.ndarray) -> dict:
-    """Evaluate every node on input `x`; returns the full name -> tensor map."""
-    return _walk(g, np.asarray(x, dtype=DTYPE))
+    """Evaluate every node on input `x`; returns node name -> output for
+    every node."""
+    return {node.name: out for node, out in walk(g, x)}
 
 
 def forward(g: ModelGraph, x: np.ndarray):
     """Run the graph and return the three head maps (P3, P4, P5). Each other
     node's output is freed once the last node that reads it has run."""
-    vals = _walk(g, np.asarray(x, dtype=DTYPE), keep=set(g.outputs))
-    return tuple(vals[name] for name in g.outputs)
+    maps = {node.name: out for node, out in walk(g, x) if node.name in g.outputs}
+    return tuple(maps[name] for name in g.outputs)
 
 
 @dataclass(frozen=True)
@@ -285,11 +288,10 @@ def profile_graph(g: ModelGraph, size: int = HeadConfig.input_size):
     then shows batch 0, as in `(0, 128, 3, 3)`. A block's parameters count at
     the first node holding it; its MACs count at every node that runs it.
     Returns (rows, total_params, total_macs)."""
-    vals = run_graph(g, np.empty((0, 3, size, size), DTYPE))
     seen = set()
     rows = []
-    for node in g.nodes:
-        out = (1, *vals[node.name].shape[1:])
+    for node, value in walk(g, np.empty((0, 3, size, size), DTYPE)):
+        out = (1, *value.shape[1:])
         params = macs = 0
         if node.block is not None:
             macs = _block_macs(node.block, out)

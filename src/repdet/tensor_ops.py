@@ -25,8 +25,10 @@ which applies a batch norm's affine or a conv's bias, then SiLU, in place on
 the new array conv2d returns, one slab of whole channels at a time through one
 reused tanh buffer, so it allocates nothing the size of its input; it is the
 one batch norm and SiLU body, which batch_norm_inference and silu run on a
-copy. conv2d adds a bias its caller hands it once over its output; a
-ConvBlock hands its bias to conv_epilogue instead.
+copy, and the one place a bias is added: a ConvBlock hands it its bias, and
+conv2d a bias its caller passes.
+
+Every conv is undilated and every batch norm divides by sqrt(var + BN_EPS).
 """
 from __future__ import annotations
 
@@ -38,6 +40,9 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import NumericError, ShapeError, SpecError
 
 DTYPE = np.float32
+
+# the eps of every batch norm; a .rwt store carries no eps
+BN_EPS = 1e-3
 
 
 def _pair(v) -> tuple[int, int]:
@@ -70,11 +75,10 @@ class Conv2dSpec:
     kernel: tuple[int, int]
     stride: tuple[int, int] = (1, 1)
     padding: tuple[int, int] = (0, 0)
-    dilation: tuple[int, int] = (1, 1)
     groups: int = 1
 
     def __post_init__(self):
-        for field in ("kernel", "stride", "padding", "dilation"):
+        for field in ("kernel", "stride", "padding"):
             v = getattr(self, field)
             if not (type(v) is tuple and len(v) == 2 and type(v[0]) is type(v[1]) is int):
                 object.__setattr__(self, field, _pair(v))
@@ -85,8 +89,8 @@ class Conv2dSpec:
             raise SpecError(
                 f"channels ({self.in_ch} in, {self.out_ch} out) not divisible by groups={self.groups}"
             )
-        if min(self.kernel) < 1 or min(self.stride) < 1 or min(self.dilation) < 1:
-            raise SpecError("kernel, stride and dilation entries must be >= 1")
+        if min(self.kernel) < 1 or min(self.stride) < 1:
+            raise SpecError("kernel and stride entries must be >= 1")
         if min(self.padding) < 0:
             raise SpecError("padding must be non-negative")
 
@@ -98,9 +102,8 @@ class Conv2dSpec:
         kh, kw = self.kernel
         sh, sw = self.stride
         ph, pw = self.padding
-        dh, dw = self.dilation
-        ho = (h + 2 * ph - dh * (kh - 1) - 1) // sh + 1
-        wo = (w + 2 * pw - dw * (kw - 1) - 1) // sw + 1
+        ho = (h + 2 * ph - kh) // sh + 1
+        wo = (w + 2 * pw - kw) // sw + 1
         if ho < 1 or wo < 1:
             raise ShapeError(
                 f"spatial output collapsed to {ho}x{wo} for input {h}x{w} with kernel {self.kernel}"
@@ -110,13 +113,13 @@ class Conv2dSpec:
 
 @dataclass
 class BatchNormParams:
-    """Inference-time batch norm: per-channel affine over frozen statistics."""
+    """Inference-time batch norm: per-channel affine over frozen statistics,
+    with eps BN_EPS."""
 
     gamma: np.ndarray
     beta: np.ndarray
     mean: np.ndarray
     var: np.ndarray
-    eps: float = 1e-3
 
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=DTYPE)
@@ -129,37 +132,32 @@ class BatchNormParams:
                 raise ShapeError(f"batch norm {name} length {getattr(self, name).shape} != {n} channels")
         if np.any(self.var < 0):
             raise NumericError("running variance must be non-negative")
-        if self.eps <= 0:
-            raise NumericError(f"eps must be positive, got {self.eps}")
 
     @property
     def channels(self) -> int:
         return self.gamma.shape[0]
 
     @classmethod
-    def identity(cls, channels: int, eps: float = 1e-3) -> "BatchNormParams":
+    def identity(cls, channels: int) -> "BatchNormParams":
         """gamma 1, beta 0, mean 0, var 1: four new float32 arrays, built
         without the conversions and checks of `__init__`, which they pass."""
-        if eps <= 0:
-            raise NumericError(f"eps must be positive, got {eps}")
         p = cls.__new__(cls)
         p.gamma, p.beta = np.ones(channels, DTYPE), np.zeros(channels, DTYPE)
-        p.mean, p.var, p.eps = np.zeros(channels, DTYPE), np.ones(channels, DTYPE), eps
+        p.mean, p.var = np.zeros(channels, DTYPE), np.ones(channels, DTYPE)
         return p
 
 
-def _window_view(xp: np.ndarray, kernel, stride, dilation, out_hw):
+def _window_view(xp: np.ndarray, kernel, stride, out_hw):
     """Strided (n, c, kh, kw, ho, wo) window view over a padded array."""
     n, c = xp.shape[:2]
     kh, kw = kernel
     sh, sw = stride
-    dh, dw = dilation
     ho, wo = out_hw
     sn, sc, srow, scol = xp.strides
     return as_strided(
         xp,
         (n, c, kh, kw, ho, wo),
-        (sn, sc, dh * srow, dw * scol, sh * srow, sw * scol),
+        (sn, sc, srow, scol, sh * srow, sw * scol),
         writeable=False,
     )
 
@@ -205,7 +203,6 @@ def _depthwise(x: np.ndarray, spec: Conv2dSpec, wf: np.ndarray, ho: int, wo: int
     NCHW view, so a following depthwise conv pads it without a transpose."""
     kh, kw = spec.kernel
     sh, sw = spec.stride
-    dh, dw = spec.dilation
     xp = _padded(x, *spec.padding, channels_last=True).transpose(0, 2, 3, 1)
     n, c = x.shape[:2]
     taps = wf[:, 0].transpose(1, 2, 0)  # (kh, kw, c)
@@ -216,7 +213,7 @@ def _depthwise(x: np.ndarray, spec: Conv2dSpec, wf: np.ndarray, ho: int, wo: int
     prod = np.empty_like(out)
     for u in range(kh):
         for v in range(kw):
-            win = xp[:, _taps(u * dh, sh, ho), _taps(v * dw, sw, wo)]
+            win = xp[:, _taps(u, sh, ho), _taps(v, sw, wo)]
             w_row[...] = taps[u, v]
             if u == v == 0:
                 np.multiply(win, w_row, out=out)
@@ -273,12 +270,12 @@ def _dense(x: np.ndarray, spec: Conv2dSpec, wf: np.ndarray, ho: int, wo: int) ->
     the same dot product the whole-image GEMM computes."""
     n, c, h, w = x.shape
     kh, kw = spec.kernel
-    sh, dh, ph, pw = spec.stride[0], spec.dilation[0], *spec.padding
+    sh, ph, pw = spec.stride[0], *spec.padding
     k = c * kh * kw
     wm = wf.reshape(spec.out_ch, k)
 
     def rows_read(r0, r1):  # padded input rows that output rows r0..r1-1 read
-        return (r1 - r0 - 1) * sh + dh * (kh - 1) + 1
+        return (r1 - r0 - 1) * sh + kh
 
     bands = _bands(_row_blocks(ho, wo, k, spec.out_ch), rows_read, 4 * c * (w + 2 * pw))
     # the border columns are zeroed here once; band rows are written per band
@@ -296,8 +293,7 @@ def _dense(x: np.ndarray, spec: Conv2dSpec, wf: np.ndarray, ho: int, wo: int) ->
             xp[:, :, :a] = 0.0
             xp[:, :, e:] = 0.0
             xp[0, :, a:e, pw:pw + w] = x[b, :, top + a:top + e]
-            pat = _window_view(xp, spec.kernel, spec.stride, spec.dilation,
-                               (band[-1][1] - first, wo))
+            pat = _window_view(xp, spec.kernel, spec.stride, (band[-1][1] - first, wo))
             for r0, r1 in band:
                 cols = buf[:k * (r1 - r0) * wo]
                 cols.reshape(c, kh, kw, r1 - r0, wo)[...] = pat[0, :, :, :, r0 - first:r1 - first]
@@ -307,8 +303,8 @@ def _dense(x: np.ndarray, spec: Conv2dSpec, wf: np.ndarray, ho: int, wo: int) ->
 
 def conv2d(x: np.ndarray, spec: Conv2dSpec, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     """Direct 2-D convolution (cross-correlation): float32 im2col + GEMM, or
-    per-tap multiply-adds when depthwise (groups == in_ch == out_ch), plus
-    `bias`, when given, in one pass over the output. The result is always a
+    per-tap multiply-adds when depthwise (groups == in_ch == out_ch), then
+    `conv_epilogue`'s shift by `bias`, when given. The result is always a
     new array that no other array views."""
     check_nchw(x)
     n, c, h, w = x.shape
@@ -316,7 +312,6 @@ def conv2d(x: np.ndarray, spec: Conv2dSpec, weights: np.ndarray, bias: np.ndarra
         raise ShapeError(f"channel axis: input has {c} channels, spec expects {spec.in_ch}")
     if tuple(weights.shape) != spec.weight_shape:
         raise ShapeError(f"weight axis: got {tuple(weights.shape)}, spec expects {spec.weight_shape}")
-    bias = _checked_bias(bias, spec.out_ch)
 
     ho, wo = spec.out_hw(h, w)
     wf = np.asarray(weights, dtype=DTYPE)
@@ -335,25 +330,14 @@ def conv2d(x: np.ndarray, spec: Conv2dSpec, weights: np.ndarray, bias: np.ndarra
         one = replace(spec, in_ch=cg, out_ch=og, groups=1)
         out = np.concatenate([conv2d(x[:, i * cg:(i + 1) * cg], one, wf[i * og:(i + 1) * og])
                               for i in range(g)], axis=1)
-    if bias is not None:
-        out += bias[:, None, None]
-    return out
-
-
-def _checked_bias(bias, channels: int) -> np.ndarray | None:
-    """`bias` as float32, checked to hold one value per channel; None stays None."""
-    if bias is not None:
-        bias = np.asarray(bias, dtype=DTYPE)
-        if bias.shape != (channels,):
-            raise ShapeError(f"bias axis: length {bias.shape} != out_ch {channels}")
-    return bias
+    return conv_epilogue(out, None, "none", bias)
 
 
 def bn_scale_shift(p: BatchNormParams):
-    """Batch norm as a float64 per-channel affine: scale = gamma / sqrt(var + eps),
-    shift = beta - mean * scale. `p` may be anything with those five fields;
-    `fusion` passes the concatenated statistics of many norms, eps per channel."""
-    scale = p.gamma.astype(np.float64) / np.sqrt(p.var.astype(np.float64) + p.eps)
+    """Batch norm as a float64 per-channel affine: scale = gamma / sqrt(var + BN_EPS),
+    shift = beta - mean * scale. `p` may be anything with those four fields;
+    `fusion` passes the concatenated statistics of many norms."""
+    scale = p.gamma.astype(np.float64) / np.sqrt(p.var.astype(np.float64) + BN_EPS)
     return scale, p.beta.astype(np.float64) - p.mean.astype(np.float64) * scale
 
 
@@ -389,7 +373,10 @@ def conv_epilogue(y: np.ndarray, bn: BatchNormParams | None, act: str,
             raise ShapeError(f"channel axis: input has {c} channels, batch norm has {bn.channels}")
         scale, shift = ((half * v).astype(DTYPE)[:, None, None] for v in bn_scale_shift(bn))
     else:
-        bias = _checked_bias(bias, c)
+        if bias is not None:
+            bias = np.asarray(bias, dtype=DTYPE)
+            if bias.shape != (c,):
+                raise ShapeError(f"bias axis: length {bias.shape} != out_ch {c}")
         scale = np.full((c, 1, 1), half, DTYPE) if silu_tail else None
         shift = None if bias is None else (half * bias)[:, None, None]
         if scale is None and shift is None:

@@ -44,20 +44,27 @@ from repdet.errors import FormatError, NumericError, ShapeError, SpecError, Vali
 from repdet.evaluate import iou
 from repdet.fusion import fold_into
 from repdet.pipeline import PAD_VALUE, Detection, LetterboxMeta, _nearest_indices, dfl_expectation
-from repdet.tensor_ops import DTYPE, _pair, _window_view, bn_scale_shift, check_nchw, sigmoid
+from repdet.tensor_ops import (
+    BN_EPS,
+    DTYPE,
+    _pair,
+    _window_view,
+    bn_scale_shift,
+    check_nchw,
+    sigmoid,
+)
 from repdet.weights import MAGIC, WeightStore
 
 
-def ref_conv2d(x, w, b=None, stride=(1, 1), padding=(0, 0), dilation=(1, 1), groups=1):
+def ref_conv2d(x, w, b=None, stride=(1, 1), padding=(0, 0), groups=1):
     """Quadruple-loop convolution, float64 accumulation in a fixed order
     (kernel row, kernel column, input channel ascending)."""
     n, c, h, wd = x.shape
     o, cg, kh, kw = w.shape
     sh, sw = stride
     ph, pw = padding
-    dh, dw = dilation
-    ho = (h + 2 * ph - dh * (kh - 1) - 1) // sh + 1
-    wo = (wd + 2 * pw - dw * (kw - 1) - 1) // sw + 1
+    ho = (h + 2 * ph - kh) // sh + 1
+    wo = (wd + 2 * pw - kw) // sw + 1
     out = np.zeros((n, o, ho, wo), dtype=np.float64)
     og = o // groups
     for ni in range(n):
@@ -69,8 +76,8 @@ def ref_conv2d(x, w, b=None, stride=(1, 1), padding=(0, 0), dilation=(1, 1), gro
                     for u in range(kh):
                         for v in range(kw):
                             for ci in range(cg):
-                                yy = yi * sh + u * dh - ph
-                                xx = xi * sw + v * dw - pw
+                                yy = yi * sh + u - ph
+                                xx = xi * sw + v - pw
                                 if 0 <= yy < h and 0 <= xx < wd:
                                     acc += float(x[ni, base_c + ci, yy, xx]) * float(w[oi, ci, u, v])
                     if b is not None:
@@ -223,12 +230,12 @@ def c2f_params(cin, cout, n, multiscale=False):
 
 def ref_fold(w, bn):
     """Float64 weights and bias of a bias-free conv `w` and its batch norm,
-    channel by channel: w * s and beta - mean * s, s = gamma / sqrt(var + eps).
+    channel by channel: w * s and beta - mean * s, s = gamma / sqrt(var + BN_EPS).
     Not rounded."""
     w64 = np.empty(w.shape, np.float64)
     b64 = np.empty(w.shape[0], np.float64)
     for o in range(w.shape[0]):
-        s = float(bn.gamma[o]) / math.sqrt(float(bn.var[o]) + bn.eps)
+        s = float(bn.gamma[o]) / math.sqrt(float(bn.var[o]) + BN_EPS)
         w64[o] = w[o].astype(np.float64) * s
         b64[o] = float(bn.beta[o]) - float(bn.mean[o]) * s
     return w64, b64
@@ -259,7 +266,7 @@ def ref_deploy_repconv(blk):
 
 
 def _block_fold64(w, bn):
-    if np.any(bn.var.astype(np.float64) + bn.eps <= 0):
+    if np.any(bn.var.astype(np.float64) + BN_EPS <= 0):
         raise NumericError("variance + eps must be positive to fold a batch norm")
     scale, shift = bn_scale_shift(bn)
     w64 = w.astype(np.float64)
@@ -289,7 +296,7 @@ def ref_fold_into(src, dst, name):
     """Write the float32 fold of block `src` into its deploy twin `dst`, one
     block at a time: a RepConv gets its branch sum, a conv its BN fold (or a
     copy), a composite recurses over its children, any other leaf is copied.
-    A norm with var + eps <= 0, or a non-finite fold, raises NumericError."""
+    A norm with var + BN_EPS <= 0, or a non-finite fold, raises NumericError."""
     if isinstance(src, RepConvBlock):
         _block_write(dst, *_block_repconv64(src), name)
     elif isinstance(src, ConvBlock):
@@ -307,8 +314,8 @@ def fold_conv_block(cb):
     """A conv block's deploy twin with its BN folded in by `fold_into`; a
     BN-free block's twin holds copies of its arrays."""
     s = cb.spec
-    twin = ConvBlock(s.in_ch, s.out_ch, s.kernel, s.stride, s.padding, s.dilation, s.groups,
-                     bn=False, act=cb.act)
+    twin = ConvBlock(s.in_ch, s.out_ch, s.kernel, s.stride, s.padding, s.groups, bn=False,
+                     act=cb.act)
     fold_into(cb, twin, "a conv")
     return twin
 
@@ -329,7 +336,7 @@ def conv2d_f64(x, spec, weights, bias=None):
     xp = x.astype(np.float64)
     if ph or pw:
         xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    pat = _window_view(xp, spec.kernel, spec.stride, spec.dilation, (ho, wo))
+    pat = _window_view(xp, spec.kernel, spec.stride, (ho, wo))
     wf = weights.astype(np.float64)
 
     g = spec.groups
@@ -356,7 +363,7 @@ def batch_norm_inference_f64(x, p):
     check_nchw(x)
     if x.shape[1] != p.channels:
         raise ShapeError(f"channel axis: input has {x.shape[1]} channels, batch norm has {p.channels}")
-    scale = p.gamma.astype(np.float64) / np.sqrt(p.var.astype(np.float64) + p.eps)
+    scale = p.gamma.astype(np.float64) / np.sqrt(p.var.astype(np.float64) + BN_EPS)
     shift = p.beta.astype(np.float64) - p.mean.astype(np.float64) * scale
     out = x.astype(np.float64) * scale[None, :, None, None] + shift[None, :, None, None]
     return out.astype(DTYPE)
@@ -400,7 +407,7 @@ def pool2d_f64(x, mode, kernel, stride=None, padding=0):
     xp = x.astype(np.float64)
     if ph or pw:
         xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
-    pat = _window_view(xp, kernel, stride, (1, 1), (ho, wo))
+    pat = _window_view(xp, kernel, stride, (ho, wo))
     if mode == "max":
         out = pat.max(axis=(2, 3))
     else:

@@ -16,6 +16,7 @@ from repdet.blocks import (
 )
 from repdet.errors import ShapeError, SpecError
 from repdet.tensor_ops import (
+    BN_EPS,
     Conv2dSpec,
     batch_norm_inference,
     concat_channels,
@@ -47,14 +48,14 @@ class TestConvBlock:
     def test_identity_passthrough(self):
         blk = ConvBlock(3, 3, 1, groups=3, act="none")
         blk.w[...] = 1.0
-        blk.bn.eps = 1e-12
+        blk.bn.var[...] = 1 - BN_EPS
         x = np.random.default_rng(0).normal(size=(1, 3, 4, 4)).astype(np.float32)
         assert np.abs(blk.forward(x) - x).max() < 1e-6
 
     def test_zero_weights_give_silu_beta(self):
         blk = ConvBlock(2, 3, 3)
         blk.bn.beta[...] = [0.5, -1.0, 2.0]
-        blk.bn.eps = 1e-12
+        blk.bn.var[...] = 1 - BN_EPS
         out = blk.forward(np.random.default_rng(1).normal(size=(1, 2, 4, 4)).astype(np.float32))
         want = silu(np.broadcast_to(np.float32([0.5, -1.0, 2.0])[None, :, None, None],
                                     out.shape).copy())
@@ -117,9 +118,9 @@ class TestConvSpecs:
         assert len(ids) < len(specs) and all(len(one) == 1 for one in ids.values())
 
     @pytest.mark.parametrize("args, message", [
-        ((4, 8, 3, 1, None, 1, 3), r"channels \(4 in, 8 out\) not divisible by groups=3"),
+        ((4, 8, 3, 1, None, 3), r"channels \(4 in, 8 out\) not divisible by groups=3"),
         ((0, 8, 1), "in_ch must be positive, got 0"),
-        ((4, 8, 3, 0), "kernel, stride and dilation entries must be >= 1"),
+        ((4, 8, 3, 0), "kernel and stride entries must be >= 1"),
         ((4, 8, 3, 1, -1), "padding must be non-negative"),
     ])
     def test_invalid_spec_raises_on_every_call(self, args, message):
@@ -128,15 +129,14 @@ class TestConvSpecs:
                 ConvBlock(*args)
 
     @pytest.mark.parametrize("args", [
-        (np.int64(4), np.int64(8), np.int64(3), np.int64(1), None, np.int64(1), np.int64(2)),
-        (4, 8, 3, [1, 1], [1, 1], 1, 2),
-        (4, 8, 3, True, True, True, 2),
-        (4, 8, [3, 3], 1, None, 1, 2),
-        (4, 8, 3, 1, None, [1, 1], 2),
-    ], ids=["int64", "list", "bool", "list-kernel", "list-dilation"])
+        (np.int64(4), np.int64(8), np.int64(3), np.int64(1), None, np.int64(2)),
+        (4, 8, 3, [1, 1], [1, 1], 2),
+        (4, 8, 3, True, True, 2),
+        (4, 8, [3, 3], 1, None, 2),
+    ], ids=["int64", "list", "bool", "list-kernel"])
     def test_argument_forms_give_the_direct_spec(self, args, monkeypatch):
         monkeypatch.setattr(blocks, "_SPECS", {})
-        want = Conv2dSpec(4, 8, (3, 3), (1, 1), (1, 1), (1, 1), 2)
+        want = Conv2dSpec(4, 8, (3, 3), (1, 1), (1, 1), 2)
         specs = [ConvBlock(*args).spec, ConvBlock(4, 8, 3, groups=2).spec, ConvBlock(*args).spec]
         assert all(spec == want for spec in specs)
         plain = specs[1]
@@ -223,7 +223,7 @@ class TestSPPF:
 class TestMultiScaleSplitConv:
     def test_zero_paths_isolate_kept_half(self):
         blk = MultiScaleSplitConv(8, 4)
-        blk.fuse.bn.eps = 1e-12
+        blk.fuse.bn.var[...] = 1 - BN_EPS
         # select the kept half through the 1x1 merge; path outputs are zero
         blk.fuse.w[...] = 0.0
         for i in range(4):
@@ -286,9 +286,9 @@ class TestMSCA:
 class TestRepConv:
     def test_avg_branch_isolation(self):
         blk = RepConvBlock(4)
-        # conv weights default to zero; make every BN exactly identity
+        # conv weights default to zero; make every BN identity at float32 resolution
         for bn in (blk.branch_3x3.bn, blk.branch_1x1.bn, blk.branch_avg.bn):
-            bn.eps = 1e-12
+            bn.var[...] = 1 - BN_EPS
         x = np.random.default_rng(12).uniform(-1, 1, (1, 4, 6, 6)).astype(np.float32)
         want = silu(pool2d(x, "avg", 3, 1, 1))
         assert np.abs(blk.forward(x) - want).max() < 1e-6

@@ -1,7 +1,7 @@
 """Property tests: the slice kernels in repdet.tensor_ops against the float64
 kernels and loop oracles in oracles.py, over drawn channels, kernels
-(including the 1xL and Lx1 strips of the MSCA block), strides, paddings,
-dilations and spatial sizes, and the dense conv by blocks of output rows
+(including the 1xL and Lx1 strips of the MSCA block), strides, paddings
+and spatial sizes, and the dense conv by blocks of output rows
 against the same conv in one block. Inputs and weights lie in [-1, 1].
 
 Draws are derandomized, so every run checks the same examples.
@@ -32,15 +32,13 @@ def kernels(max_strip, max_square=5):
 
 
 @st.composite
-def windows(draw, kernel, dilated):
-    """(kernel, stride, padding, dilation, (h, w)) with at least one output pixel."""
+def windows(draw, kernel):
+    """(kernel, stride, padding, (h, w)) with at least one output pixel."""
     k = draw(kernel)
     stride = tuple(draw(st.integers(1, 3)) for _ in k)
-    dilation = tuple(draw(st.integers(1, 3)) if dilated else 1 for _ in k)
-    span = [d * (n - 1) + 1 for n, d in zip(k, dilation)]
-    padding = tuple(draw(st.integers(0, s // 2)) for s in span)
-    size = tuple(draw(st.integers(max(1, s - 2 * p), s + 6)) for s, p in zip(span, padding))
-    return k, stride, padding, dilation, size
+    padding = tuple(draw(st.integers(0, n // 2)) for n in k)
+    size = tuple(draw(st.integers(max(1, n - 2 * p), n + 6)) for n, p in zip(k, padding))
+    return k, stride, padding, size
 
 
 def float32_accumulation_bound(terms):
@@ -51,14 +49,14 @@ def float32_accumulation_bound(terms):
 
 
 @PROPERTY
-@given(geom=windows(kernels(21), dilated=True), depthwise=st.booleans(),
+@given(geom=windows(kernels(21)), depthwise=st.booleans(),
        groups=st.integers(1, 4), cg=st.integers(1, 3), og=st.integers(1, 3),
        bias=st.booleans(), seed=seeds)
 def test_conv2d_depthwise_and_grouped_match_float64(geom, depthwise, groups, cg, og, bias, seed):
-    kernel, stride, padding, dilation, (h, w) = geom
+    kernel, stride, padding, (h, w) = geom
     if depthwise:
         groups, cg, og = groups + 4, 1, 1
-    spec = Conv2dSpec(groups * cg, groups * og, kernel, stride, padding, dilation, groups=groups)
+    spec = Conv2dSpec(groups * cg, groups * og, kernel, stride, padding, groups=groups)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, (1, spec.in_ch, h, w)).astype(np.float32)
     wt = rng.uniform(-1, 1, spec.weight_shape).astype(np.float32)
@@ -71,9 +69,9 @@ def test_conv2d_depthwise_and_grouped_match_float64(geom, depthwise, groups, cg,
 
 
 @PROPERTY
-@given(geom=windows(kernels(21), dilated=False), channels=st.integers(1, 4), seed=seeds)
+@given(geom=windows(kernels(21)), channels=st.integers(1, 4), seed=seeds)
 def test_max_pool_bit_identical_to_float64(geom, channels, seed):
-    kernel, stride, padding, _, (h, w) = geom
+    kernel, stride, padding, (h, w) = geom
     x = np.random.default_rng(seed).uniform(-1, 1, (1, channels, h, w)).astype(np.float32)
     assert np.array_equal(pool2d(x, "max", kernel, stride, padding),
                           pool2d_f64(x, "max", kernel, stride, padding))
@@ -82,10 +80,9 @@ def test_max_pool_bit_identical_to_float64(geom, channels, seed):
 # a float32 mean over k*k <= 15 values in [-1, 1] carries at most k*k + 1
 # roundings of U each (sum, division, reference), which stays below 1e-6
 @PROPERTY
-@given(geom=windows(kernels(15, max_square=3), dilated=False), channels=st.integers(1, 4),
-       seed=seeds)
+@given(geom=windows(kernels(15, max_square=3)), channels=st.integers(1, 4), seed=seeds)
 def test_avg_pool_matches_loop_oracle(geom, channels, seed):
-    kernel, stride, padding, _, (h, w) = geom
+    kernel, stride, padding, (h, w) = geom
     x = np.random.default_rng(seed).uniform(-1, 1, (1, channels, h, w)).astype(np.float32)
     got = pool2d(x, "avg", kernel, stride, padding)
     want = ref_pool2d(x, "avg", kernel, stride, padding)

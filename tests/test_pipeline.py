@@ -1,6 +1,7 @@
 """Detection-pipeline tests: PPM IO, letterbox geometry, distance decoding,
 NMS behavior, and annotation determinism."""
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ class TestPPM:
         p1, p2 = os.fspath(tmp_path / "a.ppm"), os.fspath(tmp_path / "b.ppm")
         write_ppm(p1, img)
         write_ppm(p2, img)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 class TestLetterbox:

@@ -147,8 +147,9 @@ def test_elementwise_bit_identical(op):
 def test_scale_bit_identical():
     rng = np.random.default_rng(8)
     x = wide_floats(rng, (1, 8, 16, 16))
+    blk = B.ScaleParam()
     for value in (1.0, 0.75, 1.3371, -2.5e-3):
-        blk = B.ScaleParam(value)
+        blk.s[...] = value
         assert np.array_equal(blk.forward(x), scale_forward_f64(blk, x))
 
 

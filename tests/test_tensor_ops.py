@@ -6,6 +6,7 @@ import pytest
 import repdet.tensor_ops as T
 from repdet.errors import NumericError, ShapeError, SpecError
 from repdet.tensor_ops import (
+    BN_EPS,
     BatchNormParams,
     Conv2dSpec,
     batch_norm_inference,
@@ -80,17 +81,8 @@ class TestConv2d:
             b = rng.uniform(-1, 1, cout).astype(np.float32)
             spec = Conv2dSpec(cin, cout, k, st, pd, groups=g)
             got = conv2d(x, spec, wt, b)
-            want = ref_conv2d(x, wt, b, (st, st), (pd, pd), (1, 1), g)
+            want = ref_conv2d(x, wt, b, (st, st), (pd, pd), g)
             assert np.abs(got - want).max() < 1e-6
-
-    def test_dilation_matches_oracle(self):
-        rng = np.random.default_rng(4)
-        x = rng.uniform(-1, 1, (1, 2, 8, 8)).astype(np.float32)
-        wt = rng.uniform(-1, 1, (3, 2, 3, 3)).astype(np.float32)
-        spec = Conv2dSpec(2, 3, 3, padding=2, dilation=2)
-        got = conv2d(x, spec, wt)
-        want = ref_conv2d(x, wt, None, (1, 1), (2, 2), (2, 2), 1)
-        assert np.abs(got - want).max() < 1e-6
 
     def test_channel_mismatch_names_axis(self):
         spec = Conv2dSpec(3, 4, 1)
@@ -145,15 +137,15 @@ class TestSlabsAndBands:
         assert np.array_equal(got, whole) and np.array_equal(strided, whole)
         assert np.abs(whole - conv_epilogue_f64(y, p, act)).max() < 4e-6
 
-    # (kernel, stride, padding, dilation): stride 2, padding 2, dilation 2, and
-    # a padded 1x1 whose first and last bands hold only zero rows
-    @pytest.mark.parametrize("k, s, p, d", [(3, 1, 1, 1), (3, 2, 1, 1), (5, 1, 2, 1),
-                                            (3, 1, 2, 2), (5, 2, 2, 2), (1, 1, 1, 1)])
-    def test_dense_bands_are_bit_identical(self, monkeypatch, k, s, p, d):
+    # (kernel, stride, padding): stride 2, padding 2, and a 3x3 and a 1x1
+    # padded beyond their reach, whose first and last bands hold only zero rows
+    @pytest.mark.parametrize("k, s, p", [(3, 1, 1), (3, 2, 1), (5, 1, 2),
+                                         (3, 1, 2), (5, 2, 2), (1, 1, 1)])
+    def test_dense_bands_are_bit_identical(self, monkeypatch, k, s, p):
         rng = np.random.default_rng(11)
         c, h, w = 3, 11, 8
         x = rng.uniform(-1, 1, (2, c, h, w)).astype(np.float32)
-        spec = Conv2dSpec(c, 4, k, s, p, d)
+        spec = Conv2dSpec(c, 4, k, s, p)
         wt = rng.uniform(-1, 1, spec.weight_shape).astype(np.float32)
         b = rng.uniform(-1, 1, 4).astype(np.float32)
         ho = spec.out_hw(h, w)[0]
@@ -165,12 +157,12 @@ class TestSlabsAndBands:
         heights = []
         view = T._window_view
 
-        def spy(xp, kernel, stride, dilation, out_hw):
+        def spy(xp, kernel, stride, out_hw):
             heights.append(out_hw[0])
-            return view(xp, kernel, stride, dilation, out_hw)
+            return view(xp, kernel, stride, out_hw)
 
         monkeypatch.setattr(T, "_window_view", spy)
-        two_rows = 4 * c * (w + 2 * p) * (s + d * (k - 1) + 1)  # the padded rows of 2 output rows
+        two_rows = 4 * c * (w + 2 * p) * (s + k)  # the padded rows of 2 output rows
         for budget, band in ((1, 1), (two_rows, 2)):
             monkeypatch.setattr(T, "SLAB_BUDGET", budget)
             heights.clear()
@@ -179,17 +171,18 @@ class TestSlabsAndBands:
             assert heights == 2 * per_image and sum(per_image) == ho
             assert set(per_image[:-1]) == {band} and per_image[-1] <= band
             assert np.array_equal(got, whole)
-        assert np.abs(whole - ref_conv2d(x, wt, b, (s, s), (p, p), (d, d))).max() < 1e-5
+        assert np.abs(whole - ref_conv2d(x, wt, b, (s, s), (p, p))).max() < 1e-5
 
 
 class TestBatchNorm:
     def test_identity_params(self):
         x = np.random.default_rng(5).normal(size=(1, 3, 4, 4)).astype(np.float32)
-        p = BatchNormParams.identity(3, eps=1e-12)
+        p = BatchNormParams.identity(3)
+        p.var[...] = 1 - BN_EPS
         assert np.abs(batch_norm_inference(x, p) - x).max() < 1e-6
 
     def test_affine_arithmetic(self):
-        p = BatchNormParams([2.0], [1.0], [0.0], [1.0], eps=1e-12)
+        p = BatchNormParams([2.0], [1.0], [0.0], [1 - BN_EPS])
         out = batch_norm_inference(tensor([[[[3.0]]]]), p)
         assert abs(out[0, 0, 0, 0] - 7.0) < 1e-6
 
@@ -202,51 +195,41 @@ class TestBatchNorm:
         with pytest.raises(NumericError):
             BatchNormParams([1.0], [0.0], [0.0], [-0.5])
 
-    def test_zero_eps_rejected(self):
-        with pytest.raises(NumericError):
-            BatchNormParams([1.0], [0.0], [0.0], [1.0], eps=0.0)
-
 
 class TestLeanConstruction:
     """`BatchNormParams.identity` and `Conv2dSpec` skip the conversions and
     checks that their arguments do not need, with the same results."""
 
     def test_identity_builds_fresh_arrays(self):
-        calls = [BatchNormParams.identity(5), BatchNormParams.identity(5, eps=1e-5)]
+        calls = [BatchNormParams.identity(5), BatchNormParams.identity(5)]
         arrays = [getattr(p, k) for p in calls for k in ("gamma", "beta", "mean", "var")]
         for arr, value in zip(arrays, [1, 0, 0, 1] * 2):
             assert arr.dtype == np.float32 and arr.shape == (5,) and arr.flags.writeable
             assert np.array_equal(arr, np.full(5, value, np.float32))
         assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
-        assert [p.eps for p in calls] == [1e-3, 1e-5]
         checked = BatchNormParams(np.ones(5), np.zeros(5), np.zeros(5), np.ones(5))
         assert calls[0].channels == checked.channels == 5
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-3])
-    def test_identity_rejects_eps(self, eps):
-        with pytest.raises(NumericError, match=f"eps must be positive, got {eps}"):
-            BatchNormParams.identity(3, eps=eps)
-
-    CANONICAL = Conv2dSpec(4, 8, (3, 3), (1, 1), (1, 1), (1, 1), 2)
+    CANONICAL = Conv2dSpec(4, 8, (3, 3), (1, 1), (1, 1), 2)
 
     @pytest.mark.parametrize("pairs", [
-        (3, 1, 1, 1),
-        ([3, 3], [1, 1], [1, 1], [1, 1]),
-        ((3, 3), (1, 1), (1, 1), (1, 1)),
-        (np.int64(3), np.int64(1), (np.int64(1), np.int64(1)), [np.int64(1)] * 2),
-        ((3, 3), True, True, (True, True)),
+        (3, 1, 1),
+        ([3, 3], [1, 1], [1, 1]),
+        ((3, 3), (1, 1), (1, 1)),
+        (np.int64(3), (np.int64(1), np.int64(1)), [np.int64(1)] * 2),
+        ((3, 3), True, (True, True)),
     ], ids=["ints", "lists", "tuples", "int64", "bool"])
     def test_spec_forms_equal_the_canonical_one(self, pairs):
         spec = Conv2dSpec(4, 8, *pairs, groups=2)
         assert spec == self.CANONICAL and hash(spec) == hash(self.CANONICAL)
-        for v in (spec.kernel, spec.stride, spec.padding, spec.dilation):
+        for v in (spec.kernel, spec.stride, spec.padding):
             assert type(v) is tuple and [type(x) for x in v] == [int, int]
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"kernel": 0}, "kernel, stride and dilation entries must be >= 1"),
-        ({"kernel": [3, 0]}, "kernel, stride and dilation entries must be >= 1"),
-        ({"stride": np.int64(0)}, "kernel, stride and dilation entries must be >= 1"),
-        ({"dilation": False}, "kernel, stride and dilation entries must be >= 1"),
+        ({"kernel": 0}, "kernel and stride entries must be >= 1"),
+        ({"kernel": [3, 0]}, "kernel and stride entries must be >= 1"),
+        ({"stride": np.int64(0)}, "kernel and stride entries must be >= 1"),
+        ({"stride": False}, "kernel and stride entries must be >= 1"),
         ({"padding": -1}, "padding must be non-negative"),
         ({"padding": (0, -1)}, "padding must be non-negative"),
         ({"in_ch": 0}, "in_ch must be positive, got 0"),

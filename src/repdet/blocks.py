@@ -120,7 +120,7 @@ class ConvBlock:
             raise SpecError(f"unknown activation {act!r}")
         self.act = act
         self.b = np.zeros(out_ch, dtype=DTYPE) if not bn else None
-        self.bn = BatchNormParams.identity(out_ch) if bn else None
+        self.bn = BatchNormParams(out_ch) if bn else None
 
     def __getattr__(self, name):
         # called only for an attribute the instance does not hold
@@ -144,7 +144,7 @@ class AvgPoolBranch:
     """3x3 stride-1 average pool (padding counted in the mean) followed by BN."""
 
     def __init__(self, channels: int):
-        self.bn = BatchNormParams.identity(channels)
+        self.bn = BatchNormParams(channels)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return batch_norm_inference(pool2d(x, "avg", 3, 1, 1), self.bn)

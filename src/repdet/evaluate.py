@@ -179,6 +179,14 @@ def average_precision_50(flags, total_truths: int, scores=None) -> float:
     return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
 
 
+def _csv_field(text: str) -> str:
+    """`text` as one RFC 4180 field: quoted, with each quote doubled, only
+    when it holds a comma, a quote or a line break."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 @dataclass(frozen=True)
 class ClassReport:
     name: str
@@ -224,7 +232,7 @@ class EvalReport:
         lines = ["class,truths,detections,tp,fp,fn,precision,recall,ap50"]
         for c in self.classes:
             ap = "" if c.ap50 is None else f"{c.ap50:.4f}"
-            lines.append(f"{c.name},{c.truths},{c.detections},{c.tp},{c.fp},{c.fn},"
+            lines.append(f"{_csv_field(c.name)},{c.truths},{c.detections},{c.tp},{c.fp},{c.fn},"
                          f"{c.precision:.4f},{c.recall:.4f},{ap}")
         lines.append(f"overall,{self.total_truths},{self.total_detections},,,,,,{self.map50:.4f}")
         return "\n".join(lines)

@@ -228,9 +228,9 @@ def build_model(variant: str, nc: int = 3, fused: bool = False) -> ModelGraph:
 
 
 def walk(g: ModelGraph, x: np.ndarray):
-    """The one node dispatch, behind run_graph, forward, profile_graph and
-    the CLI's non-finite diagnosis: yields (node, output) for every node of
-    `g` in order, on input `x` as float32. The walk drops its own reference
+    """The one node dispatch, behind forward, profile_graph and the CLI's
+    non-finite diagnosis: yields (node, output) for every node of `g` in
+    order, on input `x` as float32. The walk drops its own reference
     to an output once the last node that reads it has run, so what stays in
     memory is what the caller keeps."""
     vals = {INPUT: np.asarray(x, dtype=DTYPE)}
@@ -243,12 +243,6 @@ def walk(g: ModelGraph, x: np.ndarray):
             if last[ref] == step:
                 vals.pop(ref, None)
         yield node, out
-
-
-def run_graph(g: ModelGraph, x: np.ndarray) -> dict:
-    """Evaluate every node on input `x`; returns node name -> output for
-    every node."""
-    return {node.name: out for node, out in walk(g, x)}
 
 
 def forward(g: ModelGraph, x: np.ndarray):
@@ -309,12 +303,6 @@ def param_count(g: ModelGraph) -> int:
 def flop_count(g: ModelGraph, size: int = HeadConfig.input_size) -> int:
     """Total MACs at the given square input size."""
     return profile_graph(g, size)[2]
-
-
-def output_shapes(g: ModelGraph, size: int = HeadConfig.input_size):
-    """The three head-map shapes at batch 1, as `profile_graph` gives them."""
-    shapes = {r.name: r.out_shape for r in profile_graph(g, size)[0]}
-    return tuple(shapes[o] for o in g.outputs)
 
 
 def _slots(g: ModelGraph):

@@ -111,7 +111,8 @@ def dfl_expectation(box_logits: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Candidates(Sequence):
     """Decoded boxes before NMS as arrays: int64 class ids, float32 scores and
-    float64 (n, 4) boxes in original-image pixels. `[i]` builds a `Detection`."""
+    float64 (n, 4) boxes in original-image pixels; the one input form of
+    `nms`. `[i]` builds a `Detection`."""
 
     class_ids: np.ndarray
     scores: np.ndarray
@@ -164,17 +165,12 @@ def decode_detections(head_maps, cfg: HeadConfig, meta: LetterboxMeta,
                       np.concatenate(boxes), tuple(class_names))
 
 
-def nms(dets, iou_thresh: float = 0.45) -> list:
-    """Greedy class-aware suppression of `Candidates` or a `Detection` list: a
-    box goes when its IoU (`evaluate.iou`'s arithmetic) with a kept box of its
-    class is >= the threshold. Ties break on lower class id, then input order;
-    survivors come back as `Detection`s sorted by descending score."""
-    if isinstance(dets, Candidates):
-        cids, scores, boxes = dets.class_ids, dets.scores, dets.boxes
-    else:
-        dets = list(dets)
-        rows = np.array([(d.class_id, d.score, *d.box) for d in dets], dtype=np.float64).reshape(-1, 6)
-        cids, scores, boxes = rows[:, 0], rows[:, 1], rows[:, 2:]
+def nms(cands: Candidates, iou_thresh: float = 0.45) -> list:
+    """Greedy class-aware suppression of `Candidates`: a box goes when its IoU
+    (`evaluate.iou`'s arithmetic) with a kept box of its class is >= the
+    threshold. Ties break on lower class id, then input order; survivors come
+    back as `Detection`s sorted by descending score."""
+    cids, scores, boxes = cands.class_ids, cands.scores, cands.boxes
     order = np.lexsort((np.arange(len(cids)), cids, -scores))
     kept = []
     with np.errstate(divide="ignore", invalid="ignore"):  # the quotients of disjoint pairs go unused
@@ -191,7 +187,7 @@ def nms(dets, iou_thresh: float = 0.45) -> list:
                 inter = ix * iy
                 iou = np.where((ix <= 0) | (iy <= 0), 0.0, inter / (area[k] + area[rest] - inter))
                 alive = rest[~(iou >= iou_thresh)]
-    return [dets[i] for i in order[np.sort(np.asarray(kept, dtype=np.int64))].tolist()]
+    return [cands[i] for i in order[np.sort(np.asarray(kept, dtype=np.int64))].tolist()]
 
 
 def annotate(image: np.ndarray, dets) -> np.ndarray:

@@ -38,9 +38,9 @@ def _loop_conv(x, w, b, stride, padding):
     return out.astype(np.float32)
 
 
-def check_conv_kernels(trials: int = 20, seed: int = 0):
+def check_conv_kernels():
     """conv2d, avg pool and grouped softmax against loop references."""
-    rng = np.random.default_rng(seed)
+    trials, rng = 20, np.random.default_rng(0)
     worst = 0.0
     for _ in range(trials):
         c = int(rng.integers(1, 5))
@@ -81,9 +81,9 @@ def check_conv_kernels(trials: int = 20, seed: int = 0):
     return worst < 1e-6, f"{trials} shape triples, max deviation {worst:.2e}"
 
 
-def check_repconv_equivalence(trials: int = 20, seed: int = 1):
+def check_repconv_equivalence():
     """Train-form vs deploy-form forward after branch fusion."""
-    rng = np.random.default_rng(seed)
+    trials, rng = 20, np.random.default_rng(1)
     worst = 0.0
     for _ in range(trials):
         ch = int(rng.choice([4, 8, 16]))
@@ -120,9 +120,9 @@ def _ap_threshold_sweep(flags, scores, total_truths):
     return ap
 
 
-def check_ap_oracle(trials: int = 50, seed: int = 2):
+def check_ap_oracle():
     """Interpolated AP against exhaustive threshold enumeration, ties included."""
-    rng = np.random.default_rng(seed)
+    trials, rng = 50, np.random.default_rng(2)
     worst = 0.0
     for _ in range(trials):
         n = int(rng.integers(1, 14))

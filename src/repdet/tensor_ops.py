@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import NumericError, ShapeError, SpecError
+from .errors import ShapeError, SpecError
 
 DTYPE = np.float32
 
@@ -50,14 +50,6 @@ def _pair(v) -> tuple[int, int]:
         a, b = v
         return int(a), int(b)
     return int(v), int(v)
-
-
-def tensor(data, shape=None) -> np.ndarray:
-    """Build a float32 NCHW tensor from nested data or a flat list + shape."""
-    arr = np.asarray(data, dtype=DTYPE)
-    if shape is not None:
-        arr = arr.reshape(shape)
-    return arr
 
 
 def check_nchw(x: np.ndarray, name: str = "input") -> np.ndarray:
@@ -111,40 +103,19 @@ class Conv2dSpec:
         return ho, wo
 
 
-@dataclass
 class BatchNormParams:
-    """Inference-time batch norm: per-channel affine over frozen statistics,
-    with eps BN_EPS."""
+    """Inference-time batch norm on `channels` channels: a per-channel affine
+    over frozen statistics, with eps BN_EPS. It starts at identity (gamma 1,
+    beta 0, mean 0, var 1) in four new float32 arrays; a load, a seed or a
+    caller writes or binds others."""
 
-    gamma: np.ndarray
-    beta: np.ndarray
-    mean: np.ndarray
-    var: np.ndarray
-
-    def __post_init__(self):
-        self.gamma = np.asarray(self.gamma, dtype=DTYPE)
-        self.beta = np.asarray(self.beta, dtype=DTYPE)
-        self.mean = np.asarray(self.mean, dtype=DTYPE)
-        self.var = np.asarray(self.var, dtype=DTYPE)
-        n = self.gamma.shape[0]
-        for name in ("beta", "mean", "var"):
-            if getattr(self, name).shape != (n,):
-                raise ShapeError(f"batch norm {name} length {getattr(self, name).shape} != {n} channels")
-        if np.any(self.var < 0):
-            raise NumericError("running variance must be non-negative")
+    def __init__(self, channels: int):
+        self.gamma, self.beta = np.ones(channels, DTYPE), np.zeros(channels, DTYPE)
+        self.mean, self.var = np.zeros(channels, DTYPE), np.ones(channels, DTYPE)
 
     @property
     def channels(self) -> int:
         return self.gamma.shape[0]
-
-    @classmethod
-    def identity(cls, channels: int) -> "BatchNormParams":
-        """gamma 1, beta 0, mean 0, var 1: four new float32 arrays, built
-        without the conversions and checks of `__init__`, which they pass."""
-        p = cls.__new__(cls)
-        p.gamma, p.beta = np.ones(channels, DTYPE), np.zeros(channels, DTYPE)
-        p.mean, p.var = np.zeros(channels, DTYPE), np.ones(channels, DTYPE)
-        return p
 
 
 def _window_view(xp: np.ndarray, kernel, stride, out_hw):

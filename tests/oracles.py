@@ -26,6 +26,9 @@ not a reference but a test helper: a conv's deploy twin, filled by
 
 `named_arrays(block)` is how the tests read a block's arrays: (suffix,
 array) pairs from the block's one parameter walk, `shaped_slots`.
+`batch_norm` and `candidates` build the engine's own forms from test values:
+a `BatchNormParams` with given statistics, and the `Candidates` of a
+`Detection` list.
 
 `ref_load_rwt` is the whole-file `.rwt` parser that the streaming
 `WeightStore.load` replaced: it reads the file into one `bytes` and slices
@@ -43,10 +46,18 @@ from repdet.blocks import Composite, ConvBlock, HeadConfig, RepConvBlock
 from repdet.errors import FormatError, NumericError, ShapeError, SpecError, ValidationError
 from repdet.evaluate import iou
 from repdet.fusion import fold_into
-from repdet.pipeline import PAD_VALUE, Detection, LetterboxMeta, _nearest_indices, dfl_expectation
+from repdet.pipeline import (
+    PAD_VALUE,
+    Candidates,
+    Detection,
+    LetterboxMeta,
+    _nearest_indices,
+    dfl_expectation,
+)
 from repdet.tensor_ops import (
     BN_EPS,
     DTYPE,
+    BatchNormParams,
     _pair,
     _window_view,
     bn_scale_shift,
@@ -207,6 +218,24 @@ def ref_eval_exhaustive(dets_per_image, truths_per_image, nc, iou_thresh=0.5):
 def named_arrays(block):
     """(suffix, array) of every parameter array of `block`, in weight-name order."""
     return ((suffix, getattr(owner, attr)) for suffix, owner, attr, _ in block.shaped_slots())
+
+
+def batch_norm(gamma, beta, mean, var) -> BatchNormParams:
+    """A fresh `BatchNormParams` with the given statistics written in as
+    float32. Nothing is checked: a negative variance goes in as given."""
+    p = BatchNormParams(len(gamma))
+    p.gamma[...], p.beta[...], p.mean[...], p.var[...] = gamma, beta, mean, var
+    return p
+
+
+def candidates(dets, score_dtype=np.float64) -> Candidates:
+    """The `Candidates` of a `Detection` list, in list order, with scores in
+    `score_dtype`; a class id no detection carries is named class<id>."""
+    names = {d.class_id: d.class_name for d in dets}
+    return Candidates(np.array([d.class_id for d in dets], dtype=np.int64),
+                      np.array([d.score for d in dets], dtype=score_dtype),
+                      np.array([d.box for d in dets], dtype=np.float64).reshape(-1, 4),
+                      tuple(names.get(i, f"class{i}") for i in range(max(names, default=-1) + 1)))
 
 
 def conv_block_params(cin, cout, k, bn=True):

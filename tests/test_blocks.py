@@ -380,7 +380,7 @@ class TestHeads:
 
     def test_shared_head_unit_scales_are_identity(self):
         g, _ = self._graph("improved")
-        vals = M.run_graph(g, self.X)
+        vals = {node.name: out for node, out in M.walk(g, self.X)}
         for level in ("p3", "p4", "p5"):
             assert np.array_equal(vals[f"head.{level}.scale"], vals[f"head.{level}.box"])
 

@@ -1,5 +1,7 @@
 """Metric tests: IoU and matching hand cases, AP against the exhaustive
 threshold oracle, and full-report behavior on planted datasets."""
+import csv
+import io
 import json
 import os
 
@@ -255,3 +257,25 @@ class TestEvaluate:
         assert csv[0].startswith("class,")
         assert csv[-1].startswith("overall,")
         assert csv[-1].endswith("1.0000")
+
+    # each class's fields after its name, in _single_image_case
+    CSV_TAILS = ("1,1,1,0,0,1.0000,1.0000,1.0000", "1,1,1,0,0,1.0000,1.0000,1.0000",
+                 "0,0,0,0,0,0.0000,0.0000,")
+
+    @pytest.mark.parametrize("names, quoted", [
+        (["shrimp, white spot", 'say "hi"', "two\nlines"],
+         ['"shrimp, white spot"', '"say ""hi"""', '"two\nlines"']),
+        (["cr\r", '"', ","], ['"cr\r"', '""""', '","']),
+        (["white spot", "café", "a;b 'c'"], ["white spot", "café", "a;b 'c'"]),
+    ], ids=["comma-quote-newline", "cr-lone-quote-lone-comma", "plain"])
+    def test_csv_names_parse_back(self, names, quoted):
+        # a name is quoted only when it holds a comma, a quote or a line
+        # break, so a plain name's row keeps its bytes
+        dets, items, sizes = _single_image_case()
+        text = evaluate(dets, items, names, image_sizes=sizes).to_csv_text()
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert all(len(row) == 9 for row in rows)
+        assert [row[0] for row in rows] == ["class", *names, "overall"]
+        body = "".join(f"{q},{tail}\n" for q, tail in zip(quoted, self.CSV_TAILS))
+        assert text == ("class,truths,detections,tp,fp,fn,precision,recall,ap50\n"
+                        f"{body}overall,2,2,,,,,,1.0000")

@@ -22,6 +22,7 @@ from repdet.tensor_ops import (
 from repdet.weights import WeightStore
 
 from oracles import (
+    batch_norm,
     fold_conv_block,
     named_arrays,
     ref_deploy_repconv,
@@ -57,7 +58,7 @@ class TestFuseConvBn:
         rng = np.random.default_rng(0)
         blk = ConvBlock(3, 4, 3)
         blk.w[...] = rng.normal(size=blk.w.shape)
-        blk.bn = BatchNormParams.identity(4)
+        blk.bn = BatchNormParams(4)
         blk.bn.var[...] = 1 - BN_EPS
         folded = fold_conv_block(blk)
         assert np.abs(folded.w - blk.w).max() < 1e-7
@@ -66,7 +67,7 @@ class TestFuseConvBn:
     def test_gamma_two_doubles_weights(self):
         blk = ConvBlock(1, 2, 1, act="none")
         blk.w[...] = 1.0
-        blk.bn = BatchNormParams([2.0, 2.0], [0.0, 0.0], [0.0, 0.0], [1 - BN_EPS] * 2)
+        blk.bn = batch_norm([2.0, 2.0], [0.0, 0.0], [0.0, 0.0], [1 - BN_EPS] * 2)
         folded = fold_conv_block(blk)
         assert np.abs(folded.w - 2.0).max() < 1e-6
         assert np.abs(folded.b).max() < 1e-6
@@ -75,8 +76,8 @@ class TestFuseConvBn:
         rng = np.random.default_rng(1)
         blk = ConvBlock(3, 5, 3, act="none")
         blk.w[...] = rng.uniform(-1, 1, blk.w.shape)
-        blk.bn = BatchNormParams(rng.uniform(0.5, 1.5, 5), rng.uniform(-1, 1, 5),
-                                 rng.uniform(-1, 1, 5), rng.uniform(0.25, 2, 5))
+        blk.bn = batch_norm(rng.uniform(0.5, 1.5, 5), rng.uniform(-1, 1, 5),
+                            rng.uniform(-1, 1, 5), rng.uniform(0.25, 2, 5))
         folded = fold_conv_block(blk)
         for _ in range(10):
             x = rng.uniform(-1, 1, (1, 3, 6, 6)).astype(np.float32)
@@ -189,7 +190,7 @@ def batch_norms(draw, ch):
                              st.floats(0, 4, width=32)))
     mean = channels(st.floats(-1e4, 1e4, width=32))
     beta = channels(st.floats(-4, 4, width=32))
-    return BatchNormParams(gamma, beta, mean, var)
+    return batch_norm(gamma, beta, mean, var)
 
 
 def assert_bits(got, want):
@@ -415,21 +416,46 @@ def extreme_statistics(g, rng, tiny_share, mean_size):
     return gammas
 
 
+def redraw_weights(g, rng, scales, w_mult, b_mult):
+    """Move every conv weight of `g` by the factor `w_mult`, draw every conv
+    bias in +-`b_mult` and set the improved head's scale at level p3, p4, p5
+    to `scales[0]`, `[1]`, `[2]`: values a trained store holds, not the seeded
+    init's weights, zero biases and unit scales."""
+    for name, arr in M.named_tensors(g):
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf == "w":
+            arr *= np.float32(w_mult)
+        elif leaf == "b":
+            arr[...] = rng.uniform(-b_mult, b_mult, arr.shape)
+        elif leaf == "s":
+            arr[...] = scales[("p3", "p4", "p5").index(name.split(".")[1])]
+
+
+AS_SEEDED = {"scales": (1.0, 1.0, 1.0), "w_mult": 1.0, "b_mult": 0.0}
+
+
 @settings(max_examples=16, deadline=None, derandomize=True, database=None)
 @given(variant=st.sampled_from(["baseline", "improved"]), nc=st.integers(1, 80),
        seed=st.integers(0, 2 ** 16), tiny_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
        mean_size=st.sampled_from([0.5, 1e2, 1e4]),
-       blowup=st.one_of(st.none(), st.integers(0, 2 ** 16)))
-@example(variant="improved", nc=3, seed=0, tiny_share=0.5, mean_size=1e4, blowup=None)
-@example(variant="improved", nc=3, seed=0, tiny_share=0.0, mean_size=0.5, blowup=-6)
+       blowup=st.one_of(st.none(), st.integers(0, 2 ** 16)),
+       scales=st.tuples(*[st.floats(-2.0, 2.0, width=32)] * 3),
+       w_mult=st.floats(0.25, 2.0), b_mult=st.floats(0.0, 2.0))
+@example(variant="improved", nc=3, seed=0, tiny_share=0.5, mean_size=1e4, blowup=None,
+         **AS_SEEDED)
+@example(variant="improved", nc=3, seed=0, tiny_share=0.0, mean_size=0.5, blowup=-6,
+         **AS_SEEDED)
 def test_fusion_properties_under_drawn_statistics(tmp_path_factory, variant, nc, seed,
-                                                  tiny_share, mean_size, blowup):
+                                                  tiny_share, mean_size, blowup,
+                                                  scales, w_mult, b_mult):
     # with `blowup`, the norm it indexes gets gamma 3e38 over a zero variance
     # and a mean of 1e4, whose float32 fold cannot be finite: fuse must name
     # the block (-6 is head.rep1's average-pool branch, named as its RepConv)
     g = M.build_model(variant, nc)
     M.init_weights(g, seed)
-    gammas = extreme_statistics(g, np.random.default_rng(seed), tiny_share, mean_size)
+    rng = np.random.default_rng(seed)
+    gammas = extreme_statistics(g, rng, tiny_share, mean_size)
+    redraw_weights(g, rng, scales, w_mult, b_mult)
     if blowup is not None:
         name = gammas[blowup % len(gammas)]
         arrays = dict(M.named_tensors(g))

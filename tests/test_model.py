@@ -159,7 +159,8 @@ class TestBuild:
     def test_nc_changes_head_only(self):
         g3 = M.build_model("improved", 3)
         g7 = M.build_model("improved", 7)
-        assert M.output_shapes(g7) == ((1, 71, 80, 80), (1, 71, 40, 40), (1, 71, 20, 20))
+        shapes = [r.out_shape for r in M.profile_graph(g7)[0] if r.name in g7.outputs]
+        assert shapes == [(1, 71, 80, 80), (1, 71, 40, 40), (1, 71, 20, 20)]
         assert M.param_count(g7) - M.param_count(g3) == 4 * (64 + 1)  # cls conv rows
 
 
@@ -172,7 +173,7 @@ class TestForward:
         if fused:
             g = fuse_model_graph(g)
         x = np.random.default_rng(4).uniform(0, 1, (1, 3, 96, 128)).astype(np.float32)
-        vals = M.run_graph(g, x)
+        vals = {node.name: out for node, out in M.walk(g, x)}
         got = M.forward(g, x)
         assert len(got) == 3
         assert all(np.array_equal(a, vals[name]) for a, name in zip(got, g.outputs))
@@ -182,8 +183,12 @@ class TestForward:
         M.init_weights(g, 0)
         g = fuse_model_graph(g)
         x = np.random.default_rng(5).uniform(0, 1, (1, 3, 640, 640)).astype(np.float32)
+
+        def keep_all(g, x):
+            return [out for _, out in M.walk(g, x)]
+
         peaks = []
-        for fn in (M.forward, M.run_graph):
+        for fn in (M.forward, keep_all):
             tracemalloc.start()
             try:
                 fn(g, x)
@@ -259,8 +264,9 @@ class TestAccounting:
 
     def test_output_shapes(self):
         for variant in ("baseline", "improved"):
-            shapes = M.output_shapes(M.build_model(variant, 3))
-            assert shapes == ((1, 67, 80, 80), (1, 67, 40, 40), (1, 67, 20, 20))
+            g = M.build_model(variant, 3)
+            shapes = [r.out_shape for r in M.profile_graph(g)[0] if r.name in g.outputs]
+            assert shapes == [(1, 67, 80, 80), (1, 67, 40, 40), (1, 67, 20, 20)]
 
     def test_profile_params_sum_matches_param_count(self):
         g = M.build_model("improved", 3)
@@ -270,8 +276,8 @@ class TestAccounting:
 
 
 class TestProfileShapes:
-    """profile_graph and output_shapes take every shape from a forward over an
-    empty batch, so they agree with the forward and fail where it fails."""
+    """profile_graph takes every shape from a forward over an empty batch, so
+    it agrees with the forward and fails where it fails."""
 
     @pytest.mark.parametrize("variant", ["baseline", "improved"])
     @pytest.mark.parametrize("fused", [False, True], ids=["train", "fused"])
@@ -281,11 +287,9 @@ class TestProfileShapes:
         if fused:
             g = fuse_model_graph(g)
         x = np.random.default_rng(6).uniform(0, 1, (1, 3, 64, 64)).astype(np.float32)
-        vals = M.run_graph(g, x)
         rows = M.profile_graph(g, 64)[0]
-        assert [(r.name, r.out_shape) for r in rows] == [(n.name, vals[n.name].shape)
-                                                         for n in g.nodes]
-        assert M.output_shapes(g, 64) == tuple(vals[o].shape for o in g.outputs)
+        assert [(r.name, r.out_shape) for r in rows] == [(n.name, out.shape)
+                                                         for n, out in M.walk(g, x)]
 
     @pytest.mark.parametrize("size", [33, 48])
     def test_size_the_forward_rejects_raises(self, size):
@@ -294,9 +298,8 @@ class TestProfileShapes:
         g = M.build_model("improved", 3)
         with pytest.raises(ShapeError, match=r"\(1, 128, 3, 3\)"):
             M.forward(g, np.zeros((1, 3, size, size), np.float32))
-        for profile in (M.profile_graph, M.output_shapes):
-            with pytest.raises(ShapeError, match=r"\(0, 128, 3, 3\)"):
-                profile(g, size)
+        with pytest.raises(ShapeError, match=r"\(0, 128, 3, 3\)"):
+            M.profile_graph(g, size)
 
 
 class TestInit:

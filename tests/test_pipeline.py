@@ -22,7 +22,7 @@ from repdet.pipeline import (
 )
 from repdet.ppm import read_ppm, write_ppm
 
-from oracles import ref_softmax_group
+from oracles import candidates, ref_softmax_group
 
 CFG = HeadConfig(nc=3)
 
@@ -211,17 +211,17 @@ class TestDecode:
 class TestNMS:
     def test_single_detection_kept(self):
         d = det(0, 0.9, (0, 0, 10, 10))
-        assert nms([d]) == [d]
+        assert nms(candidates([d])) == [d]
 
     def test_overlap_suppressed(self):
         a = det(0, 0.9, (0.0, 0.0, 10.0, 10.0))
         b = det(0, 0.8, (0.0, 0.0, 10.0, 9.0))  # IoU 0.9
-        assert nms([a, b], 0.5) == [a]
+        assert nms(candidates([a, b]), 0.5) == [a]
 
     def test_classes_do_not_suppress_each_other(self):
         a = det(0, 0.9, (0.0, 0.0, 10.0, 10.0))
         b = det(1, 0.8, (0.0, 0.0, 10.0, 9.0))
-        assert nms([a, b], 0.5) == [a, b]
+        assert nms(candidates([a, b]), 0.5) == [a, b]
 
     def test_output_subset_sorted_and_disjoint(self):
         rng = np.random.default_rng(4)
@@ -231,7 +231,7 @@ class TestNMS:
             y1 = float(rng.uniform(0, 80))
             dets.append(det(int(rng.integers(0, 3)), float(rng.uniform(0.1, 0.99)),
                             (x1, y1, x1 + float(rng.uniform(5, 30)), y1 + float(rng.uniform(5, 30)))))
-        kept = nms(dets, 0.45)
+        kept = nms(candidates(dets), 0.45)
         assert all(k in dets for k in kept)
         assert all(kept[i].score >= kept[i + 1].score for i in range(len(kept) - 1))
         from repdet.evaluate import iou
@@ -243,7 +243,7 @@ class TestNMS:
     def test_tie_prefers_lower_class_id(self):
         a = det(2, 0.8, (0.0, 0.0, 10.0, 10.0))
         b = det(1, 0.8, (100.0, 100.0, 110.0, 110.0))
-        assert nms([a, b], 0.5) == [b, a]
+        assert nms(candidates([a, b]), 0.5) == [b, a]
 
 
 class TestAnnotate:

@@ -13,7 +13,13 @@ from repdet.blocks import HeadConfig
 from repdet.evaluate import average_precision_50, iou
 from repdet.pipeline import Candidates, Detection, LetterboxMeta, decode_detections, letterbox, nms
 
-from oracles import ref_average_precision_50, ref_decode_detections, ref_letterbox, ref_nms
+from oracles import (
+    candidates,
+    ref_average_precision_50,
+    ref_decode_detections,
+    ref_letterbox,
+    ref_nms,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -160,22 +166,10 @@ def threshold(thr, dets):
 
 
 @PROPERTY
-@given(dets=detection_lists(), thr=iou_thresholds)
-def test_nms_of_detection_list_matches_reference(dets, thr):
-    thr = threshold(thr, dets)
-    kept = nms(dets, thr)
-    want = ref_nms(dets, thr)
-    assert [id(d) for d in kept] == [id(d) for d in want]
-
-
-@PROPERTY
 @given(dets=detection_lists(), thr=iou_thresholds, float32=st.booleans())
 def test_nms_of_candidates_matches_reference(dets, thr, float32):
     thr = threshold(thr, dets)
-    scores = np.array([d.score for d in dets], dtype=np.float32 if float32 else np.float64)
-    cands = Candidates(np.array([d.class_id for d in dets], dtype=np.int64), scores,
-                       np.array([d.box for d in dets], dtype=np.float64).reshape(-1, 4),
-                       tuple(f"class{i}" for i in range(4)))
+    cands = candidates(dets, np.float32 if float32 else np.float64)
     kept = nms(cands, thr)
     assert all(isinstance(d, Detection) for d in kept)
     assert bits(kept) == bits(ref_nms(list(cands), thr))
@@ -200,8 +194,8 @@ def test_nms_suppresses_exactly_at_the_pair_iou(pair):
     a = Detection(0, "class0", 0.9, pair[0])
     b = Detection(0, "class0", 0.8, pair[1])
     value = iou(a.box, b.box)
-    assert nms([a, b], value) == [a]
-    assert nms([a, b], np.nextafter(value, 2.0)) == [a, b]
+    assert nms(candidates([a, b]), value) == [a]
+    assert nms(candidates([a, b]), np.nextafter(value, 2.0)) == [a, b]
 
 
 # ---- AP envelope -----------------------------------------------------------

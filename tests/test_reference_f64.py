@@ -15,7 +15,6 @@ import repdet.blocks as B
 import repdet.model as M
 from repdet.fusion import fuse_model_graph
 from repdet.tensor_ops import (
-    BatchNormParams,
     batch_norm_inference,
     conv_epilogue,
     elementwise,
@@ -24,6 +23,7 @@ from repdet.tensor_ops import (
 )
 
 from oracles import (
+    batch_norm,
     batch_norm_inference_f64,
     conv2d_f64,
     conv_epilogue_f64,
@@ -93,7 +93,7 @@ def test_repconv_sites_equal_block_forward():
     # the two compute the same bits
     g = seeded_graph("improved", 4)
     x = np.random.default_rng(5).uniform(0, 1, (1, 3, 640, 640)).astype(np.float32)
-    vals = M.run_graph(g, x)
+    vals = {node.name: out for node, out in M.walk(g, x)}
     stacks = {e.name: e.block for e in g.params}
     for level in ("p3", "p4", "p5"):
         for stack, src in (("rep1", "stem"), ("rep2", "rep1.act")):
@@ -156,8 +156,8 @@ def test_scale_bit_identical():
 def test_conv_epilogue_bit_identical():
     rng = np.random.default_rng(9)
     y = wide_floats(rng, (2, 6, 9, 7))
-    bn = BatchNormParams(rng.uniform(0.5, 1.5, 6), rng.uniform(-0.2, 0.2, 6),
-                         rng.uniform(-0.2, 0.2, 6), rng.uniform(0.25, 2.0, 6))
+    bn = batch_norm(rng.uniform(0.5, 1.5, 6), rng.uniform(-0.2, 0.2, 6),
+                    rng.uniform(-0.2, 0.2, 6), rng.uniform(0.25, 2.0, 6))
     # a bias is shifted in by the epilogue, with the bits of adding it first
     b = wide_floats(rng, (6,))
     biased = np.add(y, b[:, None, None], dtype=np.float32)

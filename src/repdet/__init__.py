@@ -4,7 +4,6 @@ kernels, a structural-reparameterization fusion pass, and a mAP@0.5 harness."""
 from .model import (
     build_model,
     collect_weights,
-    flop_count,
     forward,
     init_weights,
     load_weights,
@@ -20,7 +19,6 @@ __all__ = [
     "WeightStore",
     "build_model",
     "collect_weights",
-    "flop_count",
     "forward",
     "fuse_model_graph",
     "init_weights",

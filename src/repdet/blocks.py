@@ -1,5 +1,6 @@
 """Forward blocks: conv units, CSP stages, strip-conv attention, the RepConv
 stack and the head geometry, which `model.build_model` wires into graphs.
+Each block that a graph node runs states that node's `kind`.
 
 A fresh block costs only its structure. A conv weight is zero-filled on its
 first read; a load, a seed or a fold binds its own array instead, so a graph
@@ -113,6 +114,8 @@ class ConvBlock:
     a new zero-filled array of `spec.weight_shape`, so a block that is loaded,
     seeded or folded into never allocates zeros that it would drop."""
 
+    kind = "conv"
+
     def __init__(self, in_ch, out_ch, kernel=1, stride=1, padding=None, groups=1, bn=True,
                  act="silu"):
         self.spec = _conv_spec(in_ch, out_ch, kernel, stride, padding, groups)
@@ -142,6 +145,8 @@ class ConvBlock:
 
 class AvgPoolBranch:
     """3x3 stride-1 average pool (padding counted in the mean) followed by BN."""
+
+    kind = "avgpool_bn"
 
     def __init__(self, channels: int):
         self.bn = BatchNormParams(channels)
@@ -232,6 +237,7 @@ class C2f(Composite):
         if variant == "multiscale" and h % 4:
             raise SpecError(f"hidden width {h} not divisible by 4 for the multiscale variant")
         self.n, self.hidden = n, h
+        self.kind = "c2f_ms" if variant == "multiscale" else "c2f"
         self.cv1 = ConvBlock(in_ch, 2 * h, 1, bn=bn)
         self.bottlenecks = [Bottleneck(h, variant, shortcut, bn) for _ in range(n)]
         self.cv2 = ConvBlock((2 + n) * h, out_ch, 1, bn=bn)
@@ -251,6 +257,8 @@ class C2f(Composite):
 
 class SPPF(Composite):
     """Spatial pyramid pooling (fast): three chained 5x5 max pools, concatenated."""
+
+    kind = "sppf"
 
     def __init__(self, ch, bn=True):
         self.out_ch = ch
@@ -274,6 +282,7 @@ class MSCABlock(Composite):
     strip pairs (7/11/21) summed with the base, a 1x1 mix producing a pixelwise
     attention map that multiplies the input."""
 
+    kind = "msca"
     STRIP_LENGTHS = (7, 11, 21)
 
     def __init__(self, ch):
@@ -304,6 +313,8 @@ class ScaleParam:
     """Single learnable scalar multiplier, 1 until a load, a seed or a fold
     binds another."""
 
+    kind = "scale"
+
     def __init__(self):
         self.s = np.ones(1, dtype=DTYPE)
 
@@ -323,7 +334,7 @@ class HeadConfig:
     absurd count into a SpecError before any array is allocated."""
 
     nc: int
-    input_size: ClassVar[int] = 640  # the square network input: letterbox canvas, profile default
+    input_size: ClassVar[int] = 640  # the square network input: letterbox canvas and profile
     max_nc: ClassVar[int] = 1000
     reg_max: ClassVar[int] = 16
     strides: ClassVar[tuple] = (8, 16, 32)

@@ -107,16 +107,10 @@ def _fold(leaves) -> None:
                                f"check the weights")
 
 
-def fold_into(src, dst, name: str) -> None:
-    """Write the float32 fold of block `src` into `dst`, its twin in a fused
-    build; a non-finite fold raises NumericError naming `name` or its child."""
-    _fold(_leaves(src, dst, name))
-
-
 def deploy_repconv(blk: RepConvBlock) -> ConvBlock:
     """Deploy form of a RepConv: one biased 3x3 conv followed by its SiLU."""
     twin = ConvBlock(blk.out_ch, blk.out_ch, 3, bn=False)
-    fold_into(blk, twin, "a RepConv")
+    _fold(_leaves(blk, twin, "a RepConv"))
     return twin
 
 

@@ -2,12 +2,12 @@
 evaluation, parameter/MAC accounting, deterministic init, and weight IO.
 
 A graph is an ordered tuple of nodes; every edge references an earlier node or
-the reserved input "image". Parameter-bearing blocks are registered once in the
-graph's param table under a canonical name, so weights shared by several nodes
-(the lightweight head's RepConv stack and its box/cls convs) are stored and
-counted exactly once. One dispatch, `walk`, runs every node and yields each
-output; the per-node shapes of the profile come from that walk over an empty
-batch, so no shape is stated beside the kernels.
+the reserved input "image". A block node's kind is its block's `kind`. A block
+registers in the graph's param table at the first node that holds it, so
+weights shared by several nodes (the lightweight head's RepConv stack and its
+box/cls convs) are stored and counted exactly once. One dispatch, `walk`, runs
+every node and yields each output; the per-node shapes of the profile come
+from that walk over an empty batch, so no shape is stated beside the kernels.
 """
 from __future__ import annotations
 
@@ -103,28 +103,41 @@ def _validate_graph(nodes, outputs) -> None:
 
 
 class _Builder:
+    """Collects the nodes and the param table. A block's parameters register
+    at the first node that holds it, under that node's name or `owner`."""
+
     def __init__(self):
         self.nodes: list[Node] = []
         self.params: list[ParamEntry] = []
+        self.held: set = set()  # ids of the blocks in `params`, and of a RepConv's branches
 
-    def add(self, name, kind, inputs, block=None, group=None, register=True, owner=None):
-        self.nodes.append(Node(name, kind, tuple(inputs), block, group))
-        if block is not None and register:
-            self.params.append(ParamEntry(owner or name, block))
+    def register(self, block, name) -> None:
+        if id(block) not in self.held:
+            self.held.add(id(block))
+            self.params.append(ParamEntry(name, block))
+
+    def add(self, name, op, inputs, group=None, owner=None):
+        """Append a node running `op`: a block, whose `kind` is the node's, or
+        a glue kind."""
+        if isinstance(op, str):
+            self.nodes.append(Node(name, op, tuple(inputs), None, group))
+        else:
+            self.nodes.append(Node(name, op.kind, tuple(inputs), op, group))
+            self.register(op, owner or name)
         return name
 
-    def wire_repconv(self, rep, stack, level, x, first):
+    def wire_repconv(self, rep, stack, level, x):
         """Wire a RepConv application site; the first site registers the whole
         stack under `head.<stack>`. A deploy-form stack is one conv node, a
-        train-form one expands into its branch subgraph."""
-        base = f"head.{level}.{stack}"
+        train-form one expands into its branch subgraph, whose nodes register
+        nothing."""
+        base, owner = f"head.{level}.{stack}", f"head.{stack}"
         if isinstance(rep, ConvBlock):
-            return self.add(base, "conv", [x], rep, register=first, owner=f"head.{stack}")
+            return self.add(base, rep, [x], owner=owner)
         gid = f"head.{stack}@{level}"
-        if first:
-            self.params.append(ParamEntry(f"head.{stack}", rep))
-        branches = [self.add(f"{base}.{prefix}", "conv" if isinstance(child, ConvBlock)
-                             else "avgpool_bn", [x], child, group=gid, register=False)
+        self.register(rep, owner)
+        self.held.update(id(child) for _, child in rep.children())
+        branches = [self.add(f"{base}.{prefix}", child, [x], group=gid)
                     for prefix, child in rep.children()]
         s = self.add(f"{base}.sum", "add", branches, group=gid)
         return self.add(f"{base}.act", "silu", [s], group=gid)
@@ -143,50 +156,40 @@ def build_model(variant: str, nc: int = 3, fused: bool = False) -> ModelGraph:
     cfg = HeadConfig(nc=nc)
     b = _Builder()
     bn = not fused
-
-    def c2f_kind(ms):
-        return "c2f_ms" if ms else "c2f"
-
-    def c2f_variant(ms):
-        return "multiscale" if ms else "standard"
+    ms = "multiscale" if improved else "standard"
 
     x = INPUT
-    x = b.add("backbone.conv0", "conv", [x], ConvBlock(3, 16, 3, 2, bn=bn))
-    x = b.add("backbone.conv1", "conv", [x], ConvBlock(16, 32, 3, 2, bn=bn))
-    x = b.add("backbone.c2f2", "c2f", [x], C2f(32, 32, 1, shortcut=True, bn=bn))
-    x = b.add("backbone.conv3", "conv", [x], ConvBlock(32, 64, 3, 2, bn=bn))
-    p3b = b.add("backbone.c2f4", "c2f", [x], C2f(64, 64, 2, shortcut=True, bn=bn))
-    x = b.add("backbone.conv5", "conv", [p3b], ConvBlock(64, 128, 3, 2, bn=bn))
-    p4b = b.add("backbone.c2f6", c2f_kind(improved), [x],
-                C2f(128, 128, 2, shortcut=True, variant=c2f_variant(improved), bn=bn))
-    x = b.add("backbone.conv7", "conv", [p4b], ConvBlock(128, 256, 3, 2, bn=bn))
-    x = b.add("backbone.c2f8", c2f_kind(improved), [x],
-              C2f(256, 256, 1, shortcut=True, variant=c2f_variant(improved), bn=bn))
-    x = b.add("backbone.sppf", "sppf", [x], SPPF(256, bn))
+    x = b.add("backbone.conv0", ConvBlock(3, 16, 3, 2, bn=bn), [x])
+    x = b.add("backbone.conv1", ConvBlock(16, 32, 3, 2, bn=bn), [x])
+    x = b.add("backbone.c2f2", C2f(32, 32, 1, shortcut=True, bn=bn), [x])
+    x = b.add("backbone.conv3", ConvBlock(32, 64, 3, 2, bn=bn), [x])
+    p3b = b.add("backbone.c2f4", C2f(64, 64, 2, shortcut=True, bn=bn), [x])
+    x = b.add("backbone.conv5", ConvBlock(64, 128, 3, 2, bn=bn), [p3b])
+    p4b = b.add("backbone.c2f6", C2f(128, 128, 2, shortcut=True, variant=ms, bn=bn), [x])
+    x = b.add("backbone.conv7", ConvBlock(128, 256, 3, 2, bn=bn), [p4b])
+    x = b.add("backbone.c2f8", C2f(256, 256, 1, shortcut=True, variant=ms, bn=bn), [x])
+    x = b.add("backbone.sppf", SPPF(256, bn), [x])
 
     if improved:
         # strip-conv attention unit gating the backbone tail, with a residual
-        a = b.add("attn.proj_in", "conv", [x], ConvBlock(256, 256, 1, bn=False, act="silu"))
-        a = b.add("attn.msca", "msca", [a], MSCABlock(256))
-        a = b.add("attn.proj_out", "conv", [a], ConvBlock(256, 256, 1, bn=False, act="none"))
+        a = b.add("attn.proj_in", ConvBlock(256, 256, 1, bn=False, act="silu"), [x])
+        a = b.add("attn.msca", MSCABlock(256), [a])
+        a = b.add("attn.proj_out", ConvBlock(256, 256, 1, bn=False, act="none"), [a])
         x = b.add("attn.add", "add", [x, a])
     p5b = x
 
     u = b.add("neck.up10", "upsample", [p5b])
     c = b.add("neck.cat11", "concat", [u, p4b])
-    n1 = b.add("neck.c2f12", c2f_kind(improved), [c],
-               C2f(256 + 128, 128, 1, variant=c2f_variant(improved), bn=bn))
+    n1 = b.add("neck.c2f12", C2f(256 + 128, 128, 1, variant=ms, bn=bn), [c])
     u = b.add("neck.up13", "upsample", [n1])
     c = b.add("neck.cat14", "concat", [u, p3b])
-    p3 = b.add("neck.c2f15", "c2f", [c], C2f(128 + 64, 64, 1, bn=bn))
-    d = b.add("neck.conv16", "conv", [p3], ConvBlock(64, 64, 3, 2, bn=bn))
+    p3 = b.add("neck.c2f15", C2f(128 + 64, 64, 1, bn=bn), [c])
+    d = b.add("neck.conv16", ConvBlock(64, 64, 3, 2, bn=bn), [p3])
     c = b.add("neck.cat17", "concat", [d, n1])
-    p4 = b.add("neck.c2f18", c2f_kind(improved), [c],
-               C2f(128 + 64, 128, 1, variant=c2f_variant(improved), bn=bn))
-    d = b.add("neck.conv19", "conv", [p4], ConvBlock(128, 128, 3, 2, bn=bn))
+    p4 = b.add("neck.c2f18", C2f(128 + 64, 128, 1, variant=ms, bn=bn), [c])
+    d = b.add("neck.conv19", ConvBlock(128, 128, 3, 2, bn=bn), [p4])
     c = b.add("neck.cat20", "concat", [d, p5b])
-    p5 = b.add("neck.c2f21", c2f_kind(improved), [c],
-               C2f(256 + 128, 256, 1, variant=c2f_variant(improved), bn=bn))
+    p5 = b.add("neck.c2f21", C2f(256 + 128, 256, 1, variant=ms, bn=bn), [c])
 
     outputs = []
     levels = zip(("p3", "p4", "p5"), (p3, p4, p5), cfg.in_channels)
@@ -199,28 +202,24 @@ def build_model(variant: str, nc: int = 3, fused: bool = False) -> ModelGraph:
         box_conv = ConvBlock(h, cfg.box_channels, 1, bn=False, act="none")
         cls_conv = ConvBlock(h, cfg.nc, 1, bn=False, act="none")
         for level, tap, ch in levels:
-            first = level == "p3"
-            t = b.add(f"head.{level}.stem", "conv", [tap], ConvBlock(ch, h, 1, bn=bn))
-            t = b.wire_repconv(rep1, "rep1", level, t, first)
-            t = b.wire_repconv(rep2, "rep2", level, t, first)
-            box = b.add(f"head.{level}.box", "conv", [t], box_conv,
-                        register=first, owner="head.box")
-            box = b.add(f"head.{level}.scale", "scale", [box], ScaleParam())
-            cls = b.add(f"head.{level}.cls", "conv", [t], cls_conv,
-                        register=first, owner="head.cls")
+            t = b.add(f"head.{level}.stem", ConvBlock(ch, h, 1, bn=bn), [tap])
+            t = b.wire_repconv(rep1, "rep1", level, t)
+            t = b.wire_repconv(rep2, "rep2", level, t)
+            box = b.add(f"head.{level}.box", box_conv, [t], owner="head.box")
+            box = b.add(f"head.{level}.scale", ScaleParam(), [box])
+            cls = b.add(f"head.{level}.cls", cls_conv, [t], owner="head.cls")
             outputs.append(b.add(f"head.{level}.out", "concat", [box, cls]))
     else:
         # decoupled per-level head: independent box and class towers
         hid = cfg.cls_hidden
         for level, tap, ch in levels:
-            x = b.add(f"head.{level}.box1", "conv", [tap], ConvBlock(ch, 64, 3, bn=bn))
-            x = b.add(f"head.{level}.box2", "conv", [x], ConvBlock(64, 64, 3, bn=bn))
-            box = b.add(f"head.{level}.box3", "conv", [x],
-                        ConvBlock(64, cfg.box_channels, 1, bn=False, act="none"))
-            x = b.add(f"head.{level}.cls1", "conv", [tap], ConvBlock(ch, hid, 3, bn=bn))
-            x = b.add(f"head.{level}.cls2", "conv", [x], ConvBlock(hid, hid, 3, bn=bn))
-            cls = b.add(f"head.{level}.cls3", "conv", [x],
-                        ConvBlock(hid, cfg.nc, 1, bn=False, act="none"))
+            x = b.add(f"head.{level}.box1", ConvBlock(ch, 64, 3, bn=bn), [tap])
+            x = b.add(f"head.{level}.box2", ConvBlock(64, 64, 3, bn=bn), [x])
+            box = b.add(f"head.{level}.box3",
+                        ConvBlock(64, cfg.box_channels, 1, bn=False, act="none"), [x])
+            x = b.add(f"head.{level}.cls1", ConvBlock(ch, hid, 3, bn=bn), [tap])
+            x = b.add(f"head.{level}.cls2", ConvBlock(hid, hid, 3, bn=bn), [x])
+            cls = b.add(f"head.{level}.cls3", ConvBlock(hid, cfg.nc, 1, bn=False, act="none"), [x])
             outputs.append(b.add(f"head.{level}.out", "concat", [box, cls]))
 
     _validate_graph(b.nodes, outputs)
@@ -274,16 +273,16 @@ def _block_macs(block, out_shape) -> int:
                            if suffix.rsplit(".", 1)[-1] == "w")
 
 
-def profile_graph(g: ModelGraph, size: int = HeadConfig.input_size):
-    """Per-node output shape, parameter and MAC accounting at the given square
-    input size and batch 1. The shapes come from a forward over a batch of no
-    images, which does no arithmetic, so each is the shape the kernels give.
-    A size the forward rejects raises the forward's ShapeError, whose message
-    then shows batch 0, as in `(0, 128, 3, 3)`. A block's parameters count at
-    the first node holding it; its MACs count at every node that runs it.
+def profile_graph(g: ModelGraph):
+    """Per-node output shape, parameter and MAC accounting at batch 1 on the
+    square network input (`HeadConfig.input_size`). The shapes come from a
+    forward over a batch of no images, which does no arithmetic, so each is
+    the shape the kernels give. A block's parameters count at the first node
+    holding it; its MACs count at every node that runs it.
     Returns (rows, total_params, total_macs)."""
     seen = set()
     rows = []
+    size = g.cfg.input_size
     for node, value in walk(g, np.empty((0, 3, size, size), DTYPE)):
         out = (1, *value.shape[1:])
         params = macs = 0
@@ -298,11 +297,6 @@ def profile_graph(g: ModelGraph, size: int = HeadConfig.input_size):
 
 def param_count(g: ModelGraph) -> int:
     return sum(_param_count(e.block) for e in g.params)
-
-
-def flop_count(g: ModelGraph, size: int = HeadConfig.input_size) -> int:
-    """Total MACs at the given square input size."""
-    return profile_graph(g, size)[2]
 
 
 def _slots(g: ModelGraph):

@@ -148,10 +148,10 @@ SUITES = (
 )
 
 
-def run_selftest(write=print) -> bool:
+def run_selftest() -> bool:
     ok = True
     for name, fn in SUITES:
         passed, detail = fn()
         ok = ok and passed
-        write(f"{'ok  ' if passed else 'FAIL'} {name}: {detail}")
+        print(f"{'ok  ' if passed else 'FAIL'} {name}: {detail}")
     return ok

@@ -20,9 +20,10 @@ maps, and checks the cell gather, anchors, un-mapping and order around them.
 `ref_fold_into` is the per-block fold that the graph-wide pass in
 `repdet.fusion` replaced: it recurses through `children()` and takes one
 `bn_scale_shift` and one float64 fold per batch norm. The graph-wide pass
-must write bit-equal arrays, or raise the same error. `fold_conv_block` is
-not a reference but a test helper: a conv's deploy twin, filled by
-`repdet.fusion.fold_into`.
+must write bit-equal arrays, or raise the same error. `fold_into` and
+`fold_conv_block` are not references but test helpers: `fold_into` runs the
+graph-wide pass of `repdet.fusion` on one block pair, and `fold_conv_block`
+gives a conv's deploy twin filled by it.
 
 `named_arrays(block)` is how the tests read a block's arrays: (suffix,
 array) pairs from the block's one parameter walk, `shaped_slots`.
@@ -45,7 +46,7 @@ import numpy as np
 from repdet.blocks import Composite, ConvBlock, HeadConfig, RepConvBlock
 from repdet.errors import FormatError, NumericError, ShapeError, SpecError, ValidationError
 from repdet.evaluate import iou
-from repdet.fusion import fold_into
+from repdet.fusion import _fold, _leaves
 from repdet.pipeline import (
     PAD_VALUE,
     Candidates,
@@ -337,6 +338,13 @@ def ref_fold_into(src, dst, name):
     else:
         for (_, a), (_, b) in zip(named_arrays(src), named_arrays(dst)):
             b[...] = a
+
+
+def fold_into(src, dst, name):
+    """Write the float32 fold of block `src` into `dst`, its twin in a fused
+    build, by the graph-wide pass; a non-finite fold raises NumericError
+    naming `name` or its child."""
+    _fold(_leaves(src, dst, name))
 
 
 def fold_conv_block(cb):

@@ -300,7 +300,7 @@ class TestRepConv:
 
 
 # every composite kind, small enough to run in a test: name -> (block, input
-# shape); with bn=False, the block's deploy-form twin, which fusion.fold_into fills
+# shape); with bn=False, the block's deploy-form twin, which the fusion pass fills
 COMPOSITES = {
     "repconv": lambda bn=True: (RepConvBlock(4) if bn else ConvBlock(4, 4, 3, bn=False),
                                 (1, 4, 6, 6)),

@@ -142,8 +142,10 @@ class TestSummarize:
 
 
 class TestByteContract:
-    """The sha256 of each report and of two weight files at nc 3: one changed
-    character in a row, a column width or a total, or one changed byte, fails here."""
+    """The sha256 of each report and of the seed-0 weight file of each graph
+    form at nc 3: one changed character in a row, a column width or a total,
+    or one changed byte, fails here. The four stores pin every weight name and
+    its order."""
 
     SUMMARIZE = {
         "baseline": ("b853de12d0767cf1828b6e614cc5618e61aa49eac0256d6fe483a4f44caca530",
@@ -152,9 +154,13 @@ class TestByteContract:
                      "2add4b09aa10f8ac54d2b5fc9687ccca2b673dc2f09835e3a6c3754132708c7a"),
     }
     COMPARE = "eae0176bf71a564fafce0d46b3abb46a813df0afbe5fa7c4f894f948197234e6"
-    # init_weights(baseline, nc 3, seed 0).save, and `fuse --out` of the improved seed-0 store
-    TRAIN_STORE = "ddb77edc16d06b380a043f23f2e61c9a4b16beb77e803708436aa970bcbb5e52"
-    FUSED_STORE = "05783ffc685fd6796ff95826aff7b25f676672ba045cfedcbcee0c57434fbed5"
+    # (init_weights(variant, nc 3, seed 0).save, `fuse --out` of that store)
+    STORES = {
+        "baseline": ("ddb77edc16d06b380a043f23f2e61c9a4b16beb77e803708436aa970bcbb5e52",
+                     "f7785f8e518b2a76055b2994a9a6eeeee7dd960af6c497b9c4d2540d77d7c726"),
+        "improved": ("90dd5325b54ff6b8f76578a60576e1d57f90a4feeead01c5abd9a5cfc9066d5b",
+                     "05783ffc685fd6796ff95826aff7b25f676672ba045cfedcbcee0c57434fbed5"),
+    }
 
     @staticmethod
     def sha(data: bytes) -> str:
@@ -176,13 +182,13 @@ class TestByteContract:
         assert self.sha(out.encode("utf-8")) == self.COMPARE
 
     def test_saved_and_fused_store_bytes(self, capsys, tmp_path):
-        train = tmp_path / "baseline.rwt"
-        M.init_weights(M.build_model("baseline", 3), 0).save(os.fspath(train))
-        assert self.sha(train.read_bytes()) == self.TRAIN_STORE
-        improved = os.fspath(tmp_path / "improved.rwt")
-        M.init_weights(M.build_model("improved", 3), 0).save(improved)
-        with open(fused_store(capsys, tmp_path, "improved", improved), "rb") as f:
-            assert self.sha(f.read()) == self.FUSED_STORE
+        for variant, (train, fused) in self.STORES.items():
+            path = os.fspath(tmp_path / f"{variant}.rwt")
+            M.init_weights(M.build_model(variant, 3), 0).save(path)
+            with open(path, "rb") as f:
+                assert self.sha(f.read()) == train, variant
+            with open(fused_store(capsys, tmp_path, variant, path), "rb") as f:
+                assert self.sha(f.read()) == fused, variant
 
     def test_seeded_fuse_writes_the_fused_store(self, capsys, tmp_path):
         # without --weights the graph is seeded in place, to the same bits
@@ -190,7 +196,7 @@ class TestByteContract:
         code, _, _ = run_cli(capsys, "fuse", "--model", "improved", "--seed", "0",
                              "--out", os.fspath(path))
         assert code == 0
-        assert self.sha(path.read_bytes()) == self.FUSED_STORE
+        assert self.sha(path.read_bytes()) == self.STORES["improved"][1]
 
 
 def test_seeded_graph_holds_the_only_copy():

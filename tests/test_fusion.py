@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import repdet.model as M
 from repdet.blocks import ConvBlock, RepConvBlock
 from repdet.errors import NumericError
-from repdet.fusion import deploy_repconv, fold_into, fuse_model_graph
+from repdet.fusion import deploy_repconv, fuse_model_graph
 from repdet.tensor_ops import (
     BN_EPS,
     BatchNormParams,
@@ -24,6 +24,7 @@ from repdet.weights import WeightStore
 from oracles import (
     batch_norm,
     fold_conv_block,
+    fold_into,
     named_arrays,
     ref_deploy_repconv,
     ref_fold_conv,

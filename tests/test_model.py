@@ -87,6 +87,17 @@ class TestBuild:
         stated = [shape for e in g.params for *_, shape in e.block.shaped_slots()]
         assert stated == [arr.shape for _, arr in M.named_tensors(g)]
 
+    @pytest.mark.parametrize("variant", ["baseline", "improved"])
+    @pytest.mark.parametrize("fused", [False, True], ids=["train", "fused"])
+    def test_block_nodes_take_their_kind_from_the_block(self, variant, fused):
+        # the improved train graph runs every block kind, so perfbench's
+        # per-kind metric keys (spans.BLOCK_KINDS) match M.BLOCK_KINDS
+        g = M.build_model(variant, 3, fused)
+        block_nodes = [n for n in g.nodes if n.block is not None]
+        assert all(n.kind == n.block.kind for n in block_nodes)
+        if (variant, fused) == ("improved", False):
+            assert {n.kind for n in block_nodes} == set(M.BLOCK_KINDS)
+
     @pytest.mark.parametrize("kind, block", [("warp", None), ("conv", None),
                                              ("add", ConvBlock(3, 3))])
     def test_unknown_node_kind_rejected(self, kind, block):
@@ -202,8 +213,10 @@ class TestForward:
     def test_forward_working_set_is_bounded(self, variant, fused):
         # the conv epilogue, the dense conv's padding and the concat blocks
         # allocate no whole-map temporary; at 640x640 the peak is 12.2 MiB
-        # (18.8 MiB with them), set by backbone.c2f2's input, concat buffer
-        # and the live maps of its bottleneck
+        # (18.8 MiB with them), inside backbone.c2f2: its input, concat buffer
+        # and the live maps of its bottleneck. The pin excludes the 4.69 MiB
+        # network input, which is allocated before tracing starts; counted,
+        # the peak is 16.8 MiB, still inside backbone.c2f2
         g = M.build_model(variant, 3)
         M.init_weights(g, 0)
         if fused:
@@ -256,11 +269,11 @@ class TestAccounting:
     def test_fused_macs_not_larger(self):
         g = M.build_model("improved", 3)
         M.init_weights(g, 0)
-        assert M.flop_count(fuse_model_graph(g)) <= M.flop_count(g)
+        assert M.profile_graph(fuse_model_graph(g))[2] <= M.profile_graph(g)[2]
 
     def test_improved_macs_below_baseline(self):
-        assert (M.flop_count(M.build_model("improved", 3))
-                < M.flop_count(M.build_model("baseline", 3)))
+        assert (M.profile_graph(M.build_model("improved", 3))[2]
+                < M.profile_graph(M.build_model("baseline", 3))[2])
 
     def test_output_shapes(self):
         for variant in ("baseline", "improved"):
@@ -277,7 +290,8 @@ class TestAccounting:
 
 class TestProfileShapes:
     """profile_graph takes every shape from a forward over an empty batch, so
-    it agrees with the forward and fails where it fails."""
+    it agrees with the forward, which rejects an input side whose pyramid
+    levels do not meet."""
 
     @pytest.mark.parametrize("variant", ["baseline", "improved"])
     @pytest.mark.parametrize("fused", [False, True], ids=["train", "fused"])
@@ -286,20 +300,17 @@ class TestProfileShapes:
         M.init_weights(g, 0)
         if fused:
             g = fuse_model_graph(g)
-        x = np.random.default_rng(6).uniform(0, 1, (1, 3, 64, 64)).astype(np.float32)
-        rows = M.profile_graph(g, 64)[0]
+        x = np.random.default_rng(6).uniform(0, 1, (1, 3, 640, 640)).astype(np.float32)
+        rows = M.profile_graph(g)[0]
         assert [(r.name, r.out_shape) for r in rows] == [(n.name, out.shape)
                                                          for n, out in M.walk(g, x)]
 
     @pytest.mark.parametrize("size", [33, 48])
     def test_size_the_forward_rejects_raises(self, size):
-        # P5 upsampled to 4x4 meets P4 at 3x3 in neck.cat11; the message
-        # shows the empty batch the profile ran, e.g. (0, 128, 3, 3)
+        # P5 upsampled to 4x4 meets P4 at 3x3 in neck.cat11
         g = M.build_model("improved", 3)
         with pytest.raises(ShapeError, match=r"\(1, 128, 3, 3\)"):
             M.forward(g, np.zeros((1, 3, size, size), np.float32))
-        with pytest.raises(ShapeError, match=r"\(0, 128, 3, 3\)"):
-            M.profile_graph(g, size)
 
 
 class TestInit:

@@ -13,7 +13,8 @@ BN-free with a bias, which `fusion` fills with folded arrays.
 
 A block holding parameters has one walk over them: `shaped_slots()` yields
 (suffix, owner, attr, shape) per parameter array in weight-name order. The
-array is `getattr(owner, attr)`, so a load, a seed or a fold rebinds it, and
+array is `getattr(owner, attr)`, so a load, a seed or a fold rebinds it;
+`attr`, the suffix's last component, names the slot's role; and
 `shape` is the shape the block states for it, known without reading the array
 (a conv weight's comes from its spec). `model` loads, seeds, saves and counts
 through it, and `fusion` copies leaves through it.
@@ -82,15 +83,15 @@ class Composite:
 _SPECS: dict = {}
 
 
-def _conv_spec(in_ch, out_ch, kernel, stride, padding, groups) -> Conv2dSpec:
-    """The spec of a ConvBlock, built once per distinct argument tuple. A
-    `padding` of None pads (k - 1) // 2 on each axis of a k-wide kernel,
-    which keeps an odd kernel's output size at stride 1. A spec is stored
-    only when its channel counts and groups are plain ints, so arguments
-    equal to them (an `np.int64`, a float) never plant their type in later
-    blocks' specs. Unhashable arguments, such as a list, and invalid ones,
-    which raise on every call, are never stored."""
-    key = (in_ch, out_ch, kernel, stride, padding, groups)
+def _conv_spec(in_ch, out_ch, kernel, stride, groups) -> Conv2dSpec:
+    """The spec of a ConvBlock, built once per distinct argument tuple. It
+    pads (k - 1) // 2 on each axis of a k-wide kernel, which keeps an odd
+    kernel's output size at stride 1. A spec is stored only when its channel
+    counts and groups are plain ints, so arguments equal to them (an
+    `np.int64`, a float) never plant their type in later blocks' specs.
+    Unhashable arguments, such as a list, and invalid ones, which raise on
+    every call, are never stored."""
+    key = (in_ch, out_ch, kernel, stride, groups)
     try:
         return _SPECS[key]
     except KeyError:
@@ -98,9 +99,7 @@ def _conv_spec(in_ch, out_ch, kernel, stride, padding, groups) -> Conv2dSpec:
     except TypeError:
         keep = False
     kernel = _pair(kernel)
-    if padding is None:
-        padding = (kernel[0] - 1) // 2, (kernel[1] - 1) // 2
-    spec = Conv2dSpec(in_ch, out_ch, kernel, stride, padding, groups)
+    spec = Conv2dSpec(in_ch, out_ch, kernel, stride, tuple((n - 1) // 2 for n in kernel), groups)
     if keep:
         _SPECS[key] = spec
     return spec
@@ -116,9 +115,8 @@ class ConvBlock:
 
     kind = "conv"
 
-    def __init__(self, in_ch, out_ch, kernel=1, stride=1, padding=None, groups=1, bn=True,
-                 act="silu"):
-        self.spec = _conv_spec(in_ch, out_ch, kernel, stride, padding, groups)
+    def __init__(self, in_ch, out_ch, kernel=1, stride=1, groups=1, bn=True, act="silu"):
+        self.spec = _conv_spec(in_ch, out_ch, kernel, stride, groups)
         if act not in ("silu", "none"):
             raise SpecError(f"unknown activation {act!r}")
         self.act = act
@@ -289,8 +287,8 @@ class MSCABlock(Composite):
         self.base = ConvBlock(ch, ch, 5, groups=ch, bn=False, act="none")
         self.pairs = []
         for L in self.STRIP_LENGTHS:
-            row = ConvBlock(ch, ch, (1, L), padding=(0, L // 2), groups=ch, bn=False, act="none")
-            col = ConvBlock(ch, ch, (L, 1), padding=(L // 2, 0), groups=ch, bn=False, act="none")
+            row = ConvBlock(ch, ch, (1, L), groups=ch, bn=False, act="none")
+            col = ConvBlock(ch, ch, (L, 1), groups=ch, bn=False, act="none")
             self.pairs.append((row, col))
         self.mix = ConvBlock(ch, ch, 1, bn=False, act="none")
 

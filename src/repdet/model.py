@@ -37,10 +37,6 @@ BASELINE_NODE_COUNT = 43
 IMPROVED_NODE_COUNT = 71
 IMPROVED_FUSED_NODE_COUNT = 47
 
-# suffixes that are frozen statistics, not learnable parameters
-_STAT_SUFFIXES = ("bn.mean", "bn.var")
-
-
 @dataclass(frozen=True)
 class Node:
     name: str
@@ -261,16 +257,17 @@ class NodeProfile:
 
 
 def _param_count(block) -> int:
-    return sum(prod(shape) for suffix, _, _, shape in block.shaped_slots()
-               if not suffix.endswith(_STAT_SUFFIXES))
+    # a norm's mean and var are frozen statistics, not learnable parameters
+    return sum(prod(shape) for _, _, attr, shape in block.shaped_slots()
+               if attr not in ("mean", "var"))
 
 
 def _block_macs(block, out_shape) -> int:
-    """Every conv weight (leaf name "w", as in init_weights) of a block is
+    """Every conv weight (slot "w", as in seed_weights) of a block is
     applied once at each output pixel (see `blocks.Composite`)."""
     n, _, h, w = out_shape
-    return n * h * w * sum(prod(shape) for suffix, _, _, shape in block.shaped_slots()
-                           if suffix.rsplit(".", 1)[-1] == "w")
+    return n * h * w * sum(prod(shape) for _, _, attr, shape in block.shaped_slots()
+                           if attr == "w")
 
 
 def profile_graph(g: ModelGraph):
@@ -319,12 +316,11 @@ def seed_weights(g: ModelGraph, seed: int = 0) -> None:
     block; norms start at identity, biases at zero, scales at one, written in
     place."""
     rng = np.random.default_rng(seed)
-    for name, owner, attr, shape in _slots(g):
-        leaf = name.rsplit(".", 1)[-1]
-        if leaf == "w":
+    for _, owner, attr, shape in _slots(g):
+        if attr == "w":
             bound = float(np.sqrt(1.0 / prod(shape[1:])))
             setattr(owner, attr, rng.uniform(-bound, bound, shape).astype(DTYPE))
-        elif leaf in ("gamma", "var", "s"):
+        elif attr in ("gamma", "var", "s"):
             getattr(owner, attr)[...] = 1.0
         else:  # b, beta, mean
             getattr(owner, attr)[...] = 0.0

@@ -5,15 +5,15 @@ forward kernels (conv2d, batch norm, SiLU, pooling, elementwise) compute in
 float32. A dense conv does a float32 im2col over a strided window view and
 a single-precision GEMM, and a grouped conv runs one dense conv per group.
 A dense conv gathers and multiplies one block of output rows at a time,
-through one buffer of about IM2COL_BUDGET bytes, straight into its output. It
-pads by copying the input rows a band of blocks reads into one reused
-zero-bordered buffer of about SLAB_BUDGET bytes, so it holds no padded copy of
-its whole input. A 1x1 stride-1 conv multiplies a view of its input. The
-window ops loop over kernel taps and work on whole-tensor slices: pooling
-reduces the column-shifted slices, then the row-shifted ones; a depthwise
-conv does one multiply-add per tap into a channels-last float32 accumulator
-and returns it through an NCHW view. Their padding fills a new whole-map
-buffer with 0 or -inf and copies the interior.
+through one buffer of about IM2COL_BUDGET bytes, straight into its output.
+Each block pads by copying the input rows it reads into one reused
+zero-bordered buffer, so the conv holds no padded copy of its whole input. A
+1x1 stride-1 conv multiplies a view of its input. The window ops loop over
+kernel taps and work on whole-tensor slices: pooling reduces the
+column-shifted slices, then the row-shifted ones; a depthwise conv does one
+multiply-add per tap into a channels-last float32 accumulator and returns it
+through an NCHW view. Their padding fills a new whole-map buffer with 0 or
+-inf and copies the interior.
 
 Results repeat run to run and agree with float64 references to within float32
 resolution; the float64 versions, including the einsum depthwise conv, live
@@ -203,9 +203,8 @@ IM2COL_BUDGET = 1 << 20
 # cores), so no block is that small unless it is the whole image
 SMALL_GEMM_MACS = 100 ** 3
 
-# bytes of the padded input rows a dense conv copies at once, and of the
-# channel slab the conv epilogue works on at once. The band sets the 640x640
-# forward's tracemalloc peak: 12.97 MiB with 1 MiB bands, 12.24 with these
+# bytes of the channel slab the conv epilogue works on at once, and of the
+# one tanh buffer it reuses
 SLAB_BUDGET = 1 << 18
 
 
@@ -219,56 +218,38 @@ def _row_blocks(ho: int, wo: int, k: int, out_ch: int) -> list[tuple[int, int]]:
     return [(i * ho // count, (i + 1) * ho // count) for i in range(count)]
 
 
-def _bands(blocks, rows_read, row_bytes: int) -> list[list[tuple[int, int]]]:
-    """Consecutive row blocks grouped into bands whose padded input rows,
-    `rows_read(first, end)` of `row_bytes` each, fit SLAB_BUDGET; a block
-    that does not fit alone is a band of its own."""
-    bands = [[blocks[0]]]
-    for block in blocks[1:]:
-        if rows_read(bands[-1][0][0], block[1]) * row_bytes <= SLAB_BUDGET:
-            bands[-1].append(block)
-        else:
-            bands.append([block])
-    return bands
-
-
 def _dense(x: np.ndarray, spec: Conv2dSpec, wf: np.ndarray, ho: int, wo: int) -> np.ndarray:
-    """Dense conv as im2col + GEMM by blocks of output rows. Each band of
-    blocks copies the input rows it reads into one reused zero-bordered
-    buffer, so no padded copy of the whole input exists. A block's column
-    matrix is gathered from the band into a second reused buffer and
-    multiplied straight into its rows of the output, and each output value is
-    the same dot product the whole-image GEMM computes."""
+    """Dense conv as im2col + GEMM by blocks of output rows. Each block copies
+    the input rows it reads into one reused zero-bordered buffer, so no padded
+    copy of the whole input exists, gathers its column matrix from that buffer
+    into a second reused buffer and multiplies it straight into its rows of
+    the output. Each output value is the same dot product the whole-image GEMM
+    computes."""
     n, c, h, w = x.shape
     kh, kw = spec.kernel
     sh, ph, pw = spec.stride[0], *spec.padding
     k = c * kh * kw
     wm = wf.reshape(spec.out_ch, k)
-
-    def rows_read(r0, r1):  # padded input rows that output rows r0..r1-1 read
-        return (r1 - r0 - 1) * sh + kh
-
-    bands = _bands(_row_blocks(ho, wo, k, spec.out_ch), rows_read, 4 * c * (w + 2 * pw))
-    # the border columns are zeroed here once; band rows are written per band
-    pad = np.zeros((1, c, max(rows_read(b[0][0], b[-1][1]) for b in bands), w + 2 * pw), DTYPE)
-    buf = np.empty(k * max(r1 - r0 for band in bands for r0, r1 in band) * wo, DTYPE)
+    blocks = _row_blocks(ho, wo, k, spec.out_ch)
+    tall = max(r1 - r0 for r0, r1 in blocks)
+    # the border columns are zeroed here once; a block's rows are written per block
+    pad = np.zeros((1, c, (tall - 1) * sh + kh, w + 2 * pw), DTYPE)
+    pat = _window_view(pad, spec.kernel, spec.stride, (tall, wo))
+    buf = np.empty(k * tall * wo, DTYPE)
     out = np.empty((n, spec.out_ch, ho, wo), DTYPE)
     for b in range(n):
-        for band in bands:
-            first, rows = band[0][0], rows_read(band[0][0], band[-1][1])
-            top = first * sh - ph  # the input row of the band's first padded row
-            # buffer rows [a, e) hold input rows [top + a, top + e); the rest are zero
+        for r0, r1 in blocks:
+            rows = (r1 - r0 - 1) * sh + kh  # the padded input rows the block reads
+            top = r0 * sh - ph  # the input row of the block's first padded row
+            # pad rows [a, e) hold input rows [top + a, top + e); the rest are zero
             a = min(max(-top, 0), rows)
             e = max(a, min(h - top, rows))
-            xp = pad[:, :, :rows]
-            xp[:, :, :a] = 0.0
-            xp[:, :, e:] = 0.0
-            xp[0, :, a:e, pw:pw + w] = x[b, :, top + a:top + e]
-            pat = _window_view(xp, spec.kernel, spec.stride, (band[-1][1] - first, wo))
-            for r0, r1 in band:
-                cols = buf[:k * (r1 - r0) * wo]
-                cols.reshape(c, kh, kw, r1 - r0, wo)[...] = pat[0, :, :, :, r0 - first:r1 - first]
-                np.matmul(wm, cols.reshape(k, -1), out=out[b, :, r0:r1].reshape(spec.out_ch, -1))
+            pad[:, :, :a] = 0.0
+            pad[:, :, e:rows] = 0.0
+            pad[0, :, a:e, pw:pw + w] = x[b, :, top + a:top + e]
+            cols = buf[:k * (r1 - r0) * wo]
+            cols.reshape(c, kh, kw, r1 - r0, wo)[...] = pat[0, :, :, :, :r1 - r0]
+            np.matmul(wm, cols.reshape(k, -1), out=out[b, :, r0:r1].reshape(spec.out_ch, -1))
     return out
 
 

@@ -351,8 +351,7 @@ def fold_conv_block(cb):
     """A conv block's deploy twin with its BN folded in by `fold_into`; a
     BN-free block's twin holds copies of its arrays."""
     s = cb.spec
-    twin = ConvBlock(s.in_ch, s.out_ch, s.kernel, s.stride, s.padding, s.groups, bn=False,
-                     act=cb.act)
+    twin = ConvBlock(s.in_ch, s.out_ch, s.kernel, s.stride, s.groups, bn=False, act=cb.act)
     fold_into(cb, twin, "a conv")
     return twin
 

@@ -128,6 +128,11 @@ def test_staged_path_takes_candidates(monkeypatch):
     # NMS returns to the JSON writer and the golden checks; make_golden counts
     # NMS's IoU evaluations by indexing the candidates as Detections
     monkeypatch.syspath_prepend(BENCH)
+    # make_golden's bootstrap insists on its engine source; point it at the
+    # repdet under test, which PYTHONPATH may take from another checkout
+    benchenv = importlib.import_module("benchenv")
+    monkeypatch.setattr(benchenv, "ENGINE_SRC",
+                        os.path.dirname(os.path.dirname(os.path.abspath(repdet.__file__))))
     make_golden = importlib.import_module("make_golden")
     rng = np.random.default_rng(0)
     cfg = HeadConfig(nc=3)

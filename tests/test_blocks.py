@@ -117,11 +117,18 @@ class TestConvSpecs:
             ids.setdefault(spec, set()).add(id(spec))
         assert len(ids) < len(specs) and all(len(one) == 1 for one in ids.values())
 
+    def test_strips_pad_half_their_length(self):
+        # every conv block pads (k - 1) // 2, which for the odd strip lengths
+        # is the (0, L // 2) and (L // 2, 0) that keep an MSCA map's size
+        blk = MSCABlock(2)
+        for (row, col), L in zip(blk.pairs, blk.STRIP_LENGTHS):
+            assert row.spec.padding == (0, L // 2) and col.spec.padding == (L // 2, 0)
+        assert blk.forward(np.zeros((1, 2, 5, 3), np.float32)).shape == (1, 2, 5, 3)
+
     @pytest.mark.parametrize("args, message", [
-        ((4, 8, 3, 1, None, 3), r"channels \(4 in, 8 out\) not divisible by groups=3"),
+        ((4, 8, 3, 1, 3), r"channels \(4 in, 8 out\) not divisible by groups=3"),
         ((0, 8, 1), "in_ch must be positive, got 0"),
         ((4, 8, 3, 0), "kernel and stride entries must be >= 1"),
-        ((4, 8, 3, 1, -1), "padding must be non-negative"),
     ])
     def test_invalid_spec_raises_on_every_call(self, args, message):
         for _ in range(3):
@@ -129,10 +136,10 @@ class TestConvSpecs:
                 ConvBlock(*args)
 
     @pytest.mark.parametrize("args", [
-        (np.int64(4), np.int64(8), np.int64(3), np.int64(1), None, np.int64(2)),
-        (4, 8, 3, [1, 1], [1, 1], 2),
-        (4, 8, 3, True, True, 2),
-        (4, 8, [3, 3], 1, None, 2),
+        (np.int64(4), np.int64(8), np.int64(3), np.int64(1), np.int64(2)),
+        (4, 8, 3, [1, 1], 2),
+        (4, 8, 3, True, 2),
+        (4, 8, [3, 3], 1, 2),
     ], ids=["int64", "list", "bool", "list-kernel"])
     def test_argument_forms_give_the_direct_spec(self, args, monkeypatch):
         monkeypatch.setattr(blocks, "_SPECS", {})

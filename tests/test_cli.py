@@ -434,7 +434,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("variant", ["baseline", "improved"])
     def test_non_finite_diagnosis_holds_no_more_than_a_forward(self, variant):
         # the second walk frees dead outputs as forward does and stops at the
-        # first non-finite node: 12.2 MiB at 640x640, where holding every node
+        # first non-finite node: 12.0 MiB at 640x640, where holding every node
         # output peaked at 52.2 (baseline) and 70.1 MiB (improved)
         g = M.build_model(variant, 3)
         M.seed_weights(g, 0)

@@ -84,8 +84,11 @@ class TestBuild:
     @pytest.mark.parametrize("fused", [False, True], ids=["train", "fused"])
     def test_stated_shapes_are_the_array_shapes(self, variant, fused):
         g = M.build_model(variant, 3, fused)
-        stated = [shape for e in g.params for *_, shape in e.block.shaped_slots()]
-        assert stated == [arr.shape for _, arr in M.named_tensors(g)]
+        slots = [(suffix, attr, shape) for e in g.params
+                 for suffix, _, attr, shape in e.block.shaped_slots()]
+        assert [shape for *_, shape in slots] == [arr.shape for _, arr in M.named_tensors(g)]
+        # the counts and the seeding read a slot's role from its attr
+        assert all(suffix.rsplit(".", 1)[-1] == attr for suffix, attr, _ in slots)
 
     @pytest.mark.parametrize("variant", ["baseline", "improved"])
     @pytest.mark.parametrize("fused", [False, True], ids=["train", "fused"])
@@ -212,11 +215,11 @@ class TestForward:
     @pytest.mark.parametrize("fused", [False, True], ids=["train", "fused"])
     def test_forward_working_set_is_bounded(self, variant, fused):
         # the conv epilogue, the dense conv's padding and the concat blocks
-        # allocate no whole-map temporary; at 640x640 the peak is 12.2 MiB
+        # allocate no whole-map temporary; at 640x640 the peak is 12.0 MiB
         # (18.8 MiB with them), inside backbone.c2f2: its input, concat buffer
         # and the live maps of its bottleneck. The pin excludes the 4.69 MiB
         # network input, which is allocated before tracing starts; counted,
-        # the peak is 16.8 MiB, still inside backbone.c2f2
+        # the peak is 16.7 MiB, still inside backbone.c2f2
         g = M.build_model(variant, 3)
         M.init_weights(g, 0)
         if fused:

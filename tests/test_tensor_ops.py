@@ -115,8 +115,8 @@ class TestConv2d:
 
 
 class TestSlabsAndBands:
-    """The conv epilogue's channel slabs and the dense conv's input bands set
-    how much is held at once, never a bit of the result."""
+    """The conv epilogue's channel slabs and the dense conv's per-block
+    padding set how much is held at once, never a bit of the result."""
 
     @pytest.mark.parametrize("bn, act", [(True, "silu"), (True, "none"),
                                          (False, "silu"), (False, "none")])
@@ -137,40 +137,57 @@ class TestSlabsAndBands:
         assert np.abs(whole - conv_epilogue_f64(y, p, act)).max() < 4e-6
 
     # (kernel, stride, padding): stride 2, padding 2, and a 3x3 and a 1x1
-    # padded beyond their reach, whose first and last bands hold only zero rows
+    # padded beyond their reach, whose edge blocks read two zero rows of three
+    # and only zero rows. Batch 2, so a block meets the rows the block before
+    # it left in the padding buffer, the previous image's last block included
     @pytest.mark.parametrize("k, s, p", [(3, 1, 1), (3, 2, 1), (5, 1, 2),
                                          (3, 1, 2), (5, 2, 2), (1, 1, 1)])
-    def test_dense_bands_are_bit_identical(self, monkeypatch, k, s, p):
+    def test_dense_blocks_are_bit_identical(self, monkeypatch, k, s, p):
         rng = np.random.default_rng(11)
         c, h, w = 3, 11, 8
         x = rng.uniform(-1, 1, (2, c, h, w)).astype(np.float32)
         spec = Conv2dSpec(c, 4, k, s, p)
         wt = rng.uniform(-1, 1, spec.weight_shape).astype(np.float32)
         b = rng.uniform(-1, 1, 4).astype(np.float32)
-        ho = spec.out_hw(h, w)[0]
-        # one output row per GEMM block, so that bands can split anywhere
-        monkeypatch.setattr(T, "IM2COL_BUDGET", 1)
+        ho, wo = spec.out_hw(h, w)
+        kk = c * k * k
+        views, blocks = [], []
+        view, row_blocks = T._window_view, T._row_blocks
+
+        def spy_view(*args):
+            views.append(args)
+            return view(*args)
+
+        def spy_blocks(*args):
+            blocks.append(row_blocks(*args))
+            return blocks[-1]
+
+        def blockwise():
+            """The same GEMM blocks over a whole padded copy of the input. The
+            BLAS may round a block apart from the whole-image GEMM, so the
+            blocks, not one GEMM, give the bits the conv must reproduce."""
+            pat = view(np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))), spec.kernel, spec.stride, (ho, wo))
+            want = np.empty((2, 4, ho, wo), np.float32)
+            for i in range(2):
+                for r0, r1 in blocks[0]:
+                    cols = np.ascontiguousarray(pat[i, :, :, :, r0:r1]).reshape(kk, -1)
+                    np.matmul(wt.reshape(4, kk), cols, out=want[i, :, r0:r1].reshape(4, -1))
+            return conv_epilogue(want, None, "none", b)
+
+        monkeypatch.setattr(T, "_window_view", spy_view)
+        monkeypatch.setattr(T, "_row_blocks", spy_blocks)
         monkeypatch.setattr(T, "SMALL_GEMM_MACS", 0)
-        monkeypatch.setattr(T, "SLAB_BUDGET", 1 << 62)
-        whole = conv2d(x, spec, wt, b)
-        heights = []
-        view = T._window_view
-
-        def spy(xp, kernel, stride, out_hw):
-            heights.append(out_hw[0])
-            return view(xp, kernel, stride, out_hw)
-
-        monkeypatch.setattr(T, "_window_view", spy)
-        two_rows = 4 * c * (w + 2 * p) * (s + k)  # the padded rows of 2 output rows
-        for budget, band in ((1, 1), (two_rows, 2)):
-            monkeypatch.setattr(T, "SLAB_BUDGET", budget)
-            heights.clear()
+        # one whole-image block, then blocks of one and of two output rows
+        for rows in (ho, 1, 2):
+            monkeypatch.setattr(T, "IM2COL_BUDGET", 4 * kk * wo * rows)
+            views.clear()
+            blocks.clear()
             got = conv2d(x, spec, wt, b)
-            per_image = heights[:len(heights) // 2]
-            assert heights == 2 * per_image and sum(per_image) == ho
-            assert set(per_image[:-1]) == {band} and per_image[-1] <= band
-            assert np.array_equal(got, whole)
-        assert np.abs(whole - ref_conv2d(x, wt, b, (s, s), (p, p))).max() < 1e-5
+            assert len(views) == len(blocks) == 1
+            heights = [r1 - r0 for r0, r1 in blocks[0]]
+            assert sum(heights) == ho and len(heights) == -(-ho // rows) and max(heights) == rows
+            assert np.array_equal(got, blockwise())
+            assert np.abs(got - ref_conv2d(x, wt, b, (s, s), (p, p))).max() < 1e-5
 
 
 class TestBatchNorm:

@@ -111,21 +111,23 @@ def cmd_fuse(args) -> int:
     fused = fuse_model_graph(g)
     print(f"nodes: {len(g.nodes)} -> {len(fused.nodes)}")
     print(f"params: {M.param_count(g)} -> {M.param_count(fused)}")
-    if args.out:
-        WeightStore(M.named_tensors(fused)).save(args.out)
-        print(f"wrote {args.out}")
     if args.verify:
+        # checked before the write, so a store that fails is never written
         rng = np.random.default_rng(args.seed)
         size, worst = g.cfg.input_size, 0.0
         for _ in range(5):
             x = rng.uniform(0.0, 1.0, (1, 3, size, size)).astype(np.float32)
             for a, b in zip(M.forward(g, x), M.forward(fused, x)):
                 worst = float(np.maximum(worst, np.abs(a - b).max()))  # NaN sticks
-        print(f"max head-output deviation: {worst:.3e}")
+        deviation = f"max head-output deviation: {worst:.3e}"
         if not worst < VERIFY_TOLERANCE:
-            raise ValidationError(
-                f"fusion deviation {worst:.3e} >= {VERIFY_TOLERANCE:.0e}"
-            )
+            print(deviation)
+            raise ValidationError(f"fusion deviation {worst:.3e} >= {VERIFY_TOLERANCE:.0e}")
+    if args.out:
+        WeightStore(M.named_tensors(fused)).save(args.out)
+        print(f"wrote {args.out}")
+    if args.verify:
+        print(deviation)
     return 0
 
 

@@ -117,7 +117,7 @@ def deploy_repconv(blk: RepConvBlock) -> ConvBlock:
 def fuse_model_graph(g: ModelGraph) -> ModelGraph:
     """The deploy form of `g`: a fused build filled with the folds of its
     blocks in one pass. Idempotent: on a fused graph every fold is a copy."""
-    fused = build_model(g.variant, g.nc, fused=True)
+    fused = build_model(g.variant, g.cfg.nc, fused=True)
     _fold(leaf for src, dst in zip(g.params, fused.params)
           for leaf in _leaves(src.block, dst.block, src.name))
     return fused

@@ -32,10 +32,6 @@ from .weights import WeightStore
 
 INPUT = "image"
 
-# node counts at 640x640, nc arbitrary (structure does not depend on nc)
-BASELINE_NODE_COUNT = 43
-IMPROVED_NODE_COUNT = 71
-IMPROVED_FUSED_NODE_COUNT = 47
 
 @dataclass(frozen=True)
 class Node:
@@ -57,7 +53,6 @@ class ParamEntry:
 @dataclass(frozen=True)
 class ModelGraph:
     variant: str
-    nc: int
     nodes: tuple
     params: tuple
     outputs: tuple
@@ -219,7 +214,7 @@ def build_model(variant: str, nc: int = 3, fused: bool = False) -> ModelGraph:
             outputs.append(b.add(f"head.{level}.out", "concat", [box, cls]))
 
     _validate_graph(b.nodes, outputs)
-    return ModelGraph(variant, nc, tuple(b.nodes), tuple(b.params), tuple(outputs), cfg)
+    return ModelGraph(variant, tuple(b.nodes), tuple(b.params), tuple(outputs), cfg)
 
 
 def walk(g: ModelGraph, x: np.ndarray):
@@ -372,7 +367,7 @@ def structurally_equal(g1: ModelGraph, g2: ModelGraph) -> bool:
     """Same layout and the same weight names, in order, with bit-equal arrays
     (used for fusion idempotence)."""
     def layout(g):
-        return g.variant, g.nc, g.outputs, [(n.name, n.kind, n.inputs, n.group) for n in g.nodes]
+        return g.variant, g.cfg.nc, g.outputs, [(n.name, n.kind, n.inputs, n.group) for n in g.nodes]
 
     pairs = zip_longest(named_tensors(g1), named_tensors(g2), fillvalue=(None, None))
     return layout(g1) == layout(g2) and all(

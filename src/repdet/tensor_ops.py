@@ -2,8 +2,8 @@
 
 Tensors are plain 4-D numpy arrays of float32, indexed (n, c, h, w). The
 forward kernels (conv2d, batch norm, SiLU, pooling, elementwise) compute in
-float32. A dense conv does a float32 im2col over a strided window view and
-a single-precision GEMM, and a grouped conv runs one dense conv per group.
+float32. A dense conv does a float32 im2col over numpy's sliding_window_view
+and a single-precision GEMM, and a grouped conv runs one dense conv per group.
 A dense conv gathers and multiplies one block of output rows at a time,
 through one buffer of about IM2COL_BUDGET bytes, straight into its output.
 Each block pads by copying the input rows it reads into one reused
@@ -12,8 +12,8 @@ zero-bordered buffer, so the conv holds no padded copy of its whole input. A
 kernel taps and work on whole-tensor slices: pooling reduces the
 column-shifted slices, then the row-shifted ones; a depthwise conv does one
 multiply-add per tap into a channels-last float32 accumulator and returns it
-through an NCHW view. Their padding fills a new whole-map buffer with 0 or
--inf and copies the interior.
+through an NCHW view. Each pads its whole input with np.pad, pooling NCHW with
+0 or -inf and a depthwise conv channels-last with 0.
 
 Results repeat run to run and agree with float64 references to within float32
 resolution; the float64 versions, including the einsum depthwise conv, live
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError, SpecError
 
@@ -118,43 +118,6 @@ class BatchNormParams:
         return self.gamma.shape[0]
 
 
-def _window_view(xp: np.ndarray, kernel, stride, out_hw):
-    """Strided (n, c, kh, kw, ho, wo) window view over a padded array."""
-    n, c = xp.shape[:2]
-    kh, kw = kernel
-    sh, sw = stride
-    ho, wo = out_hw
-    sn, sc, srow, scol = xp.strides
-    return as_strided(
-        xp,
-        (n, c, kh, kw, ho, wo),
-        (sn, sc, srow, scol, sh * srow, sw * scol),
-        writeable=False,
-    )
-
-
-def _padded(x: np.ndarray, ph: int, pw: int, fill: float = 0.0,
-            channels_last: bool = False) -> np.ndarray:
-    """float32 `x` with `ph` rows and `pw` columns of `fill` on every side, in a
-    new buffer (`x` itself when there is nothing to add). With `channels_last`
-    the buffer is always new, laid out (n, h, w, c) and indexed as NCHW."""
-    x = np.asarray(x, dtype=DTYPE)
-    if not (ph or pw or channels_last):
-        return x
-    n, c, h, w = x.shape
-    if channels_last:
-        buf = np.empty((n, h + 2 * ph, w + 2 * pw, c), DTYPE).transpose(0, 3, 1, 2)
-    else:
-        buf = np.empty((n, c, h + 2 * ph, w + 2 * pw), DTYPE)
-    # write the border and the interior once each
-    buf[:, :, :ph] = fill
-    buf[:, :, ph + h:] = fill
-    buf[:, :, ph:ph + h, :pw] = fill
-    buf[:, :, ph:ph + h, pw + w:] = fill
-    buf[:, :, ph:ph + h, pw:pw + w] = x
-    return buf
-
-
 def _taps(start: int, step: int, count: int) -> slice:
     """The `count` positions start, start + step, ... as a slice."""
     return slice(start, start + step * (count - 1) + 1, step)
@@ -170,11 +133,11 @@ def _fold(op, slices) -> np.ndarray:
 
 def _depthwise(x: np.ndarray, spec: Conv2dSpec, wf: np.ndarray, ho: int, wo: int) -> np.ndarray:
     """Depthwise conv as one multiply-add per kernel tap over whole
-    channels-last slices. The result is channels-last memory seen through an
-    NCHW view, so a following depthwise conv pads it without a transpose."""
-    kh, kw = spec.kernel
-    sh, sw = spec.stride
-    xp = _padded(x, *spec.padding, channels_last=True).transpose(0, 2, 3, 1)
+    channels-last slices of a zero-padded channels-last float32 copy of `x`.
+    The result is channels-last memory seen through an NCHW view, so a
+    following depthwise conv pads it without a transpose."""
+    (kh, kw), (sh, sw), (ph, pw) = spec.kernel, spec.stride, spec.padding
+    xp = np.pad(np.asarray(x, DTYPE).transpose(0, 2, 3, 1), ((0, 0), (ph, ph), (pw, pw), (0, 0)))
     n, c = x.shape[:2]
     taps = wf[:, 0].transpose(1, 2, 0)  # (kh, kw, c)
     # a tap's weights repeated along a whole output row, so that a stride-1
@@ -222,19 +185,20 @@ def _dense(x: np.ndarray, spec: Conv2dSpec, wf: np.ndarray, ho: int, wo: int) ->
     """Dense conv as im2col + GEMM by blocks of output rows. Each block copies
     the input rows it reads into one reused zero-bordered buffer, so no padded
     copy of the whole input exists, gathers its column matrix from that buffer
-    into a second reused buffer and multiplies it straight into its rows of
-    the output. Each output value is the same dot product the whole-image GEMM
-    computes."""
+    into a second reused buffer through one sliding_window_view of that
+    buffer, and multiplies it straight into its rows of the output. Each output
+    value is the same dot product the whole-image GEMM computes."""
     n, c, h, w = x.shape
-    kh, kw = spec.kernel
-    sh, ph, pw = spec.stride[0], *spec.padding
+    (kh, kw), (sh, sw), (ph, pw) = spec.kernel, spec.stride, spec.padding
     k = c * kh * kw
     wm = wf.reshape(spec.out_ch, k)
     blocks = _row_blocks(ho, wo, k, spec.out_ch)
     tall = max(r1 - r0 for r0, r1 in blocks)
     # the border columns are zeroed here once; a block's rows are written per block
     pad = np.zeros((1, c, (tall - 1) * sh + kh, w + 2 * pw), DTYPE)
-    pat = _window_view(pad, spec.kernel, spec.stride, (tall, wo))
+    # (1, c, kh, kw, tall, wo): the windows of every output position
+    pat = sliding_window_view(pad, spec.kernel, axis=(2, 3))[:, :, ::sh, ::sw]
+    pat = pat.transpose(0, 1, 4, 5, 2, 3)
     buf = np.empty(k * tall * wo, DTYPE)
     out = np.empty((n, spec.out_ch, ho, wo), DTYPE)
     for b in range(n):
@@ -354,29 +318,26 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return (0.5 * (1.0 + np.tanh(0.5 * xd))).astype(DTYPE)
 
 
-def pool2d(x: np.ndarray, mode: str, kernel, stride=None, padding=0) -> np.ndarray:
-    """Windowed max or mean. avg divides by the full kernel area, padding included,
-    so a stride-1 avg pool is exactly expressible as a fixed convolution."""
+def pool2d(x: np.ndarray, mode: str, kernel, stride, padding) -> np.ndarray:
+    """Windowed max or mean, with the geometry of a depthwise conv and at most
+    half a kernel of padding. avg divides by the full kernel area, padding
+    included, so a stride-1 avg pool is exactly expressible as a fixed
+    convolution."""
     if mode not in ("max", "avg"):
         raise SpecError(f"unknown pool mode {mode!r}")
     check_nchw(x)
-    kernel = _pair(kernel)
-    stride = kernel if stride is None else _pair(stride)
-    padding = _pair(padding)
-    n, c, h, w = x.shape
-    kh, kw = kernel
-    ph, pw = padding
-    if kh > h + 2 * ph or kw > w + 2 * pw:
-        raise ShapeError(f"pool kernel {kernel} exceeds padded input {h + 2 * ph}x{w + 2 * pw}")
-    ho = (h + 2 * ph - kh) // stride[0] + 1
-    wo = (w + 2 * pw - kw) // stride[1] + 1
-    if ho < 1 or wo < 1:
-        raise ShapeError(f"pool output collapsed to {ho}x{wo}")
+    c = x.shape[1]
+    spec = Conv2dSpec(c, c, kernel, stride, padding, groups=c)
+    (kh, kw), (sh, sw), (ph, pw) = spec.kernel, spec.stride, spec.padding
+    if ph > kh // 2 or pw > kw // 2:
+        raise SpecError(f"pool padding {spec.padding} exceeds half the kernel {spec.kernel}")
+    ho, wo = spec.out_hw(*x.shape[2:])
     # separable: fold the kw column-shifted slices, then the kh row-shifted ones
     op = np.maximum if mode == "max" else np.add
-    xp = _padded(x, ph, pw, -np.inf if mode == "max" else 0.0)
-    cols = _fold(op, [xp[:, :, :, _taps(v, stride[1], wo)] for v in range(kw)])
-    out = _fold(op, [cols[:, :, _taps(u, stride[0], ho)] for u in range(kh)])
+    xp = np.pad(np.asarray(x, DTYPE), ((0, 0), (0, 0), (ph, ph), (pw, pw)),
+                constant_values=-np.inf if mode == "max" else 0.0)
+    cols = _fold(op, [xp[:, :, :, _taps(v, sw, wo)] for v in range(kw)])
+    out = _fold(op, [cols[:, :, _taps(u, sh, ho)] for u in range(kh)])
     if mode == "avg":
         out /= float(kh * kw)
     return out

@@ -6,7 +6,8 @@ kernels under test, so agreement is evidence rather than tautology.
 
 The `*_f64` functions are the float64-accumulating forward kernels that the
 float32 ones in `repdet.tensor_ops` replaced. They share only the argument
-checks and the strided window view with the engine, and serve as the
+checks with the engine, take their windows from numpy's
+`sliding_window_view` over a whole padded float64 copy, and serve as the
 reference for whole-graph forwards.
 
 `ref_letterbox`, `ref_decode_detections`, `ref_nms` and
@@ -42,6 +43,7 @@ import math
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repdet.blocks import Composite, ConvBlock, HeadConfig, RepConvBlock
 from repdet.errors import FormatError, NumericError, ShapeError, SpecError, ValidationError
@@ -60,7 +62,6 @@ from repdet.tensor_ops import (
     DTYPE,
     BatchNormParams,
     _pair,
-    _window_view,
     bn_scale_shift,
     check_nchw,
     sigmoid,
@@ -356,6 +357,13 @@ def fold_conv_block(cb):
     return twin
 
 
+def _windows(xp, kernel, stride):
+    """(n, c, kh, kw, ho, wo) windows of the padded NCHW array `xp`."""
+    sh, sw = stride
+    windows = sliding_window_view(xp, kernel, axis=(2, 3))[:, :, ::sh, ::sw]
+    return windows.transpose(0, 1, 4, 5, 2, 3)
+
+
 def conv2d_f64(x, spec, weights, bias=None):
     """Direct 2-D convolution (cross-correlation), float64 accumulation."""
     check_nchw(x)
@@ -372,7 +380,7 @@ def conv2d_f64(x, spec, weights, bias=None):
     xp = x.astype(np.float64)
     if ph or pw:
         xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    pat = _window_view(xp, spec.kernel, spec.stride, (ho, wo))
+    pat = _windows(xp, spec.kernel, spec.stride)
     wf = weights.astype(np.float64)
 
     g = spec.groups
@@ -443,7 +451,7 @@ def pool2d_f64(x, mode, kernel, stride=None, padding=0):
     xp = x.astype(np.float64)
     if ph or pw:
         xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
-    pat = _window_view(xp, kernel, stride, (ho, wo))
+    pat = _windows(xp, kernel, stride)
     if mode == "max":
         out = pat.max(axis=(2, 3))
     else:

@@ -230,10 +230,15 @@ class TestFuse:
         store = M.init_weights(M.build_model("improved", 3), 0)
         store["head.p3.scale.s"][0] = np.nan
         store.save(w)
-        code, out, err = run_cli(capsys, "fuse", "--model", "improved", "--weights", w, "--verify")
+        # a store that fails verification does not replace an earlier file
+        out_path = tmp_path / "fused.rwt"
+        out_path.write_bytes(b"earlier store")
+        code, out, err = run_cli(capsys, "fuse", "--model", "improved", "--weights", w,
+                                 "--out", os.fspath(out_path), "--verify")
         assert code == 3
-        assert "max head-output deviation: nan" in out
+        assert "max head-output deviation: nan" in out and "wrote" not in out
         assert err.startswith("error:")
+        assert out_path.read_bytes() == b"earlier store"
 
     @pytest.mark.parametrize("store", ["nan", "overflow"])
     def test_nonfinite_fold_is_3_and_writes_nothing(self, capsys, tmp_path, store):

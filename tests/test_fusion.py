@@ -482,7 +482,7 @@ def test_fusion_properties_under_drawn_statistics(tmp_path_factory, variant, nc,
 
 def ref_fuse(g):
     """The deploy form of `g` filled block by block by the reference fold."""
-    ref = M.build_model(g.variant, g.nc, fused=True)
+    ref = M.build_model(g.variant, g.cfg.nc, fused=True)
     for src, dst in zip(g.params, ref.params):
         ref_fold_into(src.block, dst.block, src.name)
     return ref

@@ -152,11 +152,11 @@ class TestSlabsAndBands:
         ho, wo = spec.out_hw(h, w)
         kk = c * k * k
         views, blocks = [], []
-        view, row_blocks = T._window_view, T._row_blocks
+        view, row_blocks = T.sliding_window_view, T._row_blocks
 
-        def spy_view(*args):
+        def spy_view(*args, **kwargs):
             views.append(args)
-            return view(*args)
+            return view(*args, **kwargs)
 
         def spy_blocks(*args):
             blocks.append(row_blocks(*args))
@@ -166,7 +166,8 @@ class TestSlabsAndBands:
             """The same GEMM blocks over a whole padded copy of the input. The
             BLAS may round a block apart from the whole-image GEMM, so the
             blocks, not one GEMM, give the bits the conv must reproduce."""
-            pat = view(np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))), spec.kernel, spec.stride, (ho, wo))
+            xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+            pat = view(xp, spec.kernel, axis=(2, 3))[:, :, ::s, ::s].transpose(0, 1, 4, 5, 2, 3)
             want = np.empty((2, 4, ho, wo), np.float32)
             for i in range(2):
                 for r0, r1 in blocks[0]:
@@ -174,7 +175,7 @@ class TestSlabsAndBands:
                     np.matmul(wt.reshape(4, kk), cols, out=want[i, :, r0:r1].reshape(4, -1))
             return conv_epilogue(want, None, "none", b)
 
-        monkeypatch.setattr(T, "_window_view", spy_view)
+        monkeypatch.setattr(T, "sliding_window_view", spy_view)
         monkeypatch.setattr(T, "_row_blocks", spy_blocks)
         monkeypatch.setattr(T, "SMALL_GEMM_MACS", 0)
         # one whole-image block, then blocks of one and of two output rows
@@ -287,6 +288,19 @@ class TestPool2d:
     def test_kernel_exceeding_input_is_shape_error(self):
         with pytest.raises(ShapeError, match="kernel"):
             pool2d(np.zeros((1, 1, 2, 2), dtype=np.float32), "max", 5, 1, 0)
+
+    # stride 0, negative padding, and padding beyond half the kernel, whose
+    # border windows would hold only padding
+    @pytest.mark.parametrize("kernel, stride, padding, message", [
+        (3, 0, 1, "kernel and stride entries must be >= 1"),
+        (2, 1, -1, "padding must be non-negative"),
+        (1, 1, 1, r"pool padding \(1, 1\) exceeds half the kernel \(1, 1\)"),
+    ])
+    def test_bad_geometry_is_spec_error(self, kernel, stride, padding, message):
+        x = np.zeros((1, 2, 4, 4), dtype=np.float32)
+        for mode in ("max", "avg"):
+            with pytest.raises(SpecError, match=f"^{message}$"):
+                pool2d(x, mode, kernel, stride, padding)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(6)

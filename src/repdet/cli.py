@@ -177,6 +177,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
+        sp.add_argument("--model", choices=("baseline", "improved"), required=True)
         sp.add_argument("--nc", type=int, default=3, help="class count (default 3)")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for generated weights/inputs (default 0)")
@@ -193,7 +194,6 @@ def _build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_compare)
 
     sp = sub.add_parser("fuse", help="reparameterize a graph and save its weights")
-    sp.add_argument("--model", choices=("baseline", "improved"), required=True)
     common(sp)
     sp.add_argument("--out", help="write fused weights here")
     sp.add_argument("--verify", action="store_true",
@@ -201,7 +201,6 @@ def _build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_fuse)
 
     sp = sub.add_parser("infer", help="detect on one PPM image")
-    sp.add_argument("--model", choices=("baseline", "improved"), required=True)
     common(sp)
     sp.add_argument("--image", required=True)
     sp.add_argument("--annotate", help="write an annotated copy here")
@@ -210,7 +209,6 @@ def _build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_infer)
 
     sp = sub.add_parser("eval", help="P/R/AP@0.5 report over a manifest dataset")
-    sp.add_argument("--model", choices=("baseline", "improved"), required=True)
     common(sp)
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--out", help="write the report (.json or .csv)")

@@ -134,7 +134,7 @@ def match_detections(dets, truth_boxes):
 
     truth_boxes: list of (class_id, (x1, y1, x2, y2)) pixel boxes.
     Returns (tp_flags, fn_count)."""
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)  # stable: ties in input order
     claimed = [False] * len(truth_boxes)
     flags = [False] * len(dets)
     for i in order:
@@ -241,30 +241,32 @@ class EvalReport:
 def evaluate(detections_per_image, items, class_names, image_sizes) -> EvalReport:
     """Match detections to labels image by image, pool per class, and compute
     P, R, AP@0.5 per class plus mAP@0.5. P and R cover the full detection list.
-    `image_sizes` holds each item's (w, h)."""
+    `image_sizes` holds each item's (w, h); every class id, of a detection or
+    a truth, must index `class_names`."""
     if not items:
         raise ValidationError("empty dataset")
-    if len(detections_per_image) != len(items):
-        raise ValidationError(
-            f"{len(detections_per_image)} detection lists for {len(items)} images"
-        )
+    for what, per_image in (("detection lists", detections_per_image), ("image sizes", image_sizes)):
+        if len(per_image) != len(items):
+            raise ValidationError(f"{len(per_image)} {what} for {len(items)} images")
 
     nc = len(class_names)
-    pooled = {c: [] for c in range(nc)}  # (score, tp, img_idx, det_idx)
+    pooled = {c: [] for c in range(nc)}  # (score, tp) in image order, then detection order
     truths_per_class = [0] * nc
-    for img_idx, (dets, item) in enumerate(zip(detections_per_image, items)):
-        iw, ih = image_sizes[img_idx]
+    for img_idx, (dets, item, (iw, ih)) in enumerate(zip(detections_per_image, items, image_sizes)):
+        bad = next((o.class_id for o in (*item.truths, *dets) if not 0 <= o.class_id < nc), None)
+        if bad is not None:
+            raise ValidationError(f"image {img_idx}: class id {bad} outside 0..{nc - 1}")
         truth_boxes = [(t.class_id, t.to_pixels(iw, ih)) for t in item.truths]
         for t in item.truths:
             truths_per_class[t.class_id] += 1
         flags, _ = match_detections(dets, truth_boxes)
-        for det_idx, (d, f) in enumerate(zip(dets, flags)):
-            pooled[d.class_id].append((d.score, f, img_idx, det_idx))
+        for d, f in zip(dets, flags):
+            pooled[d.class_id].append((d.score, f))
 
     reports = []
     ap_values = []
     for c in range(nc):
-        recs = sorted(pooled[c], key=lambda r: (-r[0], r[2], r[3]))
+        recs = sorted(pooled[c], key=lambda r: -r[0])  # stable: ties stay in pooling order
         flags = [r[1] for r in recs]
         scores = [r[0] for r in recs]
         tp = sum(flags)

@@ -1,15 +1,21 @@
 """Atomic file output: a file repdet writes appears whole or not at all."""
 from __future__ import annotations
 
+import contextlib
 import os
-import tempfile
+import stat
 
 
 def write_atomic(path: str, data: bytes) -> None:
-    """Write `data` to a temp file beside `path`, then rename it over `path`."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".repdet-")
+    """Write `data` to a temp file beside `path`, then rename it over `path`.
+    The file gets the mode `open(path, "wb")` would give it: 0o666 less the
+    umask when new, and its own permission bits when it replaces a file."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".repdet-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
+            with contextlib.suppress(FileNotFoundError):  # a new file keeps 0o666 less the umask
+                os.fchmod(f.fileno(), stat.S_IMODE(os.stat(path).st_mode))
             f.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -65,13 +65,12 @@ class ModelGraph:
 # kinds of nodes that carry a block; the block's forward runs them
 BLOCK_KINDS = ("conv", "c2f", "c2f_ms", "sppf", "msca", "avgpool_bn", "scale")
 
-# blockless kinds: each forward takes the list of input tensors. The lambdas
-# look each kernel up when called, so a test can swap in another
+# blockless kinds: each forward takes the list of input tensors
 GLUE = {
-    "add": lambda t: add_n(t),
+    "add": add_n,
     "silu": lambda t: silu(t[0]),
     "upsample": lambda t: upsample_nearest2x(t[0]),
-    "concat": lambda t: concat_channels(t),
+    "concat": concat_channels,
 }
 
 
@@ -306,19 +305,20 @@ def named_tensors(g: ModelGraph):
 
 
 def seed_weights(g: ModelGraph, seed: int = 0) -> None:
-    """Deterministically initialize every parameter. Conv weights are uniform
-    within +/- sqrt(1/fan_in) from a PCG64 stream, each draw bound into its
-    block; norms start at identity, biases at zero, scales at one, written in
-    place."""
+    """Deterministically initialize every parameter, binding a new array into
+    each slot, so arrays the graph shared with a store are left as they were.
+    Conv weights are uniform within +/- sqrt(1/fan_in) from a PCG64 stream;
+    norms start at identity, biases at zero, scales at one."""
     rng = np.random.default_rng(seed)
     for _, owner, attr, shape in _slots(g):
         if attr == "w":
             bound = float(np.sqrt(1.0 / prod(shape[1:])))
-            setattr(owner, attr, rng.uniform(-bound, bound, shape).astype(DTYPE))
+            arr = rng.uniform(-bound, bound, shape).astype(DTYPE)
         elif attr in ("gamma", "var", "s"):
-            getattr(owner, attr)[...] = 1.0
+            arr = np.ones(shape, DTYPE)
         else:  # b, beta, mean
-            getattr(owner, attr)[...] = 0.0
+            arr = np.zeros(shape, DTYPE)
+        setattr(owner, attr, arr)
 
 
 def init_weights(g: ModelGraph, seed: int = 0) -> WeightStore:
@@ -337,7 +337,7 @@ def load_weights(g: ModelGraph, store: WeightStore) -> None:
     passed its checks, so a failing store leaves the graph untouched. Shapes
     are checked against the shapes the blocks state, so the graph's own
     arrays are never read. The graph and the store then share arrays: writing
-    to one writes to the other."""
+    to one writes to the other, until `seed_weights` binds new ones."""
     binds, variances, fault = {}, [], None
     for name, owner, attr, shape in _slots(g):
         if name not in store:

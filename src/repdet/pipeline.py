@@ -171,7 +171,7 @@ def nms(cands: Candidates, iou_thresh: float = 0.45) -> list:
     threshold. Ties break on lower class id, then input order; survivors come
     back as `Detection`s sorted by descending score."""
     cids, scores, boxes = cands.class_ids, cands.scores, cands.boxes
-    order = np.lexsort((np.arange(len(cids)), cids, -scores))
+    order = np.lexsort((cids, -scores))  # stable: ties left in input order
     kept = []
     with np.errstate(divide="ignore", invalid="ignore"):  # the quotients of disjoint pairs go unused
         for c in np.unique(cids):
@@ -196,10 +196,8 @@ def annotate(image: np.ndarray, dets) -> np.ndarray:
     h, w = out.shape[:2]
     for d in dets:
         color = PALETTE[d.class_id % len(PALETTE)]
-        x1 = max(0, min(w - 1, int(round(d.box[0]))))
-        y1 = max(0, min(h - 1, int(round(d.box[1]))))
-        x2 = max(0, min(w - 1, int(round(d.box[2]))))
-        y2 = max(0, min(h - 1, int(round(d.box[3]))))
+        x1, y1, x2, y2 = (max(0, min(size - 1, int(round(v))))
+                          for v, size in zip(d.box, (w, h, w, h)))
         for t in range(2):
             yt, yb = min(y1 + t, h - 1), max(y2 - t, 0)
             xl, xr = min(x1 + t, w - 1), max(x2 - t, 0)

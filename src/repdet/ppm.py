@@ -1,41 +1,36 @@
 """Binary PPM (P6, maxval 255) reader and writer."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import FormatError
 from .fileio import write_atomic
 
 
-def _next_token(data: bytes, off: int) -> tuple[bytes, int]:
-    n = len(data)
-    while off < n:
-        c = data[off:off + 1]
-        if c == b"#":  # comment runs to end of line
-            while off < n and data[off:off + 1] not in (b"\n", b"\r"):
-                off += 1
-        elif c.isspace():
-            off += 1
-        else:
-            break
-    if off >= n:
-        raise FormatError(f"truncated PPM header at offset {off}")
-    start = off
-    while off < n and not data[off:off + 1].isspace():
-        off += 1
-    return data[start:off], off
+# whitespace and comments (a "#" to the end of its line), then one token;
+# bytes-mode \s is exactly the six bytes bytes.isspace accepts
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
+
+
+def _token(data: bytes, off: int) -> tuple[bytes, int]:
+    m = _TOKEN.match(data, off)
+    if not m[1]:
+        raise FormatError(f"truncated PPM header at offset {m.end()}")
+    return m[1], m.end()
 
 
 def read_ppm(path: str) -> np.ndarray:
     """Read a P6 image into an (h, w, 3) uint8 array."""
     with open(path, "rb") as f:
         data = f.read()
-    magic, off = _next_token(data, 0)
+    magic, off = _token(data, 0)
     if magic != b"P6":
         raise FormatError(f"bad magic {magic!r} at offset 0, expected b'P6'")
     fields = []
     for what in ("width", "height", "maxval"):
-        tok, off = _next_token(data, off)
+        tok, off = _token(data, off)
         # bytes.isdigit is ASCII-only; int() would also take b"+2" and b"1_0"
         if not tok.isdigit():
             raise FormatError(f"non-numeric {what} {tok!r} at offset {off}")
@@ -45,7 +40,7 @@ def read_ppm(path: str) -> np.ndarray:
         raise FormatError(f"unsupported maxval {maxval}, only 255 is handled")
     if w < 1 or h < 1:
         raise FormatError(f"degenerate image size {w}x{h}")
-    off += 1  # single whitespace after maxval
+    off = min(off + 1, len(data))  # single whitespace after maxval, if any
     need = w * h * 3
     if len(data) - off < need:
         raise FormatError(f"truncated pixel data at offset {off}: need {need} bytes, "

@@ -1,8 +1,9 @@
 """Embedded property suites behind the `selftest` CLI command.
 
 Each suite checks a core numeric path against an independent reference written
-here from scratch: a loop convolution, a windowed-mean pool, and an exhaustive
-threshold sweep for average precision.
+here from scratch: a loop convolution, which with a 1/4 kernel on the channel
+diagonal also checks the 2x2 mean pool, and an exhaustive threshold sweep for
+average precision.
 """
 from __future__ import annotations
 
@@ -58,20 +59,11 @@ def check_conv_kernels():
         ref = _loop_conv(x, wt, b, (st, st), (pd, pd))
         worst = max(worst, float(np.abs(got - ref).max()))
 
-        # windowed mean, padding counted in the divisor
+        # a 2x2 mean with padding counted in the divisor is the loop conv
+        # with 1/4 on the channel diagonal
         y = pool2d(x, "avg", 2, 1, 1)
-        ref_pool = np.zeros_like(y)
-        for ci in range(c):
-            for yi in range(y.shape[2]):
-                for xi in range(y.shape[3]):
-                    acc = 0.0
-                    for u in range(2):
-                        for v in range(2):
-                            yy, xx = yi + u - 1, xi + v - 1
-                            if 0 <= yy < h and 0 <= xx < w:
-                                acc += float(x[0, ci, yy, xx])
-                    ref_pool[0, ci, yi, xi] = acc / 4.0
-        worst = max(worst, float(np.abs(y - ref_pool).max()))
+        mean = np.broadcast_to(np.eye(c)[:, :, None, None] / 4, (c, c, 2, 2))
+        worst = max(worst, float(np.abs(y - _loop_conv(x, mean, None, (1, 1), (1, 1))).max()))
 
         logits = rng.uniform(-4, 4, (1, 8, 2, 2)).astype(np.float32)
         sm = softmax_channelwise(logits, 4)

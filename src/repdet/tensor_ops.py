@@ -366,11 +366,7 @@ def split_channels(x: np.ndarray, sizes) -> list[np.ndarray]:
     check_nchw(x)
     if sum(sizes) != x.shape[1]:
         raise SpecError(f"split sizes {list(sizes)} do not sum to {x.shape[1]} channels")
-    out, at = [], 0
-    for s in sizes:
-        out.append(x[:, at:at + s])
-        at += s
-    return out
+    return np.split(x, np.cumsum(sizes)[:-1], axis=1)
 
 
 def softmax_channelwise(x: np.ndarray, group: int) -> np.ndarray:

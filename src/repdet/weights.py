@@ -58,11 +58,8 @@ class WeightStore:
         blob += struct.pack("<I", len(self._tensors))
         for name, arr in self._tensors.items():
             encoded = name.encode("utf-8")
-            blob += struct.pack("<H", len(encoded))
-            blob += encoded
-            blob += struct.pack("<B", arr.ndim)
-            for d in arr.shape:
-                blob += struct.pack("<I", d)
+            blob += struct.pack(f"<H{len(encoded)}sB{arr.ndim}I",
+                                len(encoded), encoded, arr.ndim, *arr.shape)
             blob += arr.astype("<f4").tobytes()
         write_atomic(path, blob)
 

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import repdet.model as M
 from repdet.blocks import HeadConfig
 from repdet.cli import _forward_finite, _prepare_graph, main
 from repdet.errors import NumericError
+from repdet.fileio import write_atomic
 from repdet.ppm import read_ppm, write_ppm
 from repdet.weights import WeightStore
 
@@ -517,6 +519,23 @@ class TestExitCodes:
                                "--out", os.fspath(target))
         assert code == 3
         assert not target.exists()
+
+
+class TestOutputMode:
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path):
+        # the umask is read by creating a file, never by setting it
+        with open(tmp_path / "plain", "wb"):
+            pass
+        write_atomic(os.fspath(tmp_path / "new"), b"x")
+        assert (tmp_path / "new").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_bytes(b"old")
+        target.chmod(0o640)
+        write_atomic(os.fspath(target), b"new")
+        assert target.read_bytes() == b"new"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
 
 
 class TestEntryPoint:

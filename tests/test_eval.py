@@ -246,6 +246,23 @@ class TestEvaluate:
         with pytest.raises(ValidationError, match="empty"):
             evaluate([], [], CLASS_NAMES, image_sizes=[])
 
+    def test_image_sizes_must_cover_every_image(self):
+        dets, items, _ = _single_image_case()
+        with pytest.raises(ValidationError, match="0 image sizes for 1 images"):
+            evaluate(dets, items, CLASS_NAMES, image_sizes=[])
+
+    def test_detection_class_outside_the_names_rejected(self):
+        dets, items, sizes = _single_image_case()
+        extra = Detection(3, "class3", 0.5, (1.0, 1.0, 9.0, 9.0))
+        with pytest.raises(ValidationError, match="class id 3 outside 0..2"):
+            evaluate([dets[0] + [extra]], items, CLASS_NAMES, image_sizes=sizes)
+
+    def test_truth_class_outside_the_names_rejected(self):
+        dets, items, sizes = _single_image_case()
+        item = DatasetItem("img.ppm", items[0].truths + (GroundTruthBox(-1, 0.5, 0.5, 0.2, 0.2),))
+        with pytest.raises(ValidationError, match="class id -1 outside 0..2"):
+            evaluate(dets, [item], CLASS_NAMES, image_sizes=sizes)
+
     def test_report_serialization(self):
         dets, items, sizes = _single_image_case()
         report = evaluate(dets, items, CLASS_NAMES, image_sizes=sizes)

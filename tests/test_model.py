@@ -354,6 +354,16 @@ class TestInit:
             elif name.endswith((".bn.beta", ".bn.mean", ".b")):
                 assert np.all(store[name] == 0.0)
 
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_seeding_a_loaded_graph_leaves_the_store(self, fused):
+        # 2.0 everywhere, so no seeded value (a draw, 0 or 1) matches a stored one
+        g = M.build_model("improved", 3, fused=fused)
+        store = WeightStore((n, np.full(a.shape, 2.0)) for n, a in M.named_tensors(g))
+        M.load_weights(g, store)
+        M.seed_weights(g, 0)
+        assert all((store[n] == 2.0).all() for n in store.names())
+        assert not any(arr is store[n] for n, arr in M.named_tensors(g))
+
     def test_fresh_graphs_trivially_equivalent_after_fusion(self):
         g = M.build_model("improved", 3)
         M.init_weights(g, 0)

@@ -41,18 +41,22 @@ class TestPPM:
 
     def test_header_comments_handled(self, tmp_path):
         path = os.fspath(tmp_path / "c.ppm")
-        with open(path, "wb") as f:
-            f.write(b"P6\n# a comment\n2 1\n# another\n255\n" + bytes(6))
-        assert read_ppm(path).shape == (1, 2, 3)
+        # a comment runs to a "\n" or to a lone "\r"
+        for header in (b"P6\n# a comment\n2 1\n# another\n255\n", b"P6 # a comment\r2 1\r255\n"):
+            with open(path, "wb") as f:
+                f.write(header + bytes(6))
+            assert read_ppm(path).shape == (1, 2, 3)
 
     def test_bad_magic(self, tmp_path):
         path = os.fspath(tmp_path / "bad.ppm")
-        with open(path, "wb") as f:
-            f.write(b"P5\n1 1\n255\n\x00")
-        with pytest.raises(FormatError, match="magic"):
-            read_ppm(path)
+        # a "#" inside a token is part of it, not the start of a comment
+        for magic in (b"P5", b"P6#c"):
+            with open(path, "wb") as f:
+                f.write(magic + b"\n1 1\n255\n\x00")
+            with pytest.raises(FormatError, match="magic"):
+                read_ppm(path)
 
-    @pytest.mark.parametrize("header", [b"P6 +2 1 255\n", b"P6 2 1_0 255\n"])
+    @pytest.mark.parametrize("header", [b"P6 +2 1 255\n", b"P6 2 1_0 255\n", b"P6 1#c 1 255\n"])
     def test_header_numbers_are_ascii_digits(self, tmp_path, header):
         path = os.fspath(tmp_path / "n.ppm")
         with open(path, "wb") as f:
@@ -62,10 +66,15 @@ class TestPPM:
 
     def test_truncated_pixels(self, tmp_path):
         path = os.fspath(tmp_path / "short.ppm")
-        with open(path, "wb") as f:
-            f.write(b"P6\n4 4\n255\n" + bytes(10))
-        with pytest.raises(FormatError, match="truncated"):
-            read_ppm(path)
+        # the last file ends at maxval, with no separator byte: the offset
+        # stays at the file's end
+        for blob, message in ((b"P6\n4 4\n255\n" + bytes(10), "truncated pixel data"),
+                              (b"P6\n4 4\n", "truncated PPM header at offset 7$"),
+                              (b"P6 1 1 255", "pixel data at offset 10: need 3 bytes, have 0$")):
+            with open(path, "wb") as f:
+                f.write(blob)
+            with pytest.raises(FormatError, match=message):
+                read_ppm(path)
 
     def test_write_is_deterministic(self, tmp_path):
         img = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3)

@@ -176,9 +176,10 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="repdet", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, nc=True):
         sp.add_argument("--model", choices=("baseline", "improved"), required=True)
-        sp.add_argument("--nc", type=int, default=3, help="class count (default 3)")
+        if nc:  # eval's class count is its manifest's
+            sp.add_argument("--nc", type=int, default=3, help="class count (default 3)")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for generated weights/inputs (default 0)")
         sp.add_argument("--weights", help="weight container; omitted = seeded init")
@@ -209,7 +210,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_infer)
 
     sp = sub.add_parser("eval", help="P/R/AP@0.5 report over a manifest dataset")
-    common(sp)
+    common(sp, nc=False)
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--out", help="write the report (.json or .csv)")
     sp.add_argument("--conf", type=float, default=0.001,

@@ -45,8 +45,6 @@ def _affines(norms: list):
     """Float64 (scale, shift) of each norm in turn, all from one
     `bn_scale_shift` over the concatenated statistics. A norm with
     var + BN_EPS <= 0 raises when its turn comes; no norm after it is computed."""
-    if not norms:
-        return
     stats = {k: np.concatenate([getattr(bn, k) for bn in norms])
              for k in ("gamma", "beta", "mean", "var")}
     bad = stats["var"].astype(np.float64) + BN_EPS <= 0

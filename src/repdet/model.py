@@ -62,9 +62,6 @@ class ModelGraph:
         return {n.name: n for n in self.nodes}
 
 
-# kinds of nodes that carry a block; the block's forward runs them
-BLOCK_KINDS = ("conv", "c2f", "c2f_ms", "sppf", "msca", "avgpool_bn", "scale")
-
 # blockless kinds: each forward takes the list of input tensors
 GLUE = {
     "add": add_n,
@@ -72,24 +69,6 @@ GLUE = {
     "upsample": lambda t: upsample_nearest2x(t[0]),
     "concat": concat_channels,
 }
-
-
-def _validate_graph(nodes, outputs) -> None:
-    seen = {INPUT}
-    for node in nodes:
-        if node.name in seen:
-            raise SpecError(f"duplicate node name {node.name!r}")
-        if node.kind not in (GLUE if node.block is None else BLOCK_KINDS):
-            raise SpecError(f"node {node.name!r}: unknown kind {node.kind!r}")
-        for ref in node.inputs:
-            if ref not in seen:
-                raise SpecError(f"node {node.name!r} references {ref!r} before definition")
-        seen.add(node.name)
-    if len(outputs) != 3:
-        raise SpecError(f"expected 3 output nodes, got {len(outputs)}")
-    for out in outputs:
-        if out not in seen:
-            raise SpecError(f"output {out!r} is not a node")
 
 
 class _Builder:
@@ -212,7 +191,6 @@ def build_model(variant: str, nc: int = 3, fused: bool = False) -> ModelGraph:
             cls = b.add(f"head.{level}.cls3", ConvBlock(hid, cfg.nc, 1, bn=False, act="none"), [x])
             outputs.append(b.add(f"head.{level}.out", "concat", [box, cls]))
 
-    _validate_graph(b.nodes, outputs)
     return ModelGraph(variant, tuple(b.nodes), tuple(b.params), tuple(outputs), cfg)
 
 

@@ -374,12 +374,27 @@ class TestSelftest:
         assert code == 0
         assert out.count("ok  ") == 3
 
+    def test_failed_suite_is_3(self, capsys, monkeypatch):
+        monkeypatch.setattr("repdet.selftest.SUITES", (("broken", lambda: (False, "forced")),))
+        code, out, err = run_cli(capsys, "selftest")
+        assert code == 3
+        assert out == "FAIL broken: forced\n"
+        assert err == "error: selftest suites failed\n"
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         code, _, err = run_cli(capsys, "summarize", "--model", "huge")
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_eval_takes_no_class_count(self, capsys, tiny_dataset):
+        # eval's class count is its manifest's
+        code, out, err = run_cli(capsys, "eval", "--model", "baseline", "--nc", "3",
+                                 "--manifest", tiny_dataset)
+        assert code == 1
+        assert out == ""
+        assert err == "error: unrecognized arguments: --nc 3\n"
 
     def test_missing_weights_file_is_2(self, capsys, black_image):
         code, _, err = run_cli(capsys, "infer", "--model", "improved",
@@ -522,6 +537,26 @@ class TestExitCodes:
 
 
 class TestOutputMode:
+    @pytest.mark.parametrize("target", ["missing/layers.csv", "existing"])
+    def test_failed_write_is_2_and_names_the_path(self, capsys, tmp_path, target):
+        # the error names the path asked for, not the temp file beside it,
+        # so two runs print the same line, and no temp file is left
+        (tmp_path / "existing").mkdir()
+        (tmp_path / "existing" / "kept.txt").write_bytes(b"kept")
+        before = sorted(tmp_path.rglob("*"))
+        path = os.fspath(tmp_path / target)
+        errs = set()
+        for _ in range(2):
+            code, out, err = run_cli(capsys, "summarize", "--model", "baseline", "--csv", path)
+            assert code == 2
+            assert TestByteContract.sha(out.encode("utf-8")) == TestByteContract.SUMMARIZE["baseline"][0]
+            errs.add(err)
+        (err,) = errs
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(path) in err and ".repdet-" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "existing" / "kept.txt").read_bytes() == b"kept"
+
     def test_new_file_gets_the_mode_open_gives(self, tmp_path):
         # the umask is read by creating a file, never by setting it
         with open(tmp_path / "plain", "wb"):

@@ -58,10 +58,14 @@ class TestLoadDataset:
         return os.fspath(path)
 
     def test_loads_boxes(self, tmp_path):
-        classes, items = load_dataset(self._make(tmp_path, "0 0.5 0.5 0.2 0.1\n1 0.25 0.25 0.1 0.1\n"))
+        boxes = "0 0.5 0.5 0.2 0.1", "1 0.25 0.25 0.1 0.1"
+        classes, items = load_dataset(self._make(tmp_path, "\n".join(boxes) + "\n"))
         assert classes == ["wssv", "bss", "sbgs"]
         assert len(items) == 1 and len(items[0].truths) == 2
         assert items[0].truths[1].class_id == 1
+        # an empty or whitespace-only line between boxes is skipped
+        _, spaced = load_dataset(self._make(tmp_path, "\n\n   \n".join(boxes) + "\n"))
+        assert spaced[0].truths == items[0].truths
 
     def test_empty_label_file_is_negative_sample(self, tmp_path):
         _, items = load_dataset(self._make(tmp_path, ""))

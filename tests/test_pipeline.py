@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repdet.blocks import HeadConfig
+from repdet.cli import main
 from repdet.errors import FormatError, ShapeError, SpecError, ValidationError
 from repdet.pipeline import (
     PAD_VALUE,
@@ -64,17 +65,23 @@ class TestPPM:
         with pytest.raises(FormatError, match="non-numeric"):
             read_ppm(path)
 
-    def test_truncated_pixels(self, tmp_path):
+    def test_truncated_pixels(self, capsys, tmp_path):
         path = os.fspath(tmp_path / "short.ppm")
-        # the last file ends at maxval, with no separator byte: the offset
-        # stays at the file's end
+        # the third file ends at maxval, with no separator byte: the offset
+        # stays at the file's end. Through the CLI each file is exit 2 with
+        # one error line.
         for blob, message in ((b"P6\n4 4\n255\n" + bytes(10), "truncated pixel data"),
                               (b"P6\n4 4\n", "truncated PPM header at offset 7$"),
-                              (b"P6 1 1 255", "pixel data at offset 10: need 3 bytes, have 0$")):
+                              (b"P6 1 1 255", "pixel data at offset 10: need 3 bytes, have 0$"),
+                              (b"P6 1 1 65535\n" + bytes(6), "unsupported maxval 65535,"),
+                              (b"P6 1 1 1\n" + bytes(3), "unsupported maxval 1,")):
             with open(path, "wb") as f:
                 f.write(blob)
             with pytest.raises(FormatError, match=message):
                 read_ppm(path)
+            assert main(["infer", "--model", "baseline", "--image", path]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
     def test_write_is_deterministic(self, tmp_path):
         img = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3)

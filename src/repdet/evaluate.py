@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,8 @@ def load_dataset(manifest_path: str):
         raise ValidationError("manifest 'classes' must be a list of class-name strings")
     if not classes:
         raise ValidationError("manifest declares no classes")
+    if dups := [c for c, count in Counter(classes).items() if count > 1]:
+        raise ValidationError(f"manifest 'classes' lists {dups[0]!r} more than once")
     if not isinstance(doc["items"], list):
         raise ValidationError("manifest 'items' must be a list")
     root = os.path.dirname(os.path.abspath(manifest_path))

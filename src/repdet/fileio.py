@@ -7,7 +7,7 @@ import stat
 
 
 def write_atomic(path: str, data: bytes) -> None:
-    """Write `data` to a temp file beside `path`, then rename it over `path`.
+    """Write `data` to a temp file beside `path`, fsync it, then rename it over `path`.
     The file gets the mode `open(path, "wb")` would give it: 0o666 less the
     umask when new, and its own permission bits when it replaces a file.
     An error names `path`, never the temp file, so it reads the same each run."""
@@ -19,6 +19,8 @@ def write_atomic(path: str, data: bytes) -> None:
                 with contextlib.suppress(FileNotFoundError):  # a new file keeps 0o666 less the umask
                     os.fchmod(f.fileno(), stat.S_IMODE(os.stat(path).st_mode))
                 f.write(data)
+                f.flush()
+                os.fsync(f.fileno())  # the data is on disk before the name points at it
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -5,7 +5,7 @@ forward kernels (conv2d, batch norm, SiLU, pooling, elementwise) compute in
 float32. A dense conv does a float32 im2col over numpy's sliding_window_view
 and a single-precision GEMM, and a grouped conv runs one dense conv per group.
 A dense conv gathers and multiplies one block of output rows at a time,
-through one buffer of about IM2COL_BUDGET bytes, straight into its output.
+through one buffer of about TILE_BUDGET bytes, straight into its output.
 Each block pads by copying the input rows it reads into one reused
 zero-bordered buffer, so the conv holds no padded copy of its whole input. A
 1x1 stride-1 conv multiplies a view of its input. The window ops loop over
@@ -22,11 +22,11 @@ to those references; add_n, the sum of any number of tensors, accumulates in
 float64 and rounds once. The decode kernels (sigmoid, grouped softmax) still
 accumulate in float64. No kernel mutates its inputs except conv_epilogue,
 which applies a batch norm's affine or a conv's bias, then SiLU, in place on
-the new array conv2d returns, one slab of whole channels at a time through one
-reused tanh buffer, so it allocates nothing the size of its input; it is the
-one batch norm and SiLU body, which batch_norm_inference and silu run on a
-copy, and the one place a bias is added: a ConvBlock hands it its bias, and
-conv2d a bias its caller passes.
+the new array conv2d returns, one slab of whole channels of about TILE_BUDGET
+bytes at a time through one reused tanh buffer; it is the one batch norm and
+SiLU body, which batch_norm_inference and silu run on a copy, and the one
+place a bias is added: a ConvBlock hands it its bias, and conv2d a bias its
+caller passes.
 
 Every conv is undilated and every batch norm divides by sqrt(var + BN_EPS).
 """
@@ -71,9 +71,7 @@ class Conv2dSpec:
 
     def __post_init__(self):
         for field in ("kernel", "stride", "padding"):
-            v = getattr(self, field)
-            if not (type(v) is tuple and len(v) == 2 and type(v[0]) is type(v[1]) is int):
-                object.__setattr__(self, field, _pair(v))
+            object.__setattr__(self, field, _pair(getattr(self, field)))
         for field in ("in_ch", "out_ch", "groups"):
             if getattr(self, field) < 1:
                 raise SpecError(f"{field} must be positive, got {getattr(self, field)}")
@@ -157,25 +155,22 @@ def _depthwise(x: np.ndarray, spec: Conv2dSpec, wf: np.ndarray, ho: int, wo: int
     return out.transpose(0, 3, 1, 2)
 
 
-# bytes of im2col a dense conv gathers at once: it copies and multiplies one
-# block of output rows at a time through a buffer of about this size
-IM2COL_BUDGET = 1 << 20
+# bytes of scratch a conv kernel works through at once: a dense conv's im2col
+# buffer for one block of output rows, and the conv epilogue's slab of whole
+# channels and the one tanh buffer it reuses
+TILE_BUDGET = 1 << 20
 
 # OpenBLAS runs a GEMM of at most 100**3 multiply-adds through small-matrix
 # kernels that round differently from its blocked ones (seen on AVX-512
 # cores), so no block is that small unless it is the whole image
 SMALL_GEMM_MACS = 100 ** 3
 
-# bytes of the channel slab the conv epilogue works on at once, and of the
-# one tanh buffer it reuses
-SLAB_BUDGET = 1 << 18
-
 
 def _row_blocks(ho: int, wo: int, k: int, out_ch: int) -> list[tuple[int, int]]:
     """(first, end) output rows of each block of a dense conv with `k` im2col
-    rows: as many near-equal blocks as IM2COL_BUDGET asks for, each one's
+    rows: as many near-equal blocks as TILE_BUDGET asks for, each one's
     GEMM larger than SMALL_GEMM_MACS."""
-    want = -(-4 * k * ho * wo // IM2COL_BUDGET)
+    want = -(-4 * k * ho * wo // TILE_BUDGET)
     most = ho // (SMALL_GEMM_MACS // (out_ch * k * wo) + 1)
     count = max(1, min(want, most))
     return [(i * ho // count, (i + 1) * ho // count) for i in range(count)]
@@ -276,8 +271,8 @@ def conv_epilogue(y: np.ndarray, bn: BatchNormParams | None, act: str,
     SiLU(x) = h * (1 + tanh(h)) over it. Halving commutes with float32
     rounding outside the subnormal range, so y/2 + bias/2 rounds as
     (y + bias)/2, and the tanh form of sigmoid is stable for any magnitude.
-    The work runs over slabs of whole channels of about SLAB_BUDGET bytes,
-    through one reused tanh buffer."""
+    The work runs over slabs of whole channels of about TILE_BUDGET bytes,
+    through one reused tanh buffer of one slab."""
     check_nchw(y)
     n, c, h, w = y.shape
     silu_tail = act == "silu"
@@ -297,7 +292,7 @@ def conv_epilogue(y: np.ndarray, bn: BatchNormParams | None, act: str,
         shift = None if bias is None else (half * bias)[:, None, None]
         if scale is None and shift is None:
             return y
-    step = max(1, SLAB_BUDGET // max(4 * h * w, 1))  # channels per slab
+    step = max(1, TILE_BUDGET // max(4 * h * w, 1))  # channels per slab
     t = np.empty(min(c, step) * h * w, DTYPE) if silu_tail else None
     for b in range(n):
         for c0 in range(0, c, step):

@@ -564,6 +564,28 @@ class TestOutputMode:
         write_atomic(os.fspath(tmp_path / "new"), b"x")
         assert (tmp_path / "new").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
+    def test_data_reaches_the_disk_before_the_rename(self, monkeypatch, tmp_path):
+        # a rename that a power loss keeps can then not point at an empty file
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def spy_fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def spy_replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        target = tmp_path / "report.json"
+        target.write_bytes(b"old")
+        write_atomic(os.fspath(target), b"new")
+        ino = target.stat().st_ino
+        assert target.read_bytes() == b"new"
+        assert events == [("fsync", ino), ("replace", ino)]
+
     def test_replaced_file_keeps_its_mode(self, tmp_path):
         target = tmp_path / "report.json"
         target.write_bytes(b"old")

@@ -4,10 +4,12 @@ import csv
 import io
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repdet.cli import main
 from repdet.errors import ValidationError
 from repdet.evaluate import (
     DatasetItem,
@@ -95,10 +97,21 @@ class TestLoadDataset:
         ("abc", "'classes' must be a list"),
         (["a", 1], "'classes' must be a list"),
         ([], "no classes"),
+        (["a", "b", "a"], "'a' more than once"),
     ])
     def test_bad_classes_rejected(self, tmp_path, classes, match):
         with pytest.raises(ValidationError, match=match):
             load_dataset(self._manifest(tmp_path, {"classes": classes, "items": []}))
+
+    def test_duplicate_class_is_3_with_one_error_line(self, tmp_path, capsys):
+        # two report rows with one name could not be told apart
+        path = self._make(tmp_path, "0 0.5 0.5 0.2 0.1\n")
+        doc = json.loads(Path(path).read_text())
+        Path(path).write_text(json.dumps({**doc, "classes": ["wssv", "bss", "wssv"]}))
+        code = main(["eval", "--model", "baseline", "--manifest", path])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == "error: manifest 'classes' lists 'wssv' more than once\n"
 
     def test_items_object_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="'items' must be a list"):

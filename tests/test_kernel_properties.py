@@ -137,10 +137,10 @@ def test_dense_conv_row_blocks_bit_identical_to_one_block(conv, seed):
     kk = spec.in_ch * spec.kernel[0] * spec.kernel[1]
     row_macs = spec.out_ch * kk * wo
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(T, "IM2COL_BUDGET", 1 << 62)
+        mp.setattr(T, "TILE_BUDGET", 1 << 62)
         assert T._row_blocks(ho, wo, kk, spec.out_ch) == [(0, ho)]
         whole = conv2d(x, spec, wt, b)
-        mp.setattr(T, "IM2COL_BUDGET", budget)
+        mp.setattr(T, "TILE_BUDGET", budget)
         blocks = T._row_blocks(ho, wo, kk, spec.out_ch)
         got = conv2d(x, spec, wt, b)
     assert [r0 for r0, _ in blocks] == [0] + [r1 for _, r1 in blocks[:-1]]

@@ -1,5 +1,7 @@
 """Kernel-level tests: every op against hand values, loop oracles, and its
 declared algebraic properties."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -125,16 +127,35 @@ class TestSlabsAndBands:
         y = rng.uniform(-6, 6, (2, 5, 7, 9)).astype(np.float32)
         p = batch_norm(rng.uniform(0.5, 1.5, 5), rng.uniform(-0.3, 0.3, 5),
                        rng.uniform(-0.3, 0.3, 5), rng.uniform(0.25, 2.0, 5)) if bn else None
-        monkeypatch.setattr(T, "SLAB_BUDGET", 1 << 62)
+        monkeypatch.setattr(T, "TILE_BUDGET", 1 << 62)
         whole = conv_epilogue(y.copy(), p, act)
         # two channels per slab: slabs of 2, 2 and a ragged 1 in each image
-        monkeypatch.setattr(T, "SLAB_BUDGET", 2 * 4 * 7 * 9)
+        monkeypatch.setattr(T, "TILE_BUDGET", 2 * 4 * 7 * 9)
         got = conv_epilogue(y.copy(), p, act)
         # a channels-last buffer seen as NCHW takes the same slabs as strided views
         strided = conv_epilogue(np.ascontiguousarray(y.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
                                 p, act)
         assert np.array_equal(got, whole) and np.array_equal(strided, whole)
         assert np.abs(whole - conv_epilogue_f64(y, p, act)).max() < 4e-6
+
+    # at the 1 MiB budget: slabs of 10 channels of 160², of 2 channels of
+    # 320², and one slab that holds a whole 20² head map
+    @pytest.mark.parametrize("shape", [(1, 64, 160, 160), (1, 16, 320, 320), (1, 256, 20, 20)])
+    @pytest.mark.parametrize("bn", [True, False])
+    def test_epilogue_scratch_is_one_slab(self, shape, bn):
+        rng = np.random.default_rng(12)
+        c, h, w = shape[1:]
+        y = rng.uniform(-6, 6, shape).astype(np.float32)
+        p = batch_norm(rng.uniform(0.5, 1.5, c), rng.uniform(-0.3, 0.3, c),
+                       rng.uniform(-0.3, 0.3, c), rng.uniform(0.25, 2.0, c)) if bn else None
+        bias = None if bn else rng.uniform(-1, 1, c).astype(np.float32)
+        tracemalloc.start()
+        try:
+            conv_epilogue(y, p, "silu", bias)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(T.TILE_BUDGET, 4 * h * w) + (64 << 10)
 
     # (kernel, stride, padding): stride 2, padding 2, and a 3x3 and a 1x1
     # padded beyond their reach, whose edge blocks read two zero rows of three
@@ -180,7 +201,7 @@ class TestSlabsAndBands:
         monkeypatch.setattr(T, "SMALL_GEMM_MACS", 0)
         # one whole-image block, then blocks of one and of two output rows
         for rows in (ho, 1, 2):
-            monkeypatch.setattr(T, "IM2COL_BUDGET", 4 * kk * wo * rows)
+            monkeypatch.setattr(T, "TILE_BUDGET", 4 * kk * wo * rows)
             views.clear()
             blocks.clear()
             got = conv2d(x, spec, wt, b)
@@ -211,8 +232,7 @@ class TestBatchNorm:
 
 class TestLeanConstruction:
     """`BatchNormParams` builds its identity arrays directly, and `Conv2dSpec`
-    skips the conversions and checks that its arguments do not need, with the
-    same results."""
+    turns every form of its geometry arguments into the same pairs of ints."""
 
     def test_identity_builds_fresh_arrays(self):
         calls = [BatchNormParams(5), BatchNormParams(5)]

@@ -18,7 +18,7 @@ class NumericError(EngineError):
 
 
 class FormatError(EngineError):
-    """Malformed binary or text container (weight files, PPM images)."""
+    """Malformed binary or text container (weight files, PPM images, manifests)."""
 
 
 class ValidationError(EngineError):

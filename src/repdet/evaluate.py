@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FormatError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ def _parse_label_file(path: str, nc: int):
         bad = [v for v in fields[1:] if not v.isascii() or "_" in v]
         if bad:
             raise ValidationError(f"{path}:{lineno}: box field {bad[0]!r} is not a decimal number")
-        cid = int(fields[0])
-        try:
+        try:  # int() refuses a class id past the interpreter's int-string digit limit
+            cid = int(fields[0])
             cx, cy, w, h = (float(v) for v in fields[1:])
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
@@ -81,12 +81,13 @@ def _parse_label_file(path: str, nc: int):
 
 def load_dataset(manifest_path: str):
     """Read a manifest {"classes": [...], "items": [{"image", "label"}]} whose
-    paths are resolved relative to the manifest. Returns (class_names, items)."""
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as f:
+    paths are resolved relative to the manifest. Returns (class_names, items).
+    An unopenable manifest raises its `OSError`, an unparsable one `FormatError`."""
+    with open(manifest_path, "r", encoding="utf-8") as f:
+        try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read manifest {manifest_path}: {exc}") from None
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"cannot parse manifest {manifest_path}: {exc}") from None
     if not isinstance(doc, dict) or "classes" not in doc or "items" not in doc:
         raise ValidationError("manifest must carry 'classes' and 'items'")
     classes = doc["classes"]
@@ -136,7 +137,7 @@ def match_detections(dets, truth_boxes):
     detection order.
 
     truth_boxes: list of (class_id, (x1, y1, x2, y2)) pixel boxes.
-    Returns (tp_flags, fn_count)."""
+    Returns the true-positive flags."""
     order = sorted(range(len(dets)), key=lambda i: -dets[i].score)  # stable: ties in input order
     claimed = [False] * len(truth_boxes)
     flags = [False] * len(dets)
@@ -152,7 +153,7 @@ def match_detections(dets, truth_boxes):
         if best_j >= 0 and best_iou >= 0.5:
             claimed[best_j] = True
             flags[i] = True
-    return flags, claimed.count(False)
+    return flags
 
 
 def average_precision_50(flags, total_truths: int, scores=None) -> float:
@@ -262,8 +263,7 @@ def evaluate(detections_per_image, items, class_names, image_sizes) -> EvalRepor
         truth_boxes = [(t.class_id, t.to_pixels(iw, ih)) for t in item.truths]
         for t in item.truths:
             truths_per_class[t.class_id] += 1
-        flags, _ = match_detections(dets, truth_boxes)
-        for d, f in zip(dets, flags):
+        for d, f in zip(dets, match_detections(dets, truth_boxes)):
             pooled[d.class_id].append((d.score, f))
 
     reports = []

@@ -111,18 +111,13 @@ def dfl_expectation(box_logits: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Candidates(Sequence):
     """Decoded boxes before NMS as arrays: int64 class ids, float32 scores and
-    float64 (n, 4) boxes in original-image pixels; the one input form of
-    `nms`. `[i]` builds a `Detection`."""
+    float64 (n, 4) boxes in original-image pixels; the one input form of `nms`.
+    `[i]` builds a `Detection`, whose checks see each NMS survivor."""
 
     class_ids: np.ndarray
     scores: np.ndarray
     boxes: np.ndarray
     class_names: tuple
-
-    def __post_init__(self):  # Detection's checks, on every candidate at once
-        x1, y1, x2, y2 = self.boxes.T
-        if not ((x1 < x2) & (y1 < y2) & (self.scores >= 0.0) & (self.scores <= 1.0)).all():
-            raise ValidationError("candidate with a degenerate box or a score outside [0, 1]")
 
     def __len__(self):
         return len(self.scores)
@@ -157,7 +152,8 @@ def decode_detections(head_maps, cfg: HeadConfig, meta: LetterboxMeta,
         ax, ay = (xs + 0.5) * stride, (ys + 0.5) * stride
         lb = np.stack((ax - l * stride, ay - t * stride, ax + r * stride, ay + b * stride), axis=1)
         box = unletterbox_box(lb, meta)
-        keep = ~((l + r <= 0.0) | (t + b <= 0.0) | (box[:, 0] >= box[:, 2]) | (box[:, 1] >= box[:, 3]))
+        # l + r == 0 gives x1 == x2 exactly; a NaN box stays, for `Detection` to reject
+        keep = ~((box[:, 0] >= box[:, 2]) | (box[:, 1] >= box[:, 3]))
         cids.append(cls_scores[:, ys[keep], xs[keep]].argmax(axis=0))
         scores.append(best_score[ys[keep], xs[keep]])
         boxes.append(box[keep])

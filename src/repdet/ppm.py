@@ -34,7 +34,10 @@ def read_ppm(path: str) -> np.ndarray:
         # bytes.isdigit is ASCII-only; int() would also take b"+2" and b"1_0"
         if not tok.isdigit():
             raise FormatError(f"non-numeric {what} {tok!r} at offset {off}")
-        fields.append(int(tok))
+        try:  # int() refuses more digits than the interpreter's int-string limit
+            fields.append(int(tok))
+        except ValueError:
+            raise FormatError(f"{what} of {len(tok)} digits at offset {off} is too long") from None
     w, h, maxval = fields
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval}, only 255 is handled")

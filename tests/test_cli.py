@@ -522,6 +522,43 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "class count" in err
 
+    # 5,000 digits: past the interpreter's default int-string limit of 4,300
+    @pytest.mark.parametrize("case,want_code,want_text", [
+        ("manifest not UTF-8", 2, "cannot parse manifest"),
+        ("manifest nested 100,000 deep", 2, "cannot parse manifest"),
+        ("manifest integer of 5,000 digits", 2, "cannot parse manifest"),
+        ("manifest is a directory", 2, "Is a directory"),
+        ("PPM width of 5,000 digits", 2, "width of 5000 digits"),
+        ("listed PPM maxval of 5,000 digits", 2, "maxval of 5000 digits"),
+        ("label class id of 5,000 digits", 3, "im0.txt:1: "),
+    ])
+    def test_outside_input_gives_one_typed_error(self, capsys, tmp_path, tiny_dataset,
+                                                 case, want_code, want_text):
+        long = "7" * 5000
+        manifest = tmp_path / "bad.json"
+        command, source = "eval", ("--manifest", os.fspath(manifest))
+        if case == "manifest not UTF-8":
+            manifest.write_bytes(b'{"classes": ["a\xff"], "items": []}')
+        elif case == "manifest nested 100,000 deep":
+            manifest.write_text("[" * 100_000 + "]" * 100_000)
+        elif case == "manifest integer of 5,000 digits":
+            manifest.write_text(f'{{"classes": {long}, "items": []}}')
+        elif case == "manifest is a directory":
+            manifest.mkdir()
+        elif case == "PPM width of 5,000 digits":
+            (tmp_path / "long.ppm").write_bytes(f"P6\n{long} 1\n255\n".encode() + bytes(3))
+            command, source = "infer", ("--image", os.fspath(tmp_path / "long.ppm"))
+        elif case == "listed PPM maxval of 5,000 digits":
+            (tmp_path / "im0.ppm").write_bytes(f"P6\n1 1\n{long}\n".encode() + bytes(3))
+            source = ("--manifest", tiny_dataset)
+        else:
+            (tmp_path / "im0.txt").write_text(f"{long} 0.5 0.5 0.2 0.2\n")
+            source = ("--manifest", tiny_dataset)
+        code, out, err = run_cli(capsys, command, "--model", "baseline", *source)
+        assert code == want_code
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and want_text in err
+
     def test_bad_threshold_is_1(self, capsys, black_image):
         code, _, err = run_cli(capsys, "infer", "--model", "improved",
                                "--image", black_image, "--conf", "1.5")
@@ -532,7 +569,7 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "eval", "--model", "improved",
                                "--manifest", "/nonexistent/manifest.json",
                                "--out", os.fspath(target))
-        assert code == 3
+        assert code == 2  # an unopenable manifest is an I/O error, as an unopenable --image is
         assert not target.exists()
 
 

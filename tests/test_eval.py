@@ -150,22 +150,33 @@ class TestIoU:
 class TestMatching:
     TRUTH = [(0, (0.0, 0.0, 10.0, 10.0))]
 
+    @staticmethod
+    def misses(dets):
+        """`evaluate`'s class-0 miss count for `dets` against TRUTH, whose
+        normalized label is the whole 10x10 image."""
+        item = DatasetItem("img.ppm", (GroundTruthBox(0, 0.5, 0.5, 1.0, 1.0),))
+        assert [(0, item.truths[0].to_pixels(10, 10))] == TestMatching.TRUTH
+        return evaluate([dets], [item], CLASS_NAMES, image_sizes=[(10, 10)]).classes[0].fn
+
     def test_exact_hit(self):
-        flags, fn = match_detections([det(0, 0.9, (0.0, 0.0, 10.0, 10.0))], self.TRUTH)
-        assert flags == [True] and fn == 0
+        dets = [det(0, 0.9, (0.0, 0.0, 10.0, 10.0))]
+        assert match_detections(dets, self.TRUTH) == [True]
+        assert self.misses(dets) == 0
 
     def test_duplicate_second_is_fp(self):
         dets = [det(0, 0.6, (0.0, 0.0, 10.0, 9.5)), det(0, 0.9, (0.0, 0.0, 10.0, 10.0))]
-        flags, fn = match_detections(dets, self.TRUTH)
-        assert flags == [False, True] and fn == 0  # higher score claims the truth
+        assert match_detections(dets, self.TRUTH) == [False, True]  # higher score claims the truth
+        assert self.misses(dets) == 0
 
     def test_below_threshold_is_fp_and_fn(self):
-        flags, fn = match_detections([det(0, 0.9, (0.0, 6.0, 10.0, 16.0))], self.TRUTH)
-        assert flags == [False] and fn == 1  # IoU 0.25
+        dets = [det(0, 0.9, (0.0, 6.0, 10.0, 16.0))]
+        assert match_detections(dets, self.TRUTH) == [False]  # IoU 0.25
+        assert self.misses(dets) == 1
 
     def test_class_mismatch_never_matches(self):
-        flags, fn = match_detections([det(1, 0.9, (0.0, 0.0, 10.0, 10.0))], self.TRUTH)
-        assert flags == [False] and fn == 1
+        dets = [det(1, 0.9, (0.0, 0.0, 10.0, 10.0))]
+        assert match_detections(dets, self.TRUTH) == [False]
+        assert self.misses(dets) == 1
 
 
 class TestAveragePrecision:

@@ -11,6 +11,7 @@ from repdet.cli import main
 from repdet.errors import FormatError, ShapeError, SpecError, ValidationError
 from repdet.pipeline import (
     PAD_VALUE,
+    Candidates,
     Detection,
     LetterboxMeta,
     annotate,
@@ -260,6 +261,18 @@ class TestNMS:
         a = det(2, 0.8, (0.0, 0.0, 10.0, 10.0))
         b = det(1, 0.8, (100.0, 100.0, 110.0, 110.0))
         assert nms(candidates([a, b]), 0.5) == [b, a]
+
+    @pytest.mark.parametrize("rank", [0, 1])
+    @pytest.mark.parametrize("corner", range(4))
+    def test_nan_box_still_rejected(self, rank, corner):
+        # `Candidates` takes its arrays unchecked; a NaN box is never
+        # suppressed and never suppresses, so `Detection` rejects it
+        boxes = np.array([[0.0, 0.0, 10.0, 10.0], [0.0, 0.0, 10.0, 10.0]])
+        boxes[rank, corner] = np.nan
+        cands = Candidates(np.zeros(2, dtype=np.int64), np.array([0.9, 0.8], dtype=np.float32),
+                           boxes, ("class0",))
+        with pytest.raises(ValidationError, match="degenerate box"):
+            nms(cands)
 
 
 class TestAnnotate:

@@ -117,6 +117,19 @@ def test_decode_matches_reference(maps, meta, conf):
     assert bits(cands) == bits(want)
 
 
+@PROPERTY
+@given(maps=head_maps(), scale=st.sampled_from([1.0, 1e3, 1e30]), meta=metas,
+       conf=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 1.0)))
+def test_decoded_candidates_hold_what_detection_checks(maps, scale, meta, conf):
+    # decode alone gives every candidate of finite maps, however large, a
+    # box with x1 < x2 and y1 < y2 and a score in [0, 1]; nothing checks
+    # them again before NMS
+    cands = decode_detections([m * np.float32(scale) for m in maps], CFG, meta, conf)
+    x1, y1, x2, y2 = cands.boxes.T
+    assert ((x1 < x2) & (y1 < y2)).all()
+    assert ((cands.scores >= 0.0) & (cands.scores <= 1.0)).all()
+
+
 # ---- NMS -------------------------------------------------------------------
 
 @st.composite

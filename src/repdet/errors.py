@@ -14,7 +14,7 @@ class SpecError(EngineError):
 
 
 class NumericError(EngineError):
-    """Arithmetic precondition violated (e.g. non-positive variance)."""
+    """A computed value is not finite (a fold, or a node of a forward)."""
 
 
 class FormatError(EngineError):

@@ -9,7 +9,8 @@ One pass walks every train leaf (a conv, a RepConv, a scale) with its deploy
 twin, recursing wherever the twin is a composite. Every batch norm's float64
 affine comes from one `bn_scale_shift` over the concatenated statistics of all
 the norms folded; a conv's fold is one float64 multiply rounded into its twin.
-Errors name the first failing leaf in walk order.
+Statistics are checked where they enter (`model.load_weights`): a bad norm here
+folds to a non-finite twin, and the error names the first such leaf in walk order.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 from .blocks import Composite, ConvBlock, RepConvBlock
 from .errors import NumericError
 from .model import ModelGraph, build_model
-from .tensor_ops import BN_EPS, DTYPE, bn_scale_shift
+from .tensor_ops import DTYPE, bn_scale_shift
 
 
 def _leaves(src, dst, name: str):
@@ -42,19 +43,13 @@ def _norms(leaf) -> list:
 
 
 def _affines(norms: list):
-    """Float64 (scale, shift) of each norm in turn, all from one
-    `bn_scale_shift` over the concatenated statistics. A norm with
-    var + BN_EPS <= 0 raises when its turn comes; no norm after it is computed."""
+    """Float64 (scale, shift) of each norm in turn, sliced from one
+    `bn_scale_shift` over the concatenated statistics."""
     stats = {k: np.concatenate([getattr(bn, k) for bn in norms])
              for k in ("gamma", "beta", "mean", "var")}
-    bad = stats["var"].astype(np.float64) + BN_EPS <= 0
+    scale, shift = bn_scale_shift(SimpleNamespace(**stats))
     starts = np.cumsum([0] + [bn.channels for bn in norms])
-    failing = int(np.searchsorted(starts, bad.argmax(), "right")) - 1 if bad.any() else len(norms)
-    scale, shift = bn_scale_shift(SimpleNamespace(**{k: v[:starts[failing]]
-                                                     for k, v in stats.items()}))
-    for i, (a, b) in enumerate(zip(starts, starts[1:])):
-        if i == failing:
-            raise NumericError("variance + eps must be positive to fold a batch norm")
+    for a, b in zip(starts, starts[1:]):
         yield scale[a:b], shift[a:b]
 
 
@@ -84,25 +79,26 @@ def _fold(leaves) -> None:
     a RepConv gets its branch sum, a conv its BN fold, any other leaf (a
     BN-free conv, a scale) a copy of each array. A fold arm binds a new twin
     weight, so no zero-filled weight is made; the copy arm binds copies, so
-    the twin shares no array with its source. A non-finite conv twin raises
-    NumericError naming the leaf."""
+    the twin shares no array with its source. Float errors pass silently to
+    the one check: a non-finite conv twin raises NumericError naming the leaf."""
     leaves = list(leaves)
     affines = _affines([bn for _, src, _ in leaves for bn in _norms(src)])
-    for name, src, dst in leaves:
-        if isinstance(src, RepConvBlock):
-            dst.w = np.empty(dst.spec.weight_shape, DTYPE)
-            dst.w[...], dst.b[...] = _repconv64(src, affines)
-        elif isinstance(src, ConvBlock) and src.bn is not None:
-            scale, shift = next(affines)
-            dst.w = np.multiply(src.w, scale[:, None, None, None], dtype=np.float64,
-                                out=np.empty(dst.spec.weight_shape, DTYPE))
-            dst.b[...] = shift
-        else:
-            for (_, owner, attr, _), (_, *source, _) in zip(dst.shaped_slots(), src.shaped_slots()):
-                setattr(owner, attr, np.array(getattr(*source), DTYPE))
-        if isinstance(dst, ConvBlock) and not (np.isfinite(dst.w).all() and np.isfinite(dst.b).all()):
-            raise NumericError(f"the fold of {name} has non-finite weights or bias; "
-                               f"check the weights")
+    with np.errstate(all="ignore"):
+        for name, src, dst in leaves:
+            if isinstance(src, RepConvBlock):
+                dst.w = np.empty(dst.spec.weight_shape, DTYPE)
+                dst.w[...], dst.b[...] = _repconv64(src, affines)
+            elif isinstance(src, ConvBlock) and src.bn is not None:
+                scale, shift = next(affines)
+                dst.w = np.multiply(src.w, scale[:, None, None, None], dtype=np.float64,
+                                    out=np.empty(dst.spec.weight_shape, DTYPE))
+                dst.b[...] = shift
+            else:
+                for (_, owner, attr, _), (_, *source, _) in zip(dst.shaped_slots(), src.shaped_slots()):
+                    setattr(owner, attr, np.array(getattr(*source), DTYPE))
+            if isinstance(dst, ConvBlock) and not (np.isfinite(dst.w).all() and np.isfinite(dst.b).all()):
+                raise NumericError(f"the fold of {name} has non-finite weights or bias; "
+                                   f"check the weights")
 
 
 def deploy_repconv(blk: RepConvBlock) -> ConvBlock:

@@ -297,8 +297,6 @@ def ref_deploy_repconv(blk):
 
 
 def _block_fold64(w, bn):
-    if np.any(bn.var.astype(np.float64) + BN_EPS <= 0):
-        raise NumericError("variance + eps must be positive to fold a batch norm")
     scale, shift = bn_scale_shift(bn)
     w64 = w.astype(np.float64)
     w64 *= scale[:, None, None, None]
@@ -327,7 +325,9 @@ def ref_fold_into(src, dst, name):
     """Write the float32 fold of block `src` into its deploy twin `dst`, one
     block at a time: a RepConv gets its branch sum, a conv its BN fold (or a
     copy), a composite recurses over its children, any other leaf is copied.
-    A norm with var + BN_EPS <= 0, or a non-finite fold, raises NumericError."""
+    A non-finite fold raises NumericError; a norm is not checked in advance,
+    so one with var + BN_EPS <= 0 raises as its non-finite fold. Callers
+    that fold such a norm wrap this in `np.errstate`."""
     if isinstance(src, RepConvBlock):
         _block_write(dst, *_block_repconv64(src), name)
     elif isinstance(src, ConvBlock):

@@ -86,6 +86,10 @@ class TestConvBlock:
         with pytest.raises(ShapeError, match=r"^bias axis: length \(1,\) != out_ch 8$"):
             blk.forward(np.zeros((1, 4, 3, 3), np.float32))
 
+    def test_unknown_activation_is_spec_error(self):
+        with pytest.raises(SpecError, match="^unknown activation 'relu'$"):
+            ConvBlock(4, 8, 1, act="relu")
+
     def test_bias_beside_a_norm_raises(self):
         blk = ConvBlock(4, 8, 1)
         blk.b = np.ones(8, np.float32)
@@ -257,6 +261,10 @@ class TestMultiScaleSplitConv:
     def test_divisibility_check(self):
         with pytest.raises(SpecError, match="divisible"):
             MultiScaleSplitConv(6, 6)
+
+    def test_wrong_channel_count_is_shape_error(self):
+        with pytest.raises(ShapeError, match="^channel axis: 4 != 8$"):
+            MultiScaleSplitConv(8, 8).forward(np.zeros((1, 4, 5, 5), np.float32))
 
 
 class TestMSCA:

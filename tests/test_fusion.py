@@ -1,5 +1,6 @@
 """Reparameterization tests: BN folding, RepConv collapse with its branch
 lowering, and the whole-graph fusion pass."""
+import re
 from itertools import zip_longest
 
 import numpy as np
@@ -156,7 +157,7 @@ class TestFuseRepConv:
             blk = identity_bns(RepConvBlock(1))
             blk.branch_3x3.w[0, 0, 1, 1] = value
             blk.branch_1x1.w[...] = value
-            with pytest.raises(NumericError), np.errstate(over="ignore"):
+            with pytest.raises(NumericError):
                 deploy_repconv(blk)
 
 
@@ -462,7 +463,7 @@ def test_fusion_properties_under_drawn_statistics(tmp_path_factory, variant, nc,
         arrays = dict(M.named_tensors(g))
         for key, value in (("gamma", 3e38), ("var", 0.0), ("mean", 1e4)):
             arrays[name.removesuffix("gamma") + key][0] = value
-        with pytest.raises(NumericError) as err, np.errstate(over="ignore"):
+        with pytest.raises(NumericError) as err:
             fuse_model_graph(g)
         named = str(err.value).removeprefix("the fold of ").split(" has non-finite")[0]
         assert name.startswith(f"{named}.")
@@ -520,9 +521,6 @@ def test_graph_fold_matches_block_folds(variant, nc, seed, tiny_share, mean_size
     assert_graph_bits(fuse_model_graph(fused), ref_fuse(fused))
 
 
-VAR_EPS = "variance + eps must be positive to fold a batch norm"
-
-
 @DRAWN
 @given(variant=st.sampled_from(["baseline", "improved"]), seed=st.integers(0, 2 ** 16),
        first=st.integers(0, 2 ** 16), gap=st.integers(0, 2 ** 16), var_first=st.booleans())
@@ -531,9 +529,8 @@ VAR_EPS = "variance + eps must be positive to fold a batch norm"
 @example(variant="baseline", seed=0, first=0, gap=0, var_first=True)
 def test_first_failing_norm_names_the_error(variant, seed, first, gap, var_first):
     # two norms fail: one with var + eps <= 0, the other with a fold that
-    # cannot be finite in float32. The earlier one in walk order gives the
-    # error, with the reference's message; two norms of one RepConv fail as
-    # one leaf, whose variance checks come before its branch sum
+    # cannot be finite in float32. Either way the earlier one's leaf is named,
+    # as the reference names it; two norms of one RepConv fail as one leaf
     g = M.build_model(variant, 3)
     M.init_weights(g, seed)
     bns = norms(g)
@@ -544,16 +541,47 @@ def test_first_failing_norm_names_the_error(variant, seed, first, gap, var_first
     bns[bad][1].var[0] = -1.0
     for key, value in (("gamma", 3e38), ("var", 0.0), ("mean", 1e4)):
         getattr(bns[blow][1], key)[0] = value
-    with np.errstate(over="ignore"):
-        with pytest.raises(NumericError) as want:
-            ref_fuse(g)
-        with pytest.raises(NumericError) as got:
-            fuse_model_graph(g)
+    with pytest.raises(NumericError) as want, np.errstate(all="ignore"):
+        ref_fuse(g)
+    with pytest.raises(NumericError) as got:
+        fuse_model_graph(g)
     msg = str(got.value)
     assert msg == str(want.value)
-    if msg != VAR_EPS:
-        named = msg.removeprefix("the fold of ").split(" has non-finite")[0]
-        assert blow < bad and bns[blow][0].startswith(f"{named}.")
-    elif blow < bad:  # both norms are branches of one RepConv
-        stacks = {bns[k][0].rsplit(".", 2)[0] for k in (blow, bad)}
-        assert len(stacks) == 1 and stacks.pop().startswith("head.rep")
+    named = msg.removeprefix("the fold of ").split(" has non-finite")[0]
+    assert bns[early][0].startswith(f"{named}.")
+    if bns[late][0].startswith(f"{named}."):
+        assert named.startswith("head.rep")
+
+
+BAD_VARIANCES = pytest.mark.parametrize("var", [-BN_EPS, -1.0, -np.inf])
+
+
+def non_finite_fold(leaf):
+    return rf"^the fold of {re.escape(leaf)} has non-finite weights or bias; check the weights$"
+
+
+@BAD_VARIANCES
+@pytest.mark.parametrize("branch", ["k3", "k1", "avg"])
+def test_bad_variance_in_a_branch_names_the_repconv(var, branch):
+    # var + BN_EPS <= 0 gives a NaN or infinite scale, so a non-finite shift
+    # and branch sum: the finite check names the leaf, with no RuntimeWarning
+    blk = RepConvBlock(2)
+    dict(blk.children())[branch].bn.var[1] = var
+    with pytest.raises(NumericError, match=non_finite_fold("a RepConv")):
+        deploy_repconv(blk)
+
+
+@BAD_VARIANCES
+@pytest.mark.parametrize("norm, leaf", [
+    ("backbone.conv0.bn", "backbone.conv0"),
+    ("neck.c2f21.m0.cv1.p5.bn", "neck.c2f21.m0.cv1.p5"),
+    ("head.rep1.k3.bn", "head.rep1"),
+    ("head.rep1.k1.bn", "head.rep1"),
+    ("head.rep1.avg.bn", "head.rep1"),
+])
+def test_bad_variance_in_a_graph_names_its_leaf(var, norm, leaf):
+    g = M.build_model("improved", 3)
+    M.init_weights(g, 0)
+    dict(norms(g))[norm].var[-1] = var
+    with pytest.raises(NumericError, match=non_finite_fold(leaf)):
+        fuse_model_graph(g)

@@ -91,6 +91,12 @@ class TestPPM:
         write_ppm(p2, img)
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
+    def test_write_of_a_two_dimensional_array_is_format_error(self, tmp_path):
+        path = os.fspath(tmp_path / "gray.ppm")
+        with pytest.raises(FormatError, match=r"^expected \(h, w, 3\) pixels, got \(2, 3\)$"):
+            write_ppm(path, np.zeros((2, 3), dtype=np.uint8))
+        assert not os.path.exists(path)
+
 
 class TestLetterbox:
     def test_square_input_is_unpadded(self):
@@ -176,6 +182,10 @@ class TestDecode:
 
     def test_low_logits_give_no_detections(self):
         assert len(decode_detections(_head_maps(), CFG, self.IDENTITY_META, 0.25)) == 0
+
+    def test_two_maps_for_three_levels_is_spec_error(self):
+        with pytest.raises(SpecError, match="^expected 3 head maps, got 2$"):
+            decode_detections(_head_maps()[:2], CFG, self.IDENTITY_META, 0.25)
 
     def test_batch_of_two_rejected(self):
         maps = [np.concatenate([m, m]) for m in _head_maps()]

@@ -115,6 +115,12 @@ class TestConv2d:
             conv2d(np.zeros((1, 1, 3, 3), dtype=np.float32), spec,
                    np.zeros((1, 1, 5, 5), dtype=np.float32))
 
+    def test_three_dimensional_input_is_shape_error(self):
+        spec = Conv2dSpec(1, 1, 1)
+        with pytest.raises(ShapeError, match="^input must be 4-D NCHW, got 3-D$"):
+            conv2d(np.zeros((1, 3, 3), dtype=np.float32), spec,
+                   np.zeros(spec.weight_shape, dtype=np.float32))
+
 
 class TestSlabsAndBands:
     """The conv epilogue's channel slabs and the dense conv's per-block
@@ -309,6 +315,10 @@ class TestPool2d:
         with pytest.raises(ShapeError, match="kernel"):
             pool2d(np.zeros((1, 1, 2, 2), dtype=np.float32), "max", 5, 1, 0)
 
+    def test_unknown_mode_is_spec_error(self):
+        with pytest.raises(SpecError, match="^unknown pool mode 'min'$"):
+            pool2d(np.zeros((1, 1, 4, 4), dtype=np.float32), "min", 3, 1, 1)
+
     # stride 0, negative padding, and padding beyond half the kernel, whose
     # border windows would hold only padding
     @pytest.mark.parametrize("kernel, stride, padding, message", [
@@ -381,6 +391,10 @@ class TestUpsampleConcatSplit:
     def test_bad_split_sizes(self):
         with pytest.raises(SpecError, match="sum"):
             split_channels(np.zeros((1, 4, 2, 2), dtype=np.float32), [3, 2])
+
+    def test_concat_of_nothing_is_shape_error(self):
+        with pytest.raises(ShapeError, match="^concat of zero tensors$"):
+            concat_channels([])
 
     def test_concat_spatial_mismatch(self):
         a = np.zeros((1, 2, 2, 2), dtype=np.float32)

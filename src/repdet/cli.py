@@ -58,6 +58,15 @@ def _forward_finite(g, tensor):
                        f"check the weights")
 
 
+def _detect(g, path, conf, iou, classes=None):
+    """The PPM image at `path` and its detections under `g`: letterbox, the
+    finite-checked forward, decode at `conf`, then NMS at `iou`."""
+    image = read_ppm(path)
+    tensor, meta = letterbox(image)
+    maps = _forward_finite(g, tensor)
+    return image, nms(decode_detections(maps, g.cfg, meta, conf, classes), iou)
+
+
 def _prepare_graph(variant, nc, weights_path, seed):
     """The graph with seeded weights, or in the form of the store at
     `weights_path`: a store holding any batch-norm tensor is a train store,
@@ -72,25 +81,16 @@ def _prepare_graph(variant, nc, weights_path, seed):
     return g
 
 
-def _shape_text(shape) -> str:
-    return "x".join(str(d) for d in shape[1:])
-
-
 def cmd_summarize(args) -> int:
     g = M.build_model(args.model, args.nc)
     rows, total_params, total_macs = M.profile_graph(g)
-    lines = [f"{'layer':<22} {'kind':<12} {'output':>14} {'params':>10} {'macs':>14}"]
-    for r in rows:
-        lines.append(f"{r.name:<22} {r.kind:<12} {_shape_text(r.out_shape):>14} "
-                     f"{r.params:>10} {r.macs:>14}")
-    lines.append(f"{'total':<22} {'':<12} {'':>14} {total_params:>10} {total_macs:>14}")
-    print("\n".join(lines))
+    table = [("layer", "kind", "output", "params", "macs")]
+    table.extend((r.name, r.kind, "x".join(map(str, r.out_shape[1:])), r.params, r.macs)
+                 for r in rows)
+    table.append(("total", "", "", total_params, total_macs))
+    print("\n".join(f"{a:<22} {b:<12} {c:>14} {d:>10} {e:>14}" for a, b, c, d, e in table))
     if args.csv:
-        csv = ["layer,kind,output,params,macs"]
-        csv.extend(f"{r.name},{r.kind},{_shape_text(r.out_shape)},{r.params},{r.macs}"
-                   for r in rows)
-        csv.append(f"total,,,{total_params},{total_macs}")
-        write_atomic(args.csv, ("\n".join(csv) + "\n").encode("utf-8"))
+        write_atomic(args.csv, "".join(",".join(map(str, t)) + "\n" for t in table).encode("utf-8"))
     return 0
 
 
@@ -133,10 +133,7 @@ def cmd_fuse(args) -> int:
 
 def cmd_infer(args) -> int:
     g = _prepare_graph(args.model, args.nc, args.weights, args.seed)
-    image = read_ppm(args.image)
-    tensor, meta = letterbox(image)
-    maps = _forward_finite(g, tensor)
-    dets = nms(decode_detections(maps, g.cfg, meta, args.conf), args.iou)
+    image, dets = _detect(g, args.image, args.conf, args.iou)
     print(detections_to_json(dets))
     if args.annotate:
         write_ppm(args.annotate, annotate(image, dets))
@@ -149,20 +146,15 @@ def cmd_eval(args) -> int:
     per_image = []
     sizes = []
     for item in items:
-        image = read_ppm(item.image_path)
+        image, dets = _detect(g, item.image_path, args.conf, args.iou, classes)
         sizes.append((image.shape[1], image.shape[0]))
-        tensor, meta = letterbox(image)
-        maps = _forward_finite(g, tensor)
-        per_image.append(nms(decode_detections(maps, g.cfg, meta, args.conf, classes),
-                             args.iou))
+        per_image.append(dets)
     report = evaluate(per_image, items, classes, image_sizes=sizes)
     text = report.to_json_text()
     print(text)
     if args.out:
-        if args.out.endswith(".csv"):
-            write_atomic(args.out, (report.to_csv_text() + "\n").encode("utf-8"))
-        else:
-            write_atomic(args.out, (text + "\n").encode("utf-8"))
+        body = report.to_csv_text() if args.out.endswith(".csv") else text
+        write_atomic(args.out, (body + "\n").encode("utf-8"))
     return 0
 
 

@@ -3,7 +3,6 @@ class-aware NMS, coordinate un-mapping, and annotated-image output."""
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +108,7 @@ def dfl_expectation(box_logits: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Candidates(Sequence):
+class Candidates:
     """Decoded boxes before NMS as arrays: int64 class ids, float32 scores and
     float64 (n, 4) boxes in original-image pixels; the one input form of `nms`.
     `[i]` builds a `Detection`, whose checks see each NMS survivor."""

@@ -367,6 +367,23 @@ class TestEval:
         assert code == 0
         assert Path(report_path).read_text().startswith("class,")
 
+    @pytest.mark.parametrize("variant", ["baseline", "improved"])
+    def test_counts_what_infer_prints(self, capsys, tmp_path, tiny_dataset, variant):
+        weights = calibrated_store(tmp_path, variant)
+        doc = json.loads(Path(tiny_dataset).read_text())
+        manifest = tmp_path / "one.json"
+        manifest.write_text(json.dumps({"classes": doc["classes"], "items": doc["items"][:1]}))
+        image = os.path.join(os.path.dirname(tiny_dataset), doc["items"][0]["image"])
+        common = ("--model", variant, "--weights", weights, "--conf", "0.25", "--iou", "0.45")
+        code, dets, _ = run_cli(capsys, "infer", *common, "--image", image)
+        assert code == 0
+        code, report, _ = run_cli(capsys, "eval", *common, "--manifest", os.fspath(manifest))
+        assert code == 0
+        dets, report = json.loads(dets), json.loads(report)
+        assert report["total_detections"] == len(dets) > 0
+        assert [c["detections"] for c in report["classes"]] == [
+            sum(d["class_id"] == i for d in dets) for i in range(len(doc["classes"]))]
+
 
 class TestSelftest:
     def test_selftest_passes(self, capsys):

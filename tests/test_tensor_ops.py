@@ -450,3 +450,8 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             elementwise(np.zeros((1, 1, 2, 2), dtype=np.float32),
                         np.zeros((1, 1, 2, 3), dtype=np.float32), "mul")
+
+    def test_unknown_op(self):
+        x = np.zeros((1, 1, 2, 2), dtype=np.float32)
+        with pytest.raises(SpecError, match="^unknown elementwise op 'sub'$"):
+            elementwise(x, x, "sub")
